@@ -56,7 +56,8 @@ def _ballot_int(x: int, l: int) -> int:
     if l == x:
         return 0
     num = (x - l) * math.comb(x + l, l)
-    assert num % (x + l) == 0
+    if num % (x + l) != 0:
+        raise AssertionError(f"ballot numerator {num} is not divisible by {x + l}")
     return num // (x + l)
 
 
@@ -177,7 +178,8 @@ def _correction_value(trials: int, corr: tuple[int, int, int]) -> int:
     d = math.comb(trials, k1)
     if 0 <= k2 <= trials:
         d -= math.comb(trials, k2)
-    assert d >= 0
+    if d < 0:
+        raise AssertionError(f"negative no-return path count {d}")
     return d
 
 

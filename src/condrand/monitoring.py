@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .covariance import information_at_look
 from .design import DesignSpec
@@ -58,8 +58,8 @@ def spend(sf: SpendingFunction, t: float) -> float:
     if t == 0.0:
         return 0.0
     if sf.kind == OBRIEN_FLEMING:
-        z = float(stats.norm.ppf(1.0 - sf.alpha / 2.0))
-        return float(2.0 - 2.0 * stats.norm.cdf(z / math.sqrt(t)))
+        z = float(special.ndtri(1.0 - sf.alpha / 2.0))
+        return float(2.0 - 2.0 * special.ndtr(z / math.sqrt(t)))
     return float(sf.alpha * math.log1p((math.e - 1.0) * t))
 
 

@@ -23,6 +23,9 @@ from .streams import as_generator
 
 _NEG_INF = float("-inf")
 
+# Uniforms drawn per block of the walk, rounded down to whole steps.
+_BLOCK_UNIFORMS = 1 << 16
+
 
 @dataclass(frozen=True)
 class Look:
@@ -190,15 +193,7 @@ class MultilookSampler:
 
     def draw_batch(self, rng: np.random.Generator | int | None, size: int) -> np.ndarray:
         """A (size, n) int8 matrix of independent constrained sequences."""
-        rng = as_generator(rng)
-        size = int(size)
-        out = np.empty((size, self.n), dtype=np.int8)
-        m = np.zeros(size, dtype=np.int64)
-        for j in range(self.n):
-            t = rng.random(size) < self._psi[j, m]
-            out[:, j] = t
-            m += t
-        return out
+        return np.ascontiguousarray(self._walk(rng, int(size)).T).view(np.int8)
 
     def draw(self, rng: np.random.Generator | int | None = None) -> TreatmentSequence:
         return TreatmentSequence(self.draw_batch(rng, 1)[0])
@@ -216,29 +211,50 @@ class MultilookSampler:
                 covering the first r_l positions.
 
         Returns:
-            Array of shape (size, L) of look statistics.
+            Array of shape (size, L) of look statistics, each summed over
+            the steps in step order.
         """
-        rng = as_generator(rng)
         ends = [l.position for l in self.schedule.looks]
-        padded = []
+        score_vectors = list(score_vectors)
+        if len(score_vectors) < len(ends):
+            raise ValueError(f"need {len(ends)} score vectors, got {len(score_vectors)}")
+        weights = []
         for r, sv in zip(ends, score_vectors):
             vals = np.asarray(getattr(sv, "values", sv), dtype=float)
             if vals.size != r:
                 raise ValueError(f"score vector for look at {r} has length {vals.size}")
-            padded.append(vals)
+            weights.append(vals)
         size = int(size)
+        steps = self._walk(rng, size)
+        if size == 1:
+            # einsum sums a single column with split accumulators; a second
+            # column keeps its loop over the steps outermost
+            steps = np.repeat(steps, 2, axis=1)
         stats = np.zeros((size, len(ends)))
-        m = np.zeros(size, dtype=np.int64)
-        look_idx = 0
-        for j in range(self.n):
-            t = rng.random(size) < self._psi[j, m]
-            m += t
-            for l in range(look_idx, len(ends)):
-                if j < ends[l]:
-                    stats[:, l] += t * padded[l][j]
-            if j + 1 == ends[look_idx]:
-                look_idx += 1
+        for l, (r, w) in enumerate(zip(ends, weights)):
+            stats[:, l] = np.einsum("jk,j->k", steps[:r], w)[:size]
         return stats
+
+    def _walk(self, rng: np.random.Generator | int | None, size: int) -> np.ndarray:
+        """An (n, size) bool matrix whose row j holds step j of every draw.
+
+        Uniforms come in blocks of whole steps; ``rng.random((k, size))``
+        consumes the stream exactly as ``k`` calls of ``rng.random(size)``,
+        so the draws do not depend on the block length.
+        """
+        rng = as_generator(rng)
+        steps = np.empty((self.n, size), dtype=bool)
+        m = np.zeros(size, dtype=np.intp)
+        prob = np.empty(size)
+        block = max(1, _BLOCK_UNIFORMS // max(size, 1))
+        for start in range(0, self.n, block):
+            uniforms = rng.random((min(block, self.n - start), size))
+            for j, u in enumerate(uniforms, start):
+                # counts never leave 0..j, so clipping skips a bounds check only
+                self._psi[j].take(m, out=prob, mode="clip")
+                np.less(u, prob, out=steps[j])
+                m += steps[j]
+        return steps
 
     def sequence_log_probability(self, seq) -> float:
         """Log-probability of one admissible sequence under the sampler."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .design import DesignSpec, TreatmentSequence
 
@@ -45,6 +44,23 @@ class ScoreVector:
         return int(self.values.size)
 
 
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n, each tie group sharing the mean of its ranks.
+
+    The values are half-integers, hence exact; a NaN anywhere makes every
+    rank NaN, as in ``scipy.stats.rankdata``.
+    """
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def centered_scores(responses, kind: str = SIMPLE_RANK) -> ScoreVector:
     """Build a centered score vector from raw responses.
 
@@ -57,7 +73,7 @@ def centered_scores(responses, kind: str = SIMPLE_RANK) -> ScoreVector:
     if x.ndim != 1 or x.size == 0:
         raise ValueError("responses must be a nonempty 1-D sequence")
     if kind == SIMPLE_RANK:
-        a = rankdata(x, method="average")
+        a = _midranks(x)
     elif kind == RAW:
         a = x
     else:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from condrand import (
@@ -19,6 +20,8 @@ from condrand import (
     sequence_probability,
 )
 from condrand.bruteforce import oracle_sequence_law
+from condrand.design import simulate_unconditional
+from condrand.scores import RAW, SIMPLE_RANK, centered_scores
 
 BCD23 = DesignSpec.bcd(2 / 3)
 COMPLETE = DesignSpec.complete()
@@ -179,8 +182,95 @@ class TestSamplers:
         got = sampler.accumulate_statistics(np.random.default_rng(42), 500, scores)
         batch = sampler.draw_batch(rng, 500)
         want = np.stack([batch[:, :4] @ scores[0], batch @ scores[1]], axis=1)
-        assert np.allclose(got, want)
+        assert np.array_equal(got, want)
+        with pytest.raises(ValueError, match="need 2 score vectors"):
+            sampler.accumulate_statistics(rng, 5, scores[:1])
 
     def test_transition_probabilities_in_range(self):
         sampler = MultilookSampler(DesignSpec.bcd(0.95), LookSchedule.from_pairs([(5, 1), (12, 6)]))
         assert (sampler._psi >= 0).all() and (sampler._psi <= 1).all()
+
+
+# Step-by-step reference walks: one ``rng.random(size)`` call per step and,
+# for the statistics, one running sum per look added in step order.
+
+
+def reference_draw_batch(sampler, rng, size):
+    out = np.empty((size, sampler.n), dtype=np.int8)
+    m = np.zeros(size, dtype=np.int64)
+    for j in range(sampler.n):
+        t = rng.random(size) < sampler._psi[j, m]
+        out[:, j] = t
+        m += t
+    return out
+
+
+def reference_accumulate_statistics(sampler, rng, size, score_vectors):
+    ends = [l.position for l in sampler.schedule.looks]
+    weights = [np.asarray(getattr(sv, "values", sv), dtype=float) for sv in score_vectors]
+    stats_ = np.zeros((size, len(ends)))
+    m = np.zeros(size, dtype=np.int64)
+    for j in range(sampler.n):
+        t = rng.random(size) < sampler._psi[j, m]
+        m += t
+        for l, r in enumerate(ends):
+            if j < r:
+                stats_[:, l] += t * weights[l][j]
+    return stats_
+
+
+@st.composite
+def sampler_cases(draw):
+    """A feasible schedule of 1-3 looks, taken from one unconditional path."""
+    design = DesignSpec.bcd(draw(st.floats(0.5, 1.0)))
+    n = draw(st.integers(1, 40))
+    looks = draw(st.integers(1, min(3, n)))
+    cuts = st.lists(st.integers(1, max(n - 1, 1)), min_size=looks - 1, max_size=looks - 1, unique=True)
+    positions = sorted(draw(cuts)) + [n]
+    path = simulate_unconditional(design, n, draw(st.integers(0, 2**32 - 1)))
+    counts = path.running_counts()
+    schedule = LookSchedule.from_pairs((r, int(counts[r - 1])) for r in positions)
+    responses = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
+    responses = np.round(responses, draw(st.integers(0, 3)))  # rounding makes ties
+    return MultilookSampler(design, schedule), responses
+
+
+class TestBlockedWalkMatchesReference:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sampler_cases(),
+        st.sampled_from([SIMPLE_RANK, RAW]),
+        st.sampled_from([1, 3, 2500]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_statistics_and_draws(self, case, kind, size, seed):
+        sampler, responses = case
+        scores = [centered_scores(responses[: l.position], kind) for l in sampler.schedule.looks]
+        self._check(sampler, scores, size, seed)
+
+    @pytest.mark.parametrize("size", [1, 9000])
+    def test_three_looks_at_horizon_60(self, size):
+        # one sequence is where a plain einsum would split its sum over the
+        # steps; 9000 sequences make blocks of 7 steps, nine of them over
+        # the horizon, and exceed einsum's 8192-element buffer
+        design = DesignSpec.bcd(0.7)
+        schedule = LookSchedule.from_pairs([(25, 12), (41, 20), (60, 31)])
+        responses = np.random.default_rng(3).standard_normal(60)
+        sampler = MultilookSampler(design, schedule)
+        for kind in (SIMPLE_RANK, RAW):
+            scores = [centered_scores(responses[: l.position], kind) for l in schedule.looks]
+            for seed in range(5):
+                self._check(sampler, scores, size, seed)
+
+    @staticmethod
+    def _check(sampler, scores, size, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sampler.accumulate_statistics(rng, size, scores)
+        want = reference_accumulate_statistics(sampler, ref, size, scores)
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        got = sampler.draw_batch(rng, size)
+        want = reference_draw_batch(sampler, ref, size)
+        assert got.dtype == np.int8 and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref.bit_generator.state

@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.stats import rankdata
+
+import condrand
 
 from condrand import (
     DesignSpec,
@@ -41,6 +49,15 @@ class TestCenteredScores:
     def test_uncentered_vector_rejected(self):
         with pytest.raises(ValueError):
             ScoreVector(np.array([1.0, 2.0]))
+
+    @given(st.lists(st.integers(-3, 3).map(lambda k: k / 2), min_size=1, max_size=40))
+    def test_midranks_equal_scipy_rankdata_on_ties(self, xs):
+        x = np.array(xs)
+        want = rankdata(x, method="average")
+        assert np.array_equal(centered_scores(x).values, want - want.mean())
+
+    def test_nan_response_makes_every_rank_nan(self):
+        assert np.isnan(centered_scores([1.0, np.nan, 2.0]).values).all()
 
     @given(
         st.lists(st.integers(-1000, 1000), min_size=1, max_size=30),
@@ -134,3 +151,11 @@ class TestStratified:
     def test_stratum_count_validated(self):
         with pytest.raises(ValueError):
             Stratum(centered_scores([1.0, 2.0]), 3, DesignSpec.complete())
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second at import; only the planning grid needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(condrand.__file__).parents[1]))
+    code = "import sys, condrand; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
