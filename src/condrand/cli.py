@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -156,7 +157,13 @@ def _design_arg(parser: argparse.ArgumentParser, required: bool = True) -> None:
 
 
 def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _boundaries_json(boundaries: dict) -> dict:
+    """Boundary JSON with each infinite boundary, at a look that spends no
+    alpha and so never stops the trial, written as null."""
+    return {**boundaries, "d": [d if math.isfinite(d) else None for d in boundaries["d"]]}
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +323,7 @@ def _cmd_boundaries(args) -> int:
         quantile_method=args.quantile,
         score_kind=args.scores,
     )
-    payload = result.to_json()
+    payload = _boundaries_json(result.to_json())
     payload["seed"] = seed
     payload["design"] = design.label()
     _Output(args.out).write(_json_dump(payload))
@@ -331,6 +338,7 @@ def _cmd_info(args) -> int:
         raise ValueError("no design given on the command line or in the schedule file")
     values, _ = read_responses(args.responses)
     per_look = []
+    blocks: dict = {}  # covariance blocks, each segment built once across looks
     for look in range(1, len(schedule) + 1):
         frac = information_at_look(
             design,
@@ -341,6 +349,7 @@ def _cmd_info(args) -> int:
             bootstrap=args.bootstrap,
             rng=substream(seed, look),
             kind=args.scores,
+            _blocks=blocks,
         )
         per_look.append(
             {
@@ -390,6 +399,7 @@ def _cmd_tables(args) -> int:
         n_c=args.reps,
         seed=seed,
     )
+    result["boundaries"] = _boundaries_json(result["boundaries"])
     _Output(args.out).write(_json_dump(result))
     return EXIT_OK
 

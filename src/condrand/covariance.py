@@ -24,19 +24,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .design import DesignSpec, _probability_row, assignment_probability, assignment_probability_exact
+from .design import DesignSpec, assignment_probability, assignment_probability_exact
 from .distributions import (
     backward_exact_table,
-    backward_log_table,
     conditional_pmf,
     unconditional_pmf,
 )
 from .errors import DegenerateScoresError, InfeasibleError
-from .sampling import Look, LookSchedule
+from .sampling import Look, LookSchedule, _fill_segment_chain
 from .scores import SIMPLE_RANK, ScoreVector, centered_scores
 from .streams import as_generator
-
-_NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -141,32 +138,19 @@ def cross_moment_single(
 # Whole blocks by conditional-chain sweeps.
 
 
-def _segment_chain_float(design: DesignSpec, r0: int, m0: int, r1: int, m1: int):
-    """Conditional transition matrix psi[idx, m] within one segment."""
-    table = backward_log_table(design, r0, r1, m1)
-    if table[0, m0] == _NEG_INF:
-        raise InfeasibleError(
-            f"count {m1} at position {r1} is unreachable from count {m0} at {r0}"
-        )
+def _block_moments_float(design: DesignSpec, r0: int, m0: int, r1: int, m1: int):
+    """Conditional means and cross moments of T within one segment.
+
+    Row a of ``g`` is the forward sweep started by T_a = 1: the law of the
+    count before step b jointly with that event.  All open sweeps advance
+    together by the same elementwise updates, and each entry of ``lam``
+    keeps its own dot product, so the result equals a sweep per pair bit
+    for bit; a matrix-vector product would sum in another order.
+    """
     s = r1 - r0
     width = r1 + 2
     psi = np.zeros((s, width))
-    for j in range(r0, r1):
-        idx = j - r0
-        mv = np.arange(j + 1)
-        cur = table[idx, : j + 1]
-        up = table[idx + 1, 1 : j + 2]
-        with np.errstate(invalid="ignore"):
-            ratio = np.where(cur > _NEG_INF, np.exp(up - cur), 0.0)
-        psi[idx, : j + 1] = np.clip(_probability_row(design, j, mv) * ratio, 0.0, 1.0)
-    return psi
-
-
-def _block_moments_float(design: DesignSpec, r0: int, m0: int, r1: int, m1: int):
-    """Conditional means and cross moments of T within one segment."""
-    s = r1 - r0
-    width = r1 + 2
-    psi = _segment_chain_float(design, r0, m0, r1, m1)
+    _fill_segment_chain(design, r0, m0, r1, m1, psi)
     rho = np.zeros((s + 1, width))
     rho[0, m0] = 1.0
     for idx in range(s):
@@ -176,14 +160,16 @@ def _block_moments_float(design: DesignSpec, r0: int, m0: int, r1: int, m1: int)
         rho[idx + 1] = nxt
     theta = np.einsum("im,im->i", rho[:s], psi)
     lam = np.zeros((s, s))
-    for a in range(s - 1):
-        g = np.zeros(width)
-        g[1:] = (rho[a] * psi[a])[:-1]
-        for b in range(a + 1, s):
-            lam[a, b] = g @ psi[b]
-            move = g * psi[b]
-            g = g - move
-            g[1:] += move[:-1]
+    g = np.zeros((s, width))
+    g_rows = list(g)  # row views made once; the loop below dots each with psi[b]
+    move = np.empty_like(g)
+    for b in range(1, s):
+        g[b - 1, 1:] = (rho[b - 1] * psi[b - 1])[:-1]
+        row = psi[b]
+        lam[:b, b] = list(map(row.dot, g_rows[:b]))
+        np.multiply(g[:b], row, out=move[:b])
+        g[:b] -= move[:b]
+        g[:b, 1:] += move[:b, :-1]
     return theta, lam
 
 
@@ -252,20 +238,25 @@ def _as_schedule(conditioning) -> LookSchedule:
 
 
 def multilook_covariances(
-    design: DesignSpec, schedule: LookSchedule, backend: str = "float"
+    design: DesignSpec, schedule: LookSchedule, backend: str = "float", *, _blocks: dict | None = None
 ) -> list[ConditionalCovariance]:
     """Covariance matrices for every look prefix of ``schedule``.
 
     Blocks are shared across prefixes: the covariance through look l is
     block diagonal with one block per segment, and earlier blocks do not
-    change as later looks are added.
+    change as later looks are added.  ``_blocks`` maps a segment (start,
+    start_count, end, end_count) to its block; a caller that passes one
+    dict to several calls with the same design and backend builds each
+    segment once.
     """
     schedule = _as_schedule(schedule)
     exact = backend == "exact"
     if backend not in ("float", "exact"):
         raise ValueError(f"backend must be 'float' or 'exact', got {backend!r}")
-    blocks = []
+    cache = {} if _blocks is None else _blocks
     for r0, m0, r1, m1 in schedule.segments():
+        if (r0, m0, r1, m1) in cache:
+            continue
         if exact:
             theta, lam = _block_moments_exact(design, r0, m0, r1, m1)
             s = r1 - r0
@@ -280,7 +271,8 @@ def multilook_covariances(
             theta, lam = _block_moments_float(design, r0, m0, r1, m1)
             block = lam + lam.T - np.outer(theta, theta)
             np.fill_diagonal(block, theta * (1.0 - theta))
-        blocks.append(block)
+        cache[r0, m0, r1, m1] = block
+    blocks = [cache[seg] for seg in schedule.segments()]
     out = []
     for l in range(1, len(schedule) + 1):
         r_l = schedule.looks[l - 1].position
@@ -298,10 +290,10 @@ def multilook_covariances(
 
 
 def covariance_multilook(
-    design: DesignSpec, schedule: LookSchedule, backend: str = "float"
+    design: DesignSpec, schedule: LookSchedule, backend: str = "float", *, _blocks: dict | None = None
 ) -> ConditionalCovariance:
     """Covariance of the first r_L assignments given every look count."""
-    return multilook_covariances(design, _as_schedule(schedule), backend)[-1]
+    return multilook_covariances(design, _as_schedule(schedule), backend, _blocks=_blocks)[-1]
 
 
 def covariance_final(
@@ -393,6 +385,7 @@ def information_at_look(
     rng: np.random.Generator | int | None = None,
     final_count: int | None = None,
     kind: str = SIMPLE_RANK,
+    _blocks: dict | None = None,
 ) -> InformationFraction:
     """Information fraction at ``look`` from the responses seen so far.
 
@@ -409,6 +402,8 @@ def information_at_look(
             across completions); ``"full"`` uses the complete response
             vector as given.
         final_count: Override for the final-count constraint.
+        _blocks: Segment blocks to reuse and extend, as in
+            :func:`multilook_covariances`.
     """
     schedule = _as_schedule(schedule)
     if mode not in ("interim", "full"):
@@ -421,7 +416,7 @@ def information_at_look(
         raise ValueError(f"need at least {r_l} responses for look {look}")
     prefix = schedule.prefix(look)
     scores_l = centered_scores(x[:r_l], kind)
-    sigma_l = covariance_multilook(design, prefix)
+    sigma_l = covariance_multilook(design, prefix, _blocks=_blocks)
     if r_l == horizon:
         num = sigma_l.quadratic_form(scores_l)
         if num <= 0.0:
@@ -436,7 +431,7 @@ def information_at_look(
         else:
             final_count = projected_final_count(design, prefix, look, horizon)
     den_schedule = LookSchedule(prefix.looks + (Look(horizon, int(final_count)),))
-    sigma_n = covariance_multilook(design, den_schedule)
+    sigma_n = covariance_multilook(design, den_schedule, _blocks=_blocks)
 
     if mode == "full":
         if x.size < horizon:

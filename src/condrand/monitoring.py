@@ -201,10 +201,11 @@ def estimate_boundaries(
             f"need {looks[-1].position} responses, got {x.size}"
         )
     if info_fractions is None:
+        blocks: dict = {}  # covariance blocks, each segment built once across looks
         info_fractions = [
             information_at_look(
                 design, schedule, x, l, mode=info_mode, bootstrap=bootstrap,
-                rng=rng, kind=score_kind,
+                rng=rng, kind=score_kind, _blocks=blocks,
             ).t
             for l in range(1, len(looks) + 1)
         ]

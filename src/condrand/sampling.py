@@ -151,6 +151,30 @@ def multilook_transition(design: DesignSpec, schedule: LookSchedule, j: int, m: 
     return conditional_transition(design, end, end_count, j, m)
 
 
+def _fill_segment_chain(
+    design: DesignSpec, start: int, start_count: int, end: int, end_count: int, psi: np.ndarray
+) -> None:
+    """Set ``psi[j - start, m]`` to P(T_{j+1} = 1 | N1(j) = m, N1(end) =
+    end_count) for start <= j < end and m <= j, leaving other entries."""
+    table = backward_log_table(design, start, end, end_count)
+    if table[0, start_count] == _NEG_INF:
+        raise InfeasibleError(
+            f"look (position {end}, count {end_count}) is unreachable "
+            f"from count {start_count} at position {start} under {design.label()}"
+        )
+    for j in range(start, end):
+        idx = j - start
+        mvec = np.arange(j + 1)
+        cur = table[idx, : j + 1]
+        nxt_up = table[idx + 1, 1 : j + 2]
+        with np.errstate(invalid="ignore"):
+            ratio = np.where(cur > _NEG_INF, np.exp(nxt_up - cur), 0.0)
+        row = _probability_row(design, j, mvec) * ratio
+        if row.max(initial=0.0) > 1.0 + 1e-9:
+            raise AssertionError("transition probability exceeds 1")
+        psi[idx, : j + 1] = np.clip(row, 0.0, 1.0)
+
+
 class MultilookSampler:
     """Draws sequences satisfying every constraint of a schedule.
 
@@ -166,23 +190,7 @@ class MultilookSampler:
         self.n = n
         psi = np.zeros((n, n + 1))
         for start, start_count, end, end_count in schedule.segments():
-            table = backward_log_table(design, start, end, end_count)
-            if table[0, start_count] == _NEG_INF:
-                raise InfeasibleError(
-                    f"look (position {end}, count {end_count}) is unreachable "
-                    f"from count {start_count} at position {start} under {design.label()}"
-                )
-            for j in range(start, end):
-                idx = j - start
-                mvec = np.arange(j + 1)
-                cur = table[idx, : j + 1]
-                nxt_up = table[idx + 1, 1 : j + 2]
-                with np.errstate(invalid="ignore"):
-                    ratio = np.where(cur > _NEG_INF, np.exp(nxt_up - cur), 0.0)
-                row = _probability_row(design, j, mvec) * ratio
-                if row.max(initial=0.0) > 1.0 + 1e-9:
-                    raise AssertionError("transition probability exceeds 1")
-                psi[j, : j + 1] = np.clip(row, 0.0, 1.0)
+            _fill_segment_chain(design, start, start_count, end, end_count, psi[start:end])
         self._psi = psi
 
     def transition(self, j: int, m: int) -> float:

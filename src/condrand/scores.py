@@ -35,7 +35,10 @@ class ScoreVector:
             raise ValueError("scores must form a nonempty 1-D vector")
         if self.kind not in _KINDS:
             raise ValueError(f"unknown score kind {self.kind!r}")
-        scale = max(1.0, float(np.abs(arr).max()))
+        peak = float(np.abs(arr).max())  # NaN if any entry is NaN
+        if not np.isfinite(peak):
+            raise ValueError("scores must be finite: a response is NaN, or infinite with raw scores")
+        scale = max(1.0, peak)
         if abs(float(arr.sum())) > 1e-9 * scale * arr.size:
             raise ValueError("scores must be centered (sum to zero)")
         object.__setattr__(self, "values", arr)
@@ -78,7 +81,9 @@ def centered_scores(responses, kind: str = SIMPLE_RANK) -> ScoreVector:
         a = x
     else:
         raise ValueError(f"unknown score kind {kind!r}")
-    return ScoreVector(a - a.mean(), kind)
+    with np.errstate(invalid="ignore"):  # infinite raw values; ScoreVector rejects them
+        centered = a - a.mean()
+    return ScoreVector(centered, kind)
 
 
 def _assignment_array(t) -> np.ndarray:

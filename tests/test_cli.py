@@ -1,7 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from condrand.cli import main
 
@@ -10,6 +13,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 @pytest.fixture
@@ -165,6 +172,22 @@ class TestBoundariesAndInfo:
         assert payload["per_look"][-1]["t"] == 1.0
         assert 0.0 < payload["per_look"][0]["t"] < 1.0
 
+    def test_boundary_that_spends_nothing_is_null(self, capsys, tmp_path):
+        # a first look at 2 of 40 carries so little information that the
+        # O'Brien-Fleming-like spend is zero there and the boundary infinite
+        resp = tmp_path / "r.csv"
+        resp.write_text("\n".join(f"{v:.6f}" for v in np.random.default_rng(3).standard_normal(40)))
+        schedule = tmp_path / "s.json"
+        schedule.write_text(json.dumps({"looks": [{"r": 2, "n1": 1}, {"r": 40, "n1": 20}]}))
+        code, out, _ = run_cli(
+            capsys, "boundaries", "--design", "bcd:0.75", "--schedule", str(schedule),
+            "--responses", str(resp), "--reps", "500", "--seed", "1",
+        )
+        assert code == 0
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert payload["incremental_alpha"][0] == 0.0
+        assert payload["d"][0] is None and payload["d"][1] > 0.0
+
 
 class TestTables:
     def test_planning_grid(self, capsys):
@@ -215,6 +238,22 @@ class TestErrorPaths:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "bad, scores", [("nan", "simple-rank"), ("nan", "raw"), ("inf", "raw")]
+    )
+    def test_non_finite_response_exit_2(self, capsys, tmp_path, bad, scores):
+        values = [f"{v:.6f}" for v in np.random.default_rng(1).standard_normal(39)]
+        resp = tmp_path / "r.csv"
+        resp.write_text("\n".join(values[:20] + [bad] + values[20:]) + "\n")
+        seq = tmp_path / "s.txt"
+        seq.write_text("01" * 20 + "\n")
+        code, out, err = run_cli(
+            capsys, "pvalue", "--design", "bcd:0.75", "--responses", str(resp),
+            "--assignments", str(seq), "--scores", scores, "--reps", "100", "--seed", "1",
+        )
+        assert code == 2
+        assert out == "" and "finite" in err
+
     def test_usage_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["dist", "--design", "bcd:0.6"])  # missing --n
@@ -229,3 +268,81 @@ class TestErrorPaths:
         )
         assert code == 0
         assert json.loads(out)["n_effective"] == 123
+
+
+_FAULTS = (
+    "none", "nan", "inf", "-inf", "1e999", "text", "blank-value", "tied",
+    "ragged-strata", "one-stratum", "header-only", "empty", "short",
+)
+
+
+@st.composite
+def _trial_input(draw):
+    """(response CSV text, horizon): clean rows with at most one fault."""
+    n = draw(st.integers(1, 39))
+    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    rows = [f"{v:.6g}" for v in values]
+    fault = draw(st.sampled_from(_FAULTS))
+    at = draw(st.integers(0, n - 1))
+    if fault in ("nan", "inf", "-inf", "1e999"):
+        rows[at] = fault
+    elif fault == "text":
+        rows[at] = "abc"
+    elif fault == "blank-value":
+        rows[at] = ",A"
+    elif fault == "tied":
+        rows = ["1"] * n
+    elif fault == "ragged-strata":
+        rows = [f"{r},{'AB'[i % 2]}" for i, r in enumerate(rows)]
+        rows[at] = f"{values[at]:.6g}"
+    elif fault == "one-stratum":
+        rows = [f"{r},A" for r in rows]
+    if fault == "empty":
+        text = ""
+    elif fault == "header-only":
+        text = "value,stratum\n"
+    else:
+        header = "value,stratum\n" if draw(st.booleans()) else ""
+        text = header + "".join(r + "\n" for r in rows)
+    return text, n + 1 if fault == "short" else n
+
+
+class TestMalformedInputFuzz:
+    """Any response file ends in JSON output or a documented exit code."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        trial=_trial_input(),
+        command=st.sampled_from(["pvalue", "info", "boundaries"]),
+        scores=st.sampled_from(["simple-rank", "raw"]),
+        stratified=st.booleans(),
+        bits=st.randoms(use_true_random=False),
+    )
+    def test_exit_code_or_valid_json(self, trial, command, scores, stratified, bits):
+        text, n = trial
+        assignments = [bits.randint(0, 1) for _ in range(n)]
+        counts = np.cumsum(assignments)
+        looks = sorted({max(1, n // 2), n})
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "r.csv").write_text(text)
+            (tmp / "s.txt").write_text("".join(map(str, assignments)) + "\n")
+            (tmp / "schedule.json").write_text(
+                json.dumps({"looks": [{"r": r, "n1": int(counts[r - 1])} for r in looks]})
+            )
+            argv = [command, "--design", "bcd:0.75", "--responses", str(tmp / "r.csv"),
+                    "--scores", scores, "--seed", "1", "--out", str(tmp / "out.json")]
+            if command == "pvalue":
+                argv += ["--assignments", str(tmp / "s.txt"), "--reps", "200"]
+                if stratified:
+                    argv.append("--stratified")
+            else:
+                argv += ["--schedule", str(tmp / "schedule.json"), "--bootstrap", "3"]
+            if command == "boundaries":
+                argv += ["--reps", "150", "--info", "interim"]
+            code = main(argv)
+            event(f"{command} exit {code}")
+            if code == 0:
+                json.loads((tmp / "out.json").read_text(), parse_constant=_reject_constant)
+            else:
+                assert code in (2, 3, 4)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from condrand import (
     DegenerateScoresError,
@@ -20,10 +21,58 @@ from condrand import (
     multilook_covariances,
     theta_single,
 )
-from condrand.covariance import projected_final_count
+import condrand.covariance as covariance
+from condrand.covariance import _block_moments_float, projected_final_count
+from condrand.design import _probability_row
+from condrand.distributions import backward_log_table
+from condrand.errors import InfeasibleError
+from condrand.monitoring import SpendingFunction, estimate_boundaries
+from condrand.sampling import MultilookSampler
 
 BCD23 = DesignSpec.bcd(2 / 3)
 DESIGNS = [DesignSpec.bcd(p) for p in (0.5, 2 / 3, 0.75, 1.0)] + [DesignSpec.complete()]
+
+
+def reference_segment_chain(design, r0, m0, r1, m1):
+    """Conditional transition matrix psi[j - r0, m] of one segment, row by row."""
+    table = backward_log_table(design, r0, r1, m1)
+    if table[0, m0] == -np.inf:
+        raise InfeasibleError(f"count {m1} at {r1} is unreachable from {m0} at {r0}")
+    psi = np.zeros((r1 - r0, r1 + 2))
+    for j in range(r0, r1):
+        idx = j - r0
+        cur = table[idx, : j + 1]
+        up = table[idx + 1, 1 : j + 2]
+        with np.errstate(invalid="ignore"):
+            ratio = np.where(cur > -np.inf, np.exp(up - cur), 0.0)
+        row = _probability_row(design, j, np.arange(j + 1)) * ratio
+        psi[idx, : j + 1] = np.clip(row, 0.0, 1.0)
+    return psi
+
+
+def reference_block_moments(design, r0, m0, r1, m1):
+    """Segment means and cross moments with one forward sweep per pair (a, b)."""
+    s = r1 - r0
+    width = r1 + 2
+    psi = reference_segment_chain(design, r0, m0, r1, m1)
+    rho = np.zeros((s + 1, width))
+    rho[0, m0] = 1.0
+    for idx in range(s):
+        move = rho[idx] * psi[idx]
+        nxt = rho[idx] - move
+        nxt[1:] += move[:-1]
+        rho[idx + 1] = nxt
+    theta = np.einsum("im,im->i", rho[:s], psi)
+    lam = np.zeros((s, s))
+    for a in range(s - 1):
+        g = np.zeros(width)
+        g[1:] = (rho[a] * psi[a])[:-1]
+        for b in range(a + 1, s):
+            lam[a, b] = g @ psi[b]
+            move = g * psi[b]
+            g = g - move
+            g[1:] += move[:-1]
+    return theta, lam
 
 
 class TestThetaSingle:
@@ -248,3 +297,83 @@ class TestInformationAtLook:
         schedule = LookSchedule.from_pairs([(4, 2), (8, 4)])
         with pytest.raises(DegenerateScoresError):
             information_at_look(BCD23, schedule, np.ones(8), 1, rng=3, bootstrap=10)
+
+
+class TestBlockMoments:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.just(None), st.floats(0.5, 1.0)),
+        st.integers(0, 120),
+        st.integers(1, 90),
+        st.data(),
+    )
+    def test_vectorised_sweep_equals_per_pair_loop(self, bias, r0, s, data):
+        design = DesignSpec.complete() if bias is None else DesignSpec.bcd(bias)
+        r1 = r0 + s
+        m0 = data.draw(st.integers(0, r0))
+        m1 = data.draw(st.integers(m0, m0 + s))
+        try:
+            want = reference_block_moments(design, r0, m0, r1, m1)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                _block_moments_float(design, r0, m0, r1, m1)
+            assume(False)
+        theta, lam = _block_moments_float(design, r0, m0, r1, m1)
+        assert np.array_equal(theta, want[0])
+        assert np.array_equal(lam, want[1])
+
+    def test_sampler_and_covariance_share_the_chain(self):
+        design = DesignSpec.bcd(0.75)
+        schedule = LookSchedule.from_pairs([(25, 13), (40, 19), (61, 30)])
+        psi = MultilookSampler(design, schedule)._psi
+        for r0, m0, r1, m1 in schedule.segments():
+            want = reference_segment_chain(design, r0, m0, r1, m1)
+            assert np.array_equal(psi[r0:r1, : r1 + 1], want[:, : r1 + 1])
+            assert not psi[r0:r1, r1 + 1 :].any()
+
+
+class TestBlockSharing:
+    DESIGN = DesignSpec.bcd(0.75)
+    SCHEDULE = LookSchedule.from_pairs([(20, 11), (40, 19), (60, 31)])
+
+    def responses(self):
+        return np.random.default_rng(5).standard_normal(60)
+
+    def boundaries(self, seed, **kwargs):
+        return estimate_boundaries(
+            self.DESIGN, self.SCHEDULE, self.responses(), SpendingFunction("obf", 0.05),
+            400, np.random.default_rng(seed), info_mode="interim", bootstrap=20, **kwargs,
+        )
+
+    def test_each_segment_built_once(self, monkeypatch):
+        calls = []
+        inner = covariance._block_moments_float
+
+        def counting(design, *segment):
+            calls.append(segment)
+            return inner(design, *segment)
+
+        monkeypatch.setattr(covariance, "_block_moments_float", counting)
+        self.boundaries(8)
+        want = set()
+        for l in range(1, len(self.SCHEDULE) + 1):
+            prefix = self.SCHEDULE.prefix(l)
+            want.update(prefix.segments())
+            if l < len(self.SCHEDULE):
+                n1 = projected_final_count(self.DESIGN, prefix, l, self.SCHEDULE.horizon)
+                want.add((prefix.horizon, prefix.final_count, self.SCHEDULE.horizon, n1))
+        assert sorted(calls) == sorted(want)
+
+    def test_shared_blocks_leave_the_result_unchanged(self):
+        rng = np.random.default_rng(8)
+        fractions = [
+            information_at_look(
+                self.DESIGN, self.SCHEDULE, self.responses(), l, bootstrap=20, rng=rng
+            ).t
+            for l in range(1, len(self.SCHEDULE) + 1)
+        ]
+        separate = estimate_boundaries(
+            self.DESIGN, self.SCHEDULE, self.responses(), SpendingFunction("obf", 0.05),
+            400, rng, info_fractions=fractions,
+        )
+        assert self.boundaries(8) == separate

@@ -21,6 +21,7 @@ from condrand import (
     linear_rank_statistic,
     stratified_statistic,
 )
+from condrand.scores import _midranks
 
 
 class TestCenteredScores:
@@ -57,7 +58,20 @@ class TestCenteredScores:
         assert np.array_equal(centered_scores(x).values, want - want.mean())
 
     def test_nan_response_makes_every_rank_nan(self):
-        assert np.isnan(centered_scores([1.0, np.nan, 2.0]).values).all()
+        assert np.isnan(_midranks(np.array([1.0, np.nan, 2.0]))).all()
+
+    @pytest.mark.parametrize("kind", ["simple-rank", "raw"])
+    def test_nan_response_rejected(self, kind):
+        with pytest.raises(ValueError, match="finite"):
+            centered_scores([1.0, np.nan, 2.0], kind)
+
+    def test_infinite_response(self):
+        # an infinite response still has a rank, but no finite raw score
+        assert np.isfinite(centered_scores([1.0, np.inf, -np.inf]).values).all()
+        with pytest.raises(ValueError, match="finite"):
+            centered_scores([1.0, np.inf, 2.0], "raw")
+        with pytest.raises(ValueError, match="finite"):
+            ScoreVector(np.array([np.inf, -np.inf]))
 
     @given(
         st.lists(st.integers(-1000, 1000), min_size=1, max_size=30),
