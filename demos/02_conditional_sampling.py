@@ -11,7 +11,6 @@ from condrand import (
     DesignSpec,
     LookSchedule,
     MultilookSampler,
-    conditional_transition,
     k_percentile,
     sample_conditional,
 )
@@ -24,8 +23,9 @@ print("one draw:", seq.to_string(), "-> N1(30) =", seq.count())
 
 # the reweighted assignment probabilities adapt to the running state
 print("\ntransition probabilities targeting N1(8) = 4 from (j, m):")
+to_four = MultilookSampler(design, LookSchedule.single(8, 4))
 for j, m in ((0, 0), (3, 1), (5, 4), (7, 3)):
-    pr = conditional_transition(design, 8, 4, j, m)
+    pr = to_four.transition(j, m)
     print(f"  j={j}, m={m}: P(next = 1) = {pr:.4f}")
 
 # batch draws all hit the target

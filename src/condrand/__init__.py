@@ -20,12 +20,10 @@ from .covariance import (
     InformationFraction,
     covariance_final,
     covariance_multilook,
-    cross_moment_single,
     information_at_look,
     information_fraction,
     interpolate_scores,
     multilook_covariances,
-    theta_single,
 )
 from .design import (
     DesignSpec,
@@ -35,7 +33,6 @@ from .design import (
     simulate_unconditional,
 )
 from .distributions import (
-    ConditionalKernel,
     ballot_coefficient,
     conditional_pmf,
     pmf_table,
@@ -69,12 +66,9 @@ from .monitoring import (
     spend,
 )
 from .sampling import (
-    ConditionalSampler,
     Look,
     LookSchedule,
     MultilookSampler,
-    conditional_transition,
-    multilook_transition,
     sample_conditional,
     sample_multilook,
 )

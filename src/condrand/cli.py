@@ -32,7 +32,7 @@ from .montecarlo import (
     estimate_pvalue_stratified,
 )
 from .monitoring import SpendingFunction, estimate_boundaries
-from .sampling import LookSchedule, MultilookSampler
+from .sampling import ConditionalChain, LookSchedule, MultilookSampler
 from .scores import SIMPLE_RANK, Stratum, StratifiedData, centered_scores, linear_rank_statistic, stratified_statistic
 from .streams import substream
 
@@ -235,7 +235,7 @@ def _cmd_pvalue(args) -> int:
     sequences = read_assignments(args.assignments)
 
     if args.stratified:
-        if args.method == "rejection":
+        if args.method == "rejection" or args.exact:
             raise ValueError("--stratified supports only the direct method")
         if labels is None:
             raise CliInputError("--stratified needs a stratum column in the responses CSV")
@@ -338,7 +338,7 @@ def _cmd_info(args) -> int:
         raise ValueError("no design given on the command line or in the schedule file")
     values, _ = read_responses(args.responses)
     per_look = []
-    blocks: dict = {}  # covariance blocks, each segment built once across looks
+    chain = ConditionalChain(design)  # each segment built once across looks
     for look in range(1, len(schedule) + 1):
         frac = information_at_look(
             design,
@@ -349,7 +349,7 @@ def _cmd_info(args) -> int:
             bootstrap=args.bootstrap,
             rng=substream(seed, look),
             kind=args.scores,
-            _blocks=blocks,
+            _chain=chain,
         )
         per_look.append(
             {
@@ -389,7 +389,7 @@ def _cmd_tables(args) -> int:
             )
         _Output(args.out).write(f"# seed={seed}\n" + "\n".join(lines) + "\n")
         return EXIT_OK
-    n = args.n or (350 if args.full else 100)
+    n = args.n if args.n is not None else (350 if args.full else 100)
     looks = (round(n * 250 / 350), round(n * 300 / 350), n)
     reps = args.runs if args.runs is not None else (1000 if args.full else 200)
     result = experiments.monitored_trial_type_i_error(

@@ -33,9 +33,7 @@ __all__ = [
     "conditional_pmf",
     "pmf_table",
     "walk_branch",
-    "ConditionalKernel",
     "backward_log_table",
-    "backward_exact_table",
 ]
 
 _NEG_INF = float("-inf")
@@ -377,71 +375,6 @@ def backward_log_table(
             )
             table[idx, j + 1 :] = _NEG_INF
     return table
-
-
-def backward_exact_table(
-    design: DesignSpec, start: int, end: int, target: int
-) -> list[list[Fraction]]:
-    """Rational version of :func:`backward_log_table` (linear scale)."""
-    from .design import assignment_probability_exact
-
-    if not 0 <= start < end:
-        raise ValueError(f"need 0 <= start < end, got ({start}, {end})")
-    if not 0 <= target <= end:
-        raise ValueError(f"target {target} out of range for horizon {end}")
-    steps = end - start
-    zero = Fraction(0)
-    table = [[zero] * (end + 2) for _ in range(steps + 1)]
-    table[steps][target] = Fraction(1)
-    for j in range(end - 1, start - 1, -1):
-        idx = j - start
-        nxt = table[idx + 1]
-        row = table[idx]
-        for m in range(j + 1):
-            phi = assignment_probability_exact(design, j, m)
-            row[m] = phi * nxt[m + 1] + (1 - phi) * nxt[m]
-    return table
-
-
-class ConditionalKernel:
-    """Memoized access to the laws of one design at one horizon.
-
-    Sampling revisits the same conditional values many times per drawn
-    sequence, so values are cached per instance; there is no global cache.
-    """
-
-    def __init__(self, design: DesignSpec, n: int, backend: str = "float"):
-        _validate_backend(backend)
-        if n < 1:
-            raise ValueError(f"horizon must be >= 1, got {n}")
-        self.design = design
-        self.n = int(n)
-        self.backend = backend
-        self._cond: dict[tuple[int, int, int], object] = {}
-        self._uncond: dict[int, object] = {}
-        self._tables: dict[tuple[int, int, int], np.ndarray] = {}
-
-    def unconditional(self, n1: int):
-        if n1 not in self._uncond:
-            self._uncond[n1] = unconditional_pmf(self.design, self.n, n1, self.backend)
-        return self._uncond[n1]
-
-    def conditional(self, n1: int, j: int, m: int):
-        key = (n1, j, m)
-        if key not in self._cond:
-            self._cond[key] = conditional_pmf(self.design, self.n, n1, j, m, self.backend)
-        return self._cond[key]
-
-    def support(self, j: int, m: int) -> range:
-        """Counting-feasible final counts from state (j, m)."""
-        return range(m, self.n - j + m + 1)
-
-    def backward(self, start: int, end: int, target: int) -> np.ndarray:
-        """Cached :func:`backward_log_table` segment (float backend only)."""
-        key = (start, end, target)
-        if key not in self._tables:
-            self._tables[key] = backward_log_table(self.design, start, end, target)
-        return self._tables[key]
 
 
 def require_feasible(design: DesignSpec, n: int, n1: int) -> float:

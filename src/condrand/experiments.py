@@ -21,7 +21,7 @@ from .bruteforce import MAX_DP, exact_conditional_pvalue, exact_statistic_distri
 from .design import DesignSpec, simulate_unconditional
 from .montecarlo import k_percentile
 from .monitoring import OBRIEN_FLEMING, SpendingFunction, estimate_boundaries
-from .sampling import ConditionalSampler, LookSchedule, MultilookSampler
+from .sampling import LookSchedule, MultilookSampler
 from .scores import SIMPLE_RANK, centered_scores, statistic_batch
 from .streams import substream
 
@@ -87,7 +87,7 @@ def tail_estimate_repeatability(
     for r_idx, (n, n1) in enumerate(rows):
         responses = substream(seed, r_idx, 0).standard_normal(n)
         scores = centered_scores(responses)
-        sampler = ConditionalSampler(design, n, n1)
+        sampler = MultilookSampler(design, LookSchedule.single(n, n1))
         if n <= MAX_DP:
             v_star = _inclusive_tail_threshold(design, scores, n1, target_tail)
             exact_tail = float(exact_conditional_pvalue(design, scores, n1, v_star))

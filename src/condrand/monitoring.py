@@ -200,12 +200,13 @@ def estimate_boundaries(
         raise ValueError(
             f"need {looks[-1].position} responses, got {x.size}"
         )
+    # one chain serves the covariance blocks and every stage
+    sampler = MultilookSampler(design, schedule)
     if info_fractions is None:
-        blocks: dict = {}  # covariance blocks, each segment built once across looks
         info_fractions = [
             information_at_look(
                 design, schedule, x, l, mode=info_mode, bootstrap=bootstrap,
-                rng=rng, kind=score_kind, _blocks=blocks,
+                rng=rng, kind=score_kind, _chain=sampler.chain,
             ).t
             for l in range(1, len(looks) + 1)
         ]
@@ -220,8 +221,7 @@ def estimate_boundaries(
     for l, look in enumerate(looks, start=1):
         alpha_l = alphas[l - 1]
         m_l = math.ceil(n_c / inflation)
-        sampler = MultilookSampler(design, schedule.prefix(l))
-        stats_l = sampler.accumulate_statistics(rng, m_l, prefix_scores[:l])
+        stats_l = sampler.prefix(l).accumulate_statistics(rng, m_l, prefix_scores[:l])
         keep = np.ones(m_l, dtype=bool)
         for i in range(l - 1):
             keep &= stats_l[:, i] <= bounds[i]

@@ -20,7 +20,7 @@ from scipy import special
 from .design import DesignSpec, simulate_unconditional
 from .distributions import require_feasible
 from .errors import InsufficientAcceptancesError
-from .sampling import ConditionalSampler, sample_conditional
+from .sampling import LookSchedule, MultilookSampler, sample_conditional
 from .scores import ScoreVector, StratifiedData, statistic_batch
 from .streams import as_generator
 
@@ -114,7 +114,8 @@ def estimate_pvalue_stratified(
     rng = as_generator(rng)
     total = np.zeros(int(n_c))
     for stratum in data.strata:
-        sampler = ConditionalSampler(stratum.design, len(stratum.scores), stratum.n1)
+        schedule = LookSchedule.single(len(stratum.scores), stratum.n1)
+        sampler = MultilookSampler(stratum.design, schedule)
         batch = sampler.draw_batch(rng, int(n_c))
         total += statistic_batch(stratum.scores, batch)
     hits = int((total >= v_star).sum())

@@ -10,14 +10,15 @@ within segment k only the next look's constraint enters the transition.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .design import DesignSpec, TreatmentSequence, _probability_row, assignment_probability
-from .distributions import ConditionalKernel, backward_log_table
+from .design import DesignSpec, TreatmentSequence, _probability_row
+from .distributions import backward_log_table
 from .errors import InfeasibleError
 from .streams import as_generator
 
@@ -87,15 +88,6 @@ class LookSchedule:
             yield prev.position, prev.count, l.position, l.count
             prev = l
 
-    def segment_of(self, j: int) -> tuple[int, int, int, int]:
-        """Segment (start, start_count, end, end_count) with start <= j < end."""
-        if not 0 <= j < self.horizon:
-            raise ValueError(f"step {j} outside the schedule span")
-        for seg in self.segments():
-            if seg[0] <= j < seg[2]:
-                return seg
-        raise AssertionError("unreachable")
-
     @classmethod
     def single(cls, n: int, n1: int) -> "LookSchedule":
         return cls((Look(int(n), int(n1)),))
@@ -112,43 +104,6 @@ class LookSchedule:
 
     def to_json(self) -> dict:
         return {"looks": [{"r": l.position, "n1": l.count} for l in self.looks]}
-
-
-def conditional_transition(
-    design: DesignSpec, n: int, n1: int, j: int, m: int, kernel: ConditionalKernel | None = None
-) -> float:
-    """P(T_{j+1} = 1 | N1(j) = m, N1(n) = n1).
-
-    The assignment probability is reweighted by the ratio of conditional
-    reach probabilities of the target; at ``j = 0`` the denominator is the
-    unconditional law.
-    """
-    if kernel is None:
-        kernel = ConditionalKernel(design, n)
-    denom = kernel.conditional(n1, j, m)
-    if denom <= 0.0:
-        raise InfeasibleError(
-            f"state (j={j}, m={m}) cannot reach N1({n}) = {n1} under {design.label()}"
-        )
-    numer = kernel.conditional(n1, j + 1, m + 1)
-    # forced moves are exact: when one continuation cannot reach the target
-    # the other happens with probability 1
-    if numer == 0.0:
-        return 0.0
-    if kernel.conditional(n1, j + 1, m) == 0.0:
-        return 1.0
-    value = assignment_probability(design, j, m) * numer / denom
-    if value > 1.0 + 1e-9:
-        raise AssertionError(f"transition probability {value} exceeds 1")
-    return min(max(value, 0.0), 1.0)
-
-
-def multilook_transition(design: DesignSpec, schedule: LookSchedule, j: int, m: int) -> float:
-    """Transition probability under a schedule: targets only the next look."""
-    start, start_count, end, end_count = schedule.segment_of(j)
-    if not start_count <= m <= j:
-        raise InfeasibleError(f"count {m} at step {j} violates the look at {start}")
-    return conditional_transition(design, end, end_count, j, m)
 
 
 def _fill_segment_chain(
@@ -175,29 +130,62 @@ def _fill_segment_chain(
         psi[idx, : j + 1] = np.clip(row, 0.0, 1.0)
 
 
+class ConditionalChain:
+    """The design's chain conditioned on look counts, one segment at a time.
+
+    ``table(start, start_count, end, end_count)`` is the segment's
+    transition table psi[j - start, m] = P(T_{j+1} = 1 | N1(j) = m,
+    N1(end) = end_count), of shape (end - start, end + 2).  It is built on
+    first use and then read by every sampler and covariance that holds
+    this chain.  ``blocks`` keeps each segment's conditional covariance
+    block under the same key, filled by :mod:`condrand.covariance`.
+    """
+
+    def __init__(self, design: DesignSpec):
+        self.design = design
+        self._tables: dict[tuple[int, int, int, int], np.ndarray] = {}
+        self.blocks: dict[tuple[int, int, int, int], np.ndarray] = {}
+
+    def table(self, start: int, start_count: int, end: int, end_count: int) -> np.ndarray:
+        key = (start, start_count, end, end_count)
+        psi = self._tables.get(key)
+        if psi is None:
+            psi = np.zeros((end - start, end + 2))
+            _fill_segment_chain(self.design, *key, psi)
+            self._tables[key] = psi
+        return psi
+
+
 class MultilookSampler:
     """Draws sequences satisfying every constraint of a schedule.
 
-    Transition probabilities for all reachable states are tabulated once
-    (one backward recursion per segment), so repeated draws and batch
-    draws cost O(n) lookups per sequence.
+    The walk reads the rows of its :class:`ConditionalChain`, one table
+    per segment, so repeated draws and batch draws cost O(n) lookups per
+    sequence.
     """
 
     def __init__(self, design: DesignSpec, schedule: LookSchedule):
         self.design = design
         self.schedule = schedule
-        n = schedule.horizon
-        self.n = n
-        psi = np.zeros((n, n + 1))
-        for start, start_count, end, end_count in schedule.segments():
-            _fill_segment_chain(design, start, start_count, end, end_count, psi[start:end])
-        self._psi = psi
+        self.n = schedule.horizon
+        self.chain = ConditionalChain(design)
+        # row j of the walk is a view into its segment's table
+        self._rows = [row for seg in schedule.segments() for row in self.chain.table(*seg)]
+
+    def prefix(self, through_look: int) -> "MultilookSampler":
+        """This sampler cut to the first ``through_look`` looks; it shares
+        the chain, so nothing is rebuilt."""
+        out = copy.copy(self)
+        out.schedule = self.schedule.prefix(through_look)
+        out.n = out.schedule.horizon
+        out._rows = self._rows[: out.n]
+        return out
 
     def transition(self, j: int, m: int) -> float:
         """Tabulated P(T_{j+1} = 1 | state, constraints ahead)."""
         if not 0 <= j < self.n or not 0 <= m <= j:
             raise ValueError(f"invalid state (j={j}, m={m})")
-        return float(self._psi[j, m])
+        return float(self._rows[j][m])
 
     def draw_batch(self, rng: np.random.Generator | int | None, size: int) -> np.ndarray:
         """A (size, n) int8 matrix of independent constrained sequences."""
@@ -259,7 +247,7 @@ class MultilookSampler:
             uniforms = rng.random((min(block, self.n - start), size))
             for j, u in enumerate(uniforms, start):
                 # counts never leave 0..j, so clipping skips a bounds check only
-                self._psi[j].take(m, out=prob, mode="clip")
+                self._rows[j].take(m, out=prob, mode="clip")
                 np.less(u, prob, out=steps[j])
                 m += steps[j]
         return steps
@@ -272,20 +260,13 @@ class MultilookSampler:
         logp = 0.0
         m = 0
         for j, t in enumerate(bits):
-            pr = float(self._psi[j, m])
+            pr = float(self._rows[j][m])
             step = pr if t else 1.0 - pr
             if step <= 0.0:
                 return _NEG_INF
             logp += np.log(step)
             m += int(t)
         return logp
-
-
-class ConditionalSampler(MultilookSampler):
-    """Sampler for a single final-count constraint N1(n) = n1."""
-
-    def __init__(self, design: DesignSpec, n: int, n1: int):
-        super().__init__(design, LookSchedule.single(n, n1))
 
 
 def sample_conditional(
@@ -300,7 +281,7 @@ def sample_conditional(
     Returns a :class:`TreatmentSequence` when ``size`` is None, else a
     (size, n) int8 matrix.
     """
-    sampler = ConditionalSampler(design, n, n1)
+    sampler = MultilookSampler(design, LookSchedule.single(n, n1))
     if size is None:
         return sampler.draw(rng)
     return sampler.draw_batch(rng, size)

@@ -1,0 +1,233 @@
+"""Reference routes to the conditional chain's transitions and moments.
+
+The package computes transitions, means and covariances from one
+conditional chain per segment (``condrand.sampling.ConditionalChain``).
+The functions here reach the same quantities another way, one state or
+one entry at a time from the closed-form laws, or in rational arithmetic,
+so the tests can hold the chain to them.  None of them is fast.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import numpy as np
+
+from condrand.design import DesignSpec, assignment_probability, assignment_probability_exact
+from condrand.distributions import conditional_pmf, unconditional_pmf
+from condrand.errors import InfeasibleError
+from condrand.sampling import LookSchedule
+
+# ---------------------------------------------------------------------------
+# Transitions, one state at a time from the closed forms.
+
+
+def conditional_transition(design: DesignSpec, n: int, n1: int, j: int, m: int) -> float:
+    """P(T_{j+1} = 1 | N1(j) = m, N1(n) = n1).
+
+    The assignment probability is reweighted by the ratio of conditional
+    reach probabilities of the target; at ``j = 0`` the denominator is the
+    unconditional law.
+    """
+    denom = conditional_pmf(design, n, n1, j, m)
+    if denom <= 0.0:
+        raise InfeasibleError(
+            f"state (j={j}, m={m}) cannot reach N1({n}) = {n1} under {design.label()}"
+        )
+    numer = conditional_pmf(design, n, n1, j + 1, m + 1)
+    # forced moves are exact: when one continuation cannot reach the target
+    # the other happens with probability 1
+    if numer == 0.0:
+        return 0.0
+    if conditional_pmf(design, n, n1, j + 1, m) == 0.0:
+        return 1.0
+    value = assignment_probability(design, j, m) * numer / denom
+    if value > 1.0 + 1e-9:
+        raise AssertionError(f"transition probability {value} exceeds 1")
+    return min(max(value, 0.0), 1.0)
+
+
+def segment_of(schedule: LookSchedule, j: int) -> tuple[int, int, int, int]:
+    """Segment (start, start_count, end, end_count) with start <= j < end."""
+    if not 0 <= j < schedule.horizon:
+        raise ValueError(f"step {j} outside the schedule span")
+    return next(seg for seg in schedule.segments() if seg[0] <= j < seg[2])
+
+
+def multilook_transition(design: DesignSpec, schedule: LookSchedule, j: int, m: int) -> float:
+    """Transition probability under a schedule: targets only the next look."""
+    start, start_count, end, end_count = segment_of(schedule, j)
+    if not start_count <= m <= j:
+        raise InfeasibleError(f"count {m} at step {j} violates the look at {start}")
+    return conditional_transition(design, end, end_count, j, m)
+
+
+# ---------------------------------------------------------------------------
+# Moments, one entry at a time as literal sums over the closed-form laws.
+
+
+def _uncond_at(design: DesignSpec, j: int, m: int, exact: bool):
+    """P(N1(j) = m) with the empty-prefix convention P(N1(0)=0) = 1."""
+    one = Fraction(1) if exact else 1.0
+    zero = Fraction(0) if exact else 0.0
+    if j == 0:
+        return one if m == 0 else zero
+    backend = "exact" if exact else "float"
+    return unconditional_pmf(design, j, m, backend)
+
+
+def theta_single(design: DesignSpec, n: int, n1: int, i: int, backend: str = "float"):
+    """E(T_i | N1(n) = n1) by averaging the assignment probability over the
+    law of the preceding count and reweighting by target reachability."""
+    exact = backend == "exact"
+    if not 1 <= i <= n:
+        raise ValueError(f"position {i} out of range for horizon {n}")
+    denom = unconditional_pmf(design, n, n1, backend)
+    if denom == 0:
+        raise InfeasibleError(f"N1({n}) = {n1} has probability zero")
+    phi = assignment_probability_exact if exact else assignment_probability
+    total = Fraction(0) if exact else 0.0
+    for a in range(i):
+        w = _uncond_at(design, i - 1, a, exact)
+        if w == 0:
+            continue
+        total += w * phi(design, i - 1, a) * conditional_pmf(design, n, n1, i, a + 1, backend)
+    return total / denom
+
+
+def cross_moment_single(
+    design: DesignSpec, n: int, n1: int, i: int, j: int, backend: str = "float"
+):
+    """E(T_i T_j | N1(n) = n1) for positions i < j, via the chain rule over
+    the counts just before each of the two assignments."""
+    exact = backend == "exact"
+    if not 1 <= i < j <= n:
+        raise ValueError(f"need 1 <= i < j <= n, got ({i}, {j}) at horizon {n}")
+    denom = unconditional_pmf(design, n, n1, backend)
+    if denom == 0:
+        raise InfeasibleError(f"N1({n}) = {n1} has probability zero")
+    phi = assignment_probability_exact if exact else assignment_probability
+    total = Fraction(0) if exact else 0.0
+    for a in range(i):
+        w_a = _uncond_at(design, i - 1, a, exact)
+        if w_a == 0:
+            continue
+        w_a = w_a * phi(design, i - 1, a)
+        inner = Fraction(0) if exact else 0.0
+        for b in range(a + 1, j):
+            reach = conditional_pmf(design, j - 1, b, i, a + 1, backend)
+            if reach == 0:
+                continue
+            inner += (
+                reach
+                * phi(design, j - 1, b)
+                * conditional_pmf(design, n, n1, j, b + 1, backend)
+            )
+        total += w_a * inner
+    return total / denom
+
+
+# ---------------------------------------------------------------------------
+# The chain in rational arithmetic.
+
+
+def backward_exact_table(
+    design: DesignSpec, start: int, end: int, target: int
+) -> list[list[Fraction]]:
+    """Rational, linear-scale version of ``backward_log_table``."""
+    if not 0 <= start < end:
+        raise ValueError(f"need 0 <= start < end, got ({start}, {end})")
+    if not 0 <= target <= end:
+        raise ValueError(f"target {target} out of range for horizon {end}")
+    steps = end - start
+    zero = Fraction(0)
+    table = [[zero] * (end + 2) for _ in range(steps + 1)]
+    table[steps][target] = Fraction(1)
+    for j in range(end - 1, start - 1, -1):
+        idx = j - start
+        nxt = table[idx + 1]
+        row = table[idx]
+        for m in range(j + 1):
+            phi = assignment_probability_exact(design, j, m)
+            row[m] = phi * nxt[m + 1] + (1 - phi) * nxt[m]
+    return table
+
+
+def _block_moments_exact(design: DesignSpec, r0: int, m0: int, r1: int, m1: int):
+    """Rational version of ``condrand.covariance._block_moments_float``."""
+    table = backward_exact_table(design, r0, r1, m1)
+    if table[0][m0] == 0:
+        raise InfeasibleError(
+            f"count {m1} at position {r1} is unreachable from count {m0} at {r0}"
+        )
+    s = r1 - r0
+    width = r1 + 2
+    zero = Fraction(0)
+    psi = [[zero] * width for _ in range(s)]
+    for j in range(r0, r1):
+        idx = j - r0
+        for m in range(j + 1):
+            cur = table[idx][m]
+            if cur == 0:
+                continue
+            phi = assignment_probability_exact(design, j, m)
+            psi[idx][m] = phi * table[idx + 1][m + 1] / cur
+    rho = [[zero] * width for _ in range(s + 1)]
+    rho[0][m0] = Fraction(1)
+    for idx in range(s):
+        nxt = [zero] * width
+        for m in range(width):
+            w = rho[idx][m]
+            if w == 0:
+                continue
+            pr = psi[idx][m]
+            if pr:
+                nxt[m + 1] += w * pr
+            if pr != 1:
+                nxt[m] += w * (1 - pr)
+        rho[idx + 1] = nxt
+    theta = [
+        sum((rho[idx][m] * psi[idx][m] for m in range(width)), start=zero)
+        for idx in range(s)
+    ]
+    lam = [[zero] * s for _ in range(s)]
+    for a in range(s - 1):
+        g = [zero] * width
+        for m in range(width - 1):
+            g[m + 1] = rho[a][m] * psi[a][m]
+        for b in range(a + 1, s):
+            lam[a][b] = sum((g[m] * psi[b][m] for m in range(width)), start=zero)
+            nxt = [zero] * width
+            for m in range(width):
+                w = g[m]
+                if w == 0:
+                    continue
+                pr = psi[b][m]
+                if pr:
+                    nxt[m + 1] += w * pr
+                if pr != 1:
+                    nxt[m] += w * (1 - pr)
+            g = nxt
+    return theta, lam
+
+
+def covariance_multilook_exact(design: DesignSpec, schedule) -> np.ndarray:
+    """Exact covariance of the first r_L assignments given every look count,
+    an object array of fractions, block diagonal across segments."""
+    if not isinstance(schedule, LookSchedule):
+        schedule = LookSchedule.from_pairs(schedule)
+    sigma = np.full((schedule.horizon,) * 2, Fraction(0), dtype=object)
+    for r0, m0, r1, m1 in schedule.segments():
+        theta, lam = _block_moments_exact(design, r0, m0, r1, m1)
+        for a in range(r1 - r0):
+            sigma[r0 + a, r0 + a] = theta[a] * (1 - theta[a])
+            for b in range(a + 1, r1 - r0):
+                v = lam[a][b] - theta[a] * theta[b]
+                sigma[r0 + a, r0 + b] = v
+                sigma[r0 + b, r0 + a] = v
+    return sigma
+
+
+def covariance_final_exact(design: DesignSpec, n: int, n1: int) -> np.ndarray:
+    """Exact covariance of the full assignment vector given the final count."""
+    return covariance_multilook_exact(design, LookSchedule.single(n, n1))

@@ -36,6 +36,7 @@ from condrand.distributions import walk_branch
 from condrand.experiments import monitored_trial_type_i_error, tail_estimate_repeatability
 from condrand.scores import statistic_batch
 from condrand.streams import substream
+from oracles import covariance_final_exact, covariance_multilook_exact
 
 BIASES = (0.5, 0.6, 2 / 3, 0.75, 1.0)
 
@@ -283,6 +284,7 @@ def test_criterion_08_monitored_trial_smoke_scale():
 def test_criterion_09_covariance_oracle_and_psd():
     designs = [DesignSpec.bcd(p) for p in BIASES] + [DesignSpec.complete()]
     checked = 0
+    worst = 0.0  # production float covariance against the enumeration
     for design in designs:
         for n in (4, 6, 8, 10):
             law = enumerate_law(design, n)
@@ -290,8 +292,10 @@ def test_criterion_09_covariance_oracle_and_psd():
                 if unconditional_pmf(design, n, n1, "exact") == 0:
                     continue
                 want = exact_covariance(law, [(n, n1)])
-                got = covariance_final(design, n, n1, "exact").sigma
+                got = covariance_final_exact(design, n, n1)
                 assert (got == want).all(), (design.label(), n, n1)
+                got = covariance_final(design, n, n1).sigma
+                worst = max(worst, np.abs(got - want.astype(float)).max())
                 checked += 1
             mid, k = n // 2, n // 4
             if unconditional_pmf(design, mid, k, "exact") != 0:
@@ -303,8 +307,10 @@ def test_criterion_09_covariance_oracle_and_psd():
                 if conditional_pmf(design, n, n // 2, mid, k, "exact") == 0:
                     continue
                 want = exact_covariance(law, pairs)
-                got = covariance_multilook(design, sched, "exact").sigma
+                got = covariance_multilook_exact(design, sched)
                 assert (got == want).all(), (design.label(), pairs)
+                got = covariance_multilook(design, sched).sigma
+                worst = max(worst, np.abs(got - want.astype(float)).max())
                 checked += 1
     for n, n1 in ((50, 25), (50, 21)):
         sigma = covariance_final(DesignSpec.bcd(0.7), n, n1).sigma
@@ -313,7 +319,11 @@ def test_criterion_09_covariance_oracle_and_psd():
         DesignSpec.bcd(0.75), LookSchedule.from_pairs([(25, 13), (50, 26)])
     ).sigma
     assert np.linalg.eigvalsh(sigma).min() >= -1e-8
-    print(f"[PASS] 09 covariance: {checked} matrices exact vs enumeration, PSD at n=50")
+    assert worst <= 1e-12, worst
+    print(
+        f"[PASS] 09 covariance: {checked} matrices exact vs enumeration, float within "
+        f"{worst:.1e}, PSD at n=50"
+    )
 
 
 def test_criterion_10_information_fraction():

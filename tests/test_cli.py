@@ -254,6 +254,23 @@ class TestErrorPaths:
         assert code == 2
         assert out == "" and "finite" in err
 
+    def test_stratified_exact_exit_2(self, capsys, tmp_path):
+        resp = tmp_path / "strat.csv"
+        resp.write_text("0.1,A\n0.5,A\n0.3,B\n0.9,B\n")
+        seqs = tmp_path / "seqs.txt"
+        seqs.write_text("10\n01\n")
+        code, out, err = run_cli(
+            capsys, "pvalue", "--design", "bcd:0.6", "--responses", str(resp),
+            "--assignments", str(seqs), "--stratified", "--exact", "--seed", "1",
+        )
+        assert code == 2
+        assert out == "" and "--stratified" in err
+
+    def test_zero_horizon_tables_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "tables", "--which", "3", "--n", "0", "--seed", "1")
+        assert code == 2
+        assert out == "" and "error:" in err
+
     def test_usage_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["dist", "--design", "bcd:0.6"])  # missing --n

@@ -12,22 +12,27 @@ from condrand import (
     centered_scores,
     covariance_final,
     covariance_multilook,
-    cross_moment_single,
     enumerate_law,
     exact_covariance,
     information_at_look,
     information_fraction,
     interpolate_scores,
     multilook_covariances,
-    theta_single,
 )
 import condrand.covariance as covariance
+import condrand.sampling as sampling
 from condrand.covariance import _block_moments_float, projected_final_count
 from condrand.design import _probability_row
 from condrand.distributions import backward_log_table
 from condrand.errors import InfeasibleError
 from condrand.monitoring import SpendingFunction, estimate_boundaries
-from condrand.sampling import MultilookSampler
+from condrand.sampling import ConditionalChain, MultilookSampler
+from oracles import (
+    covariance_final_exact,
+    covariance_multilook_exact,
+    cross_moment_single,
+    theta_single,
+)
 
 BCD23 = DesignSpec.bcd(2 / 3)
 DESIGNS = [DesignSpec.bcd(p) for p in (0.5, 2 / 3, 0.75, 1.0)] + [DesignSpec.complete()]
@@ -145,12 +150,14 @@ class TestCovarianceFinal:
                 if law.probability(lambda t, k=n1: sum(t) == k) == 0:
                     continue
                 want = exact_covariance(law, [(n, n1)])
-                got = covariance_final(design, n, n1, "exact").sigma
+                got = covariance_final_exact(design, n, n1)
                 assert (got == want).all(), (design.label(), n, n1)
+                got = covariance_final(design, n, n1).sigma
+                assert np.abs(got - want.astype(float)).max() < 1e-12, (design.label(), n, n1)
 
     def test_float_tracks_exact(self):
         got = covariance_final(BCD23, 8, 3).sigma
-        want = covariance_final(BCD23, 8, 3, "exact").sigma.astype(float)
+        want = covariance_final_exact(BCD23, 8, 3).astype(float)
         assert np.abs(got - want).max() < 1e-12
 
     def test_entries_match_single_moment_functions(self):
@@ -185,16 +192,19 @@ class TestCovarianceMultilook:
         for design in DESIGNS:
             law = enumerate_law(design, 4)
             want = exact_covariance(law, [(2, 1), (4, 2)])
-            got = covariance_multilook(design, self.SCHEDULE, "exact").sigma
+            got = covariance_multilook_exact(design, self.SCHEDULE)
             assert (got == want).all(), design.label()
+            got = covariance_multilook(design, self.SCHEDULE).sigma
+            assert np.abs(got - want.astype(float)).max() < 1e-12, design.label()
 
     def test_three_look_enumeration(self):
         design = DesignSpec.bcd(0.6)
         schedule = LookSchedule.from_pairs([(3, 1), (5, 3), (8, 4)])
         law = enumerate_law(design, 8)
         want = exact_covariance(law, [(3, 1), (5, 3), (8, 4)])
-        got = covariance_multilook(design, schedule, "exact").sigma
-        assert (got == want).all()
+        assert (covariance_multilook_exact(design, schedule) == want).all()
+        got = covariance_multilook(design, schedule).sigma
+        assert np.abs(got - want.astype(float)).max() < 1e-12
 
     def test_prefix_blocks_shared(self):
         covs = multilook_covariances(BCD23, self.SCHEDULE)
@@ -316,20 +326,18 @@ class TestBlockMoments:
             want = reference_block_moments(design, r0, m0, r1, m1)
         except InfeasibleError:
             with pytest.raises(InfeasibleError):
-                _block_moments_float(design, r0, m0, r1, m1)
+                _block_moments_float(ConditionalChain(design), r0, m0, r1, m1)
             assume(False)
-        theta, lam = _block_moments_float(design, r0, m0, r1, m1)
+        theta, lam = _block_moments_float(ConditionalChain(design), r0, m0, r1, m1)
         assert np.array_equal(theta, want[0])
         assert np.array_equal(lam, want[1])
 
     def test_sampler_and_covariance_share_the_chain(self):
         design = DesignSpec.bcd(0.75)
         schedule = LookSchedule.from_pairs([(25, 13), (40, 19), (61, 30)])
-        psi = MultilookSampler(design, schedule)._psi
-        for r0, m0, r1, m1 in schedule.segments():
-            want = reference_segment_chain(design, r0, m0, r1, m1)
-            assert np.array_equal(psi[r0:r1, : r1 + 1], want[:, : r1 + 1])
-            assert not psi[r0:r1, r1 + 1 :].any()
+        chain = MultilookSampler(design, schedule).chain
+        for segment in schedule.segments():
+            assert np.array_equal(chain.table(*segment), reference_segment_chain(design, *segment))
 
 
 class TestBlockSharing:
@@ -349,11 +357,19 @@ class TestBlockSharing:
         calls = []
         inner = covariance._block_moments_float
 
-        def counting(design, *segment):
+        def counting(chain, *segment):
             calls.append(segment)
-            return inner(design, *segment)
+            return inner(chain, *segment)
 
         monkeypatch.setattr(covariance, "_block_moments_float", counting)
+        backward, table = [], sampling.backward_log_table
+        monkeypatch.setattr(
+            sampling, "backward_log_table", lambda *a: backward.append(a) or table(*a)
+        )
+        builds, init = [], MultilookSampler.__init__
+        monkeypatch.setattr(
+            MultilookSampler, "__init__", lambda self, *a: builds.append(a) or init(self, *a)
+        )
         self.boundaries(8)
         want = set()
         for l in range(1, len(self.SCHEDULE) + 1):
@@ -363,6 +379,8 @@ class TestBlockSharing:
                 n1 = projected_final_count(self.DESIGN, prefix, l, self.SCHEDULE.horizon)
                 want.add((prefix.horizon, prefix.final_count, self.SCHEDULE.horizon, n1))
         assert sorted(calls) == sorted(want)
+        # the stage samplers are cut from one sampler whose chain the blocks share
+        assert len(builds) == 1 and len(backward) == len(want)
 
     def test_shared_blocks_leave_the_result_unchanged(self):
         rng = np.random.default_rng(8)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from condrand import (
-    ConditionalKernel,
     DesignSpec,
     ballot_coefficient,
     conditional_pmf,
@@ -14,7 +13,8 @@ from condrand import (
     pmf_table,
     unconditional_pmf,
 )
-from condrand.distributions import backward_exact_table, backward_log_table, walk_branch
+from condrand.distributions import backward_log_table, walk_branch
+from oracles import backward_exact_table
 
 BCD23 = DesignSpec.bcd(2 / 3)
 DESIGNS = [DesignSpec.bcd(p) for p in (0.5, 0.6, 2 / 3, 0.75, 1.0)]
@@ -108,9 +108,9 @@ class TestConditionalPmf:
         assert conditional_pmf(BCD23, 6, 2, 0, 0) == unconditional_pmf(BCD23, 6, 2)
 
     def test_normalizes_over_targets(self):
-        kernel = ConditionalKernel(BCD23, 11)
+        n = 11
         for j, m in ((3, 1), (4, 2), (7, 6)):
-            total = sum(kernel.conditional(n1, j, m) for n1 in kernel.support(j, m))
+            total = sum(conditional_pmf(BCD23, n, n1, j, m) for n1 in range(m, n - j + m + 1))
             assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_constrained_enumeration_small(self):
@@ -247,15 +247,3 @@ class TestBackwardTables:
             assert math.exp(table[0, 0]) == pytest.approx(
                 unconditional_pmf(design, 60, n1), rel=1e-11
             )
-
-
-class TestKernel:
-    def test_memoization_consistency(self):
-        kernel = ConditionalKernel(BCD23, 10)
-        a = kernel.conditional(5, 3, 2)
-        b = kernel.conditional(5, 3, 2)
-        assert a == b == conditional_pmf(BCD23, 10, 5, 3, 2)
-
-    def test_support_range(self):
-        kernel = ConditionalKernel(BCD23, 10)
-        assert list(kernel.support(4, 1)) == list(range(1, 8))

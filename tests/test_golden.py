@@ -1,0 +1,65 @@
+"""Seeded CLI runs whose output must stay byte-identical.
+
+Each case runs one small ``condrand`` command on the inputs in
+``tests/golden/`` and compares its whole output with
+``tests/golden/<case>.out``.  After a change that is meant to alter the
+output, rewrite the expected files with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from condrand.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+SCHEDULE = str(GOLDEN / "schedule60.json")
+RESPONSES = str(GOLDEN / "responses60.csv")
+SEED = ("--seed", "2012")
+
+CASES = {
+    "sample_schedule": (
+        "sample", "--design", "bcd:0.75", "--schedule", SCHEDULE, "--count", "6", *SEED,
+    ),
+    "boundaries_interim": (
+        "boundaries", "--design", "bcd:0.75", "--schedule", SCHEDULE,
+        "--responses", RESPONSES, "--info", "interim", "--bootstrap", "5",
+        "--reps", "400", *SEED,
+    ),
+    "boundaries_full_raw": (
+        "boundaries", "--design", "bcd:0.75", "--schedule", SCHEDULE,
+        "--responses", RESPONSES, "--info", "full", "--scores", "raw",
+        "--reps", "400", *SEED,
+    ),
+    "info": (
+        "info", "--design", "bcd:0.75", "--schedule", SCHEDULE,
+        "--responses", RESPONSES, "--bootstrap", "5", *SEED,
+    ),
+    "pvalue_direct": (
+        "pvalue", "--design", "bcd:0.75", "--responses", str(GOLDEN / "responses40.csv"),
+        "--assignments", str(GOLDEN / "assignments40.txt"), "--reps", "2000", *SEED,
+    ),
+    "tables_3": (
+        "tables", "--which", "3", "--n", "70", "--runs", "3", "--reps", "200", *SEED,
+    ),
+}
+
+
+def run_case(name: str, out: Path) -> int:
+    return main([*CASES[name], "--out", str(out)])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_is_byte_identical(name, tmp_path):
+    out = tmp_path / f"{name}.out"
+    assert run_case(name, out) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+if __name__ == "__main__":
+    for case in sorted(CASES):
+        if run_case(case, GOLDEN / f"{case}.out") != 0:
+            sys.exit(f"{case} failed")

@@ -7,14 +7,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from condrand import (
-    ConditionalSampler,
     DesignSpec,
     InfeasibleError,
     LookSchedule,
     MultilookSampler,
-    conditional_transition,
     enumerate_law,
-    multilook_transition,
     sample_conditional,
     sample_multilook,
     sequence_probability,
@@ -22,6 +19,7 @@ from condrand import (
 from condrand.bruteforce import oracle_sequence_law
 from condrand.design import simulate_unconditional
 from condrand.scores import RAW, SIMPLE_RANK, centered_scores
+from oracles import conditional_transition, multilook_transition, segment_of
 
 BCD23 = DesignSpec.bcd(2 / 3)
 COMPLETE = DesignSpec.complete()
@@ -93,7 +91,7 @@ class TestMultilookTransition:
         sch = LookSchedule.from_pairs([(4, 2), (10, 5)])
         sampler = MultilookSampler(BCD23, sch)
         for j in range(10):
-            start, start_count, end, end_count = sch.segment_of(j)
+            start, start_count, end, end_count = segment_of(sch, j)
             lo = max(start_count, end_count - (end - j))
             for m in range(lo, min(j, end_count) + 1):
                 want = multilook_transition(BCD23, sch, j, m)
@@ -153,7 +151,7 @@ class TestSamplers:
         # single-look sampler law equals f(t) / P(N1(n) = n1)
         design = BCD23
         n, n1 = 5, 2
-        sampler = ConditionalSampler(design, n, n1)
+        sampler = MultilookSampler(design, LookSchedule.single(n, n1))
         law = enumerate_law(design, n)
         total = law.probability(lambda t: sum(t) == n1)
         for bits, f in law.entries.items():
@@ -186,9 +184,34 @@ class TestSamplers:
         with pytest.raises(ValueError, match="need 2 score vectors"):
             sampler.accumulate_statistics(rng, 5, scores[:1])
 
+    def test_prefix_draws_as_a_fresh_sampler(self):
+        design = DesignSpec.bcd(0.7)
+        sch = LookSchedule.from_pairs([(5, 3), (11, 5), (16, 9)])
+        full = MultilookSampler(design, sch)
+        scores = [np.arange(float(l.position)) for l in sch.looks]
+        for l in (1, 2, 3):
+            cut, fresh = full.prefix(l), MultilookSampler(design, sch.prefix(l))
+            assert cut.chain is full.chain and cut.schedule == sch.prefix(l)
+            assert np.array_equal(cut.draw_batch(7, 300), fresh.draw_batch(7, 300))
+            assert np.array_equal(
+                cut.accumulate_statistics(8, 300, scores[:l]),
+                fresh.accumulate_statistics(8, 300, scores[:l]),
+            )
+        assert full.n == 16
+
+    def test_prefix_keeps_the_subclass(self):
+        class Recording(MultilookSampler):
+            pass
+
+        sampler = Recording(BCD23, LookSchedule.from_pairs([(2, 1), (4, 2)]))
+        assert type(sampler.prefix(1)) is Recording
+
     def test_transition_probabilities_in_range(self):
-        sampler = MultilookSampler(DesignSpec.bcd(0.95), LookSchedule.from_pairs([(5, 1), (12, 6)]))
-        assert (sampler._psi >= 0).all() and (sampler._psi <= 1).all()
+        sch = LookSchedule.from_pairs([(5, 1), (12, 6)])
+        chain = MultilookSampler(DesignSpec.bcd(0.95), sch).chain
+        for segment in sch.segments():
+            psi = chain.table(*segment)
+            assert (psi >= 0).all() and (psi <= 1).all()
 
 
 # Step-by-step reference walks: one ``rng.random(size)`` call per step and,
@@ -199,7 +222,7 @@ def reference_draw_batch(sampler, rng, size):
     out = np.empty((size, sampler.n), dtype=np.int8)
     m = np.zeros(size, dtype=np.int64)
     for j in range(sampler.n):
-        t = rng.random(size) < sampler._psi[j, m]
+        t = rng.random(size) < sampler._rows[j][m]
         out[:, j] = t
         m += t
     return out
@@ -211,7 +234,7 @@ def reference_accumulate_statistics(sampler, rng, size, score_vectors):
     stats_ = np.zeros((size, len(ends)))
     m = np.zeros(size, dtype=np.int64)
     for j in range(sampler.n):
-        t = rng.random(size) < sampler._psi[j, m]
+        t = rng.random(size) < sampler._rows[j][m]
         m += t
         for l, r in enumerate(ends):
             if j < r:
