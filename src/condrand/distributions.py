@@ -59,6 +59,28 @@ def _ballot_int(x: int, l: int) -> int:
     return num // (x + l)
 
 
+def _ballot_terms(x: int, l_max: int):
+    """Yield ``(l, C(x, l))`` for each ``l <= l_max`` with ``C(x, l) > 0``.
+
+    The same integers as :func:`_ballot_int`, each stepped exactly from
+    the previous binomial ``binom(x + l, l)`` instead of a fresh
+    ``math.comb``, so a whole series costs one pass over its digits.
+    """
+    if l_max < 0:
+        return
+    if l_max > x:
+        raise ValueError(f"ballot coefficient undefined for l > x ({l_max} > {x})")
+    yield 0, 1
+    b = 1  # binom(x + l, l)
+    for l in range(1, min(l_max, x - 1) + 1):
+        b = b * (x + l) // l
+        num = (x - l) * b
+        c, rem = divmod(num, x + l)
+        if rem:
+            raise AssertionError(f"ballot numerator {num} is not divisible by {x + l}")
+        yield l, c
+
+
 def ballot_coefficient(x: int, l: int, exact: bool = False):
     """C(x, l) = (x - l)/(x + l) * binom(x + l, l), an integer-valued count.
 
@@ -193,10 +215,8 @@ def _eval_series_float(plan: _SeriesPlan, p: float) -> float:
                 logs.append(math.log(c))
     else:
         lq = math.log(q)
-        for l in range(plan.l_max + 1):
-            c = _ballot_int(plan.x, l)
-            if c > 0:
-                logs.append(math.log(c) + (plan.q_base + l) * lq)
+        for l, c in _ballot_terms(plan.x, plan.l_max):
+            logs.append(math.log(c) + (plan.q_base + l) * lq)
     main = _NEG_INF
     if logs:
         top = max(logs)
@@ -217,10 +237,8 @@ def _eval_series_float(plan: _SeriesPlan, p: float) -> float:
 def _eval_series_exact(plan: _SeriesPlan, p: Fraction) -> Fraction:
     q = 1 - p
     total = Fraction(0)
-    for l in range(plan.l_max + 1):
-        c = _ballot_int(plan.x, l)
-        if c > 0:
-            total += c * q ** (plan.q_base + l)
+    for l, c in _ballot_terms(plan.x, plan.l_max):
+        total += c * q ** (plan.q_base + l)
     if plan.halved:
         total /= 2
     if plan.correction is not None:
@@ -330,9 +348,16 @@ def conditional_pmf(
 
 
 def pmf_table(design: DesignSpec, n: int, backend: str = "float"):
-    """The full vector of P(N1(n) = n1) for n1 = 0..n."""
+    """The full vector of P(N1(n) = n1) for n1 = 0..n.
+
+    The law is symmetric, P(N1(n) = n1) = P(N1(n) = n - n1), and both
+    counts are priced by the same plan, so the upper half is mirrored.
+    """
     exact = _validate_backend(backend)
-    values = [unconditional_pmf(design, n, n1, backend) for n1 in range(n + 1)]
+    if n < 1:
+        raise ValueError(f"horizon must be >= 1, got {n}")
+    half = [unconditional_pmf(design, n, n1, backend) for n1 in range(n // 2 + 1)]
+    values = half + half[(n - 1) // 2 :: -1]
     if exact:
         return values
     return np.asarray(values)

@@ -82,6 +82,8 @@ def tail_estimate_repeatability(
     via the DP, when the horizon allows), then repeats the ``n_c``-draw
     estimate ``runs`` times.
     """
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     design = DesignSpec.bcd(p)
     out = []
     for r_idx, (n, n1) in enumerate(rows):
@@ -143,6 +145,8 @@ def monitored_trial_type_i_error(
     crosses its boundary.  Replication r uses substream (3, r) of the
     seed, so the result does not depend on how replications are batched.
     """
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications}")
     if look_positions[-1] != n:
         raise ValueError("the last look must sit at the horizon")
     design = DesignSpec.bcd(p)

@@ -4,17 +4,26 @@ The package computes transitions, means and covariances from one
 conditional chain per segment (``condrand.sampling.ConditionalChain``).
 The functions here reach the same quantities another way, one state or
 one entry at a time from the closed-form laws, or in rational arithmetic,
-so the tests can hold the chain to them.  None of them is fast.
+so the tests can hold the chain to them.  The last section prices the
+closed-form ballot series one ``math.comb`` per term, against which the
+package's stepped series is held bit for bit.  None of them is fast.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from condrand.design import DesignSpec, assignment_probability, assignment_probability_exact
-from condrand.distributions import conditional_pmf, unconditional_pmf
+from condrand.distributions import (
+    _NEG_INF,
+    _ballot_int,
+    _correction_value,
+    conditional_pmf,
+    unconditional_pmf,
+)
 from condrand.errors import InfeasibleError
 from condrand.sampling import LookSchedule
 
@@ -231,3 +240,42 @@ def covariance_multilook_exact(design: DesignSpec, schedule) -> np.ndarray:
 def covariance_final_exact(design: DesignSpec, n: int, n1: int) -> np.ndarray:
     """Exact covariance of the full assignment vector given the final count."""
     return covariance_multilook_exact(design, LookSchedule.single(n, n1))
+
+
+# ---------------------------------------------------------------------------
+# Closed-form series, one fresh ballot coefficient per term.
+
+
+def reference_eval_series_float(plan, p: float) -> float:
+    """Float value of a closed-form series plan, each term's ballot
+    coefficient computed on its own by ``_ballot_int``."""
+    q = 1.0 - p
+    logs: list[float] = []
+    if q == 0.0:
+        # permuted-block limit: only terms with a zero q-exponent survive
+        l0 = -plan.q_base
+        if 0 <= l0 <= plan.l_max:
+            c = _ballot_int(plan.x, l0)
+            if c > 0:
+                logs.append(math.log(c))
+    else:
+        lq = math.log(q)
+        for l in range(plan.l_max + 1):
+            c = _ballot_int(plan.x, l)
+            if c > 0:
+                logs.append(math.log(c) + (plan.q_base + l) * lq)
+    main = _NEG_INF
+    if logs:
+        top = max(logs)
+        main = top + math.log(sum(math.exp(v - top) for v in logs))
+        if plan.halved:
+            main += math.log(0.5)
+    if plan.correction is not None:
+        d = _correction_value(plan.trials, plan.correction)
+        q_exp = plan.correction[2]
+        if d > 0 and (q > 0.0 or q_exp == 0):
+            ld = math.log(d) + (q_exp * math.log(q) if q_exp else 0.0)
+            main = np.logaddexp(main, ld)
+    if main == _NEG_INF:
+        return 0.0
+    return math.exp(plan.p_exp * math.log(p) + main)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from condrand import experiments
 from condrand.cli import main
 
 
@@ -13,6 +14,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("work started before the run count was checked")
 
 
 def _reject_constant(name):
@@ -57,6 +62,14 @@ class TestDist:
         )
         assert code == 0
         assert [float(l.split(",")[1]) for l in out.strip().splitlines()[1:]] == [0.25, 0.5, 0.25]
+
+    @pytest.mark.parametrize("n, backend", [("-3", "float"), ("-3", "exact"), ("0", "float")])
+    def test_horizon_below_one_exit_2(self, capsys, n, backend):
+        code, out, err = run_cli(
+            capsys, "dist", "--design", "bcd:0.75", "--n", n, "--backend", backend
+        )
+        assert code == 2
+        assert out == "" and f"horizon must be >= 1, got {n}" in err
 
 
 class TestSampleAndPvalue:
@@ -270,6 +283,22 @@ class TestErrorPaths:
         code, out, err = run_cli(capsys, "tables", "--which", "3", "--n", "0", "--seed", "1")
         assert code == 2
         assert out == "" and "error:" in err
+
+    def test_zero_runs_repeatability_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "MultilookSampler", _never_called)
+        code, out, err = run_cli(
+            capsys, "tables", "--which", "2", "--runs", "0", "--reps", "100", "--seed", "1"
+        )
+        assert code == 2
+        assert out == "" and "runs must be >= 1, got 0" in err
+
+    def test_zero_runs_monitored_trial_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "estimate_boundaries", _never_called)
+        code, out, err = run_cli(
+            capsys, "tables", "--which", "3", "--n", "70", "--runs", "0", "--seed", "1"
+        )
+        assert code == 2
+        assert out == "" and "replications must be >= 1, got 0" in err
 
     def test_usage_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

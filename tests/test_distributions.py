@@ -3,18 +3,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from condrand import (
     DesignSpec,
     ballot_coefficient,
     conditional_pmf,
+    distributions,
     enumerate_law,
     oracle_conditional_pmf,
     pmf_table,
     unconditional_pmf,
 )
-from condrand.distributions import backward_log_table, walk_branch
-from oracles import backward_exact_table
+from condrand.distributions import _ballot_int, _ballot_terms, backward_log_table, walk_branch
+from oracles import backward_exact_table, reference_eval_series_float
 
 BCD23 = DesignSpec.bcd(2 / 3)
 DESIGNS = [DesignSpec.bcd(p) for p in (0.5, 0.6, 2 / 3, 0.75, 1.0)]
@@ -45,6 +47,19 @@ class TestBallotCoefficient:
                 assert ballot_coefficient(x, l) == float(ballot_coefficient(x, l, exact=True))
 
 
+class TestBallotTerms:
+    def test_matches_per_term_integers(self):
+        for x in range(301):
+            full = [(l, c) for l in range(x + 1) if (c := _ballot_int(x, l)) > 0]
+            for l_max in {-1, 0, x // 3, x - 1, x}:
+                assert list(_ballot_terms(x, l_max)) == [t for t in full if t[0] <= l_max]
+
+    def test_l_max_above_x_raises(self):
+        for x, l_max in ((0, 1), (3, 4), (10, 20)):
+            with pytest.raises(ValueError):
+                list(_ballot_terms(x, l_max))
+
+
 class TestUnconditionalPmf:
     def test_fair_coin_reduces_to_binomial(self):
         assert unconditional_pmf(DesignSpec.bcd(0.5), 4, 2) == pytest.approx(0.375)
@@ -62,6 +77,23 @@ class TestUnconditionalPmf:
         assert pmf_table(DesignSpec.bcd(0.5), 2) == pytest.approx([0.25, 0.5, 0.25])
         table = pmf_table(BCD23, 2, "exact")
         assert table == [Fraction(1, 6), Fraction(2, 3), Fraction(1, 6)]
+
+    @pytest.mark.parametrize("design", DESIGNS + [DesignSpec.complete()], ids=str)
+    def test_table_is_mirror_of_per_count_law(self, design):
+        for n in (1, 2, 7, 50, 301):
+            table = pmf_table(design, n)
+            per_count = np.array([unconditional_pmf(design, n, n1) for n1 in range(n + 1)])
+            assert table.tobytes() == table[::-1].tobytes() == per_count.tobytes()
+        for n in (1, 2, 9, 24):
+            table = pmf_table(design, n, "exact")
+            per_count = [unconditional_pmf(design, n, n1, "exact") for n1 in range(n + 1)]
+            assert table == table[::-1] == per_count
+
+    def test_table_horizon_below_one_raises(self):
+        for backend in ("float", "exact"):
+            for n in (0, -3):
+                with pytest.raises(ValueError, match="horizon must be >= 1"):
+                    pmf_table(BCD23, n, backend)
 
     def test_components_nonnegative(self):
         for design in DESIGNS:
@@ -168,6 +200,46 @@ class TestConditionalPmf:
             conditional_pmf(BCD23, 5, 2, 3, 4)
 
 
+BRANCHES = (
+    "certain",
+    "impossible",
+    "unconditional",
+    "balanced_restart",
+    "deficit_no_return",
+    "deficit_end_below",
+    "deficit_end_balanced",
+    "deficit_end_above",
+    "surplus_end_below",
+    "surplus_end_balanced",
+    "surplus_end_above",
+    "surplus_no_return",
+)
+
+
+@st.composite
+def _state_in_branch(draw, label):
+    """(n, n1, j, m) at n <= 600 whose conditional law takes the named branch."""
+    n = draw(st.integers(2, 600))
+    if label == "unconditional":
+        j = 0
+    elif label == "certain":
+        j = n
+    else:
+        j = draw(st.integers(1, n - 1))
+    if label.startswith("deficit"):
+        m = draw(st.integers(0, (j - 1) // 2))
+    elif label.startswith("surplus"):
+        m = draw(st.integers(j // 2 + 1, j))
+    elif label == "balanced_restart":
+        assume(j % 2 == 0)
+        m = j // 2
+    else:
+        m = draw(st.integers(0, j))
+    targets = [n1 for n1 in range(n + 1) if walk_branch(n, n1, j, m) == label]
+    assume(targets)
+    return n, draw(st.sampled_from(targets)), j, m
+
+
 class TestWalkBranches:
     def test_every_branch_reachable(self):
         seen = set()
@@ -176,20 +248,26 @@ class TestWalkBranches:
             for m in range(j + 1):
                 for n1 in range(n + 1):
                     seen.add(walk_branch(n, n1, j, m))
-        assert seen >= {
-            "certain",
-            "impossible",
-            "unconditional",
-            "balanced_restart",
-            "deficit_no_return",
-            "deficit_end_below",
-            "deficit_end_balanced",
-            "deficit_end_above",
-            "surplus_end_below",
-            "surplus_end_balanced",
-            "surplus_end_above",
-            "surplus_no_return",
-        }
+        assert seen >= set(BRANCHES)
+
+    @pytest.mark.parametrize("label", BRANCHES)
+    @settings(max_examples=10, deadline=None)
+    @given(
+        design=st.one_of(
+            st.just(DesignSpec.complete()),
+            st.sampled_from((0.5, 1.0)).map(DesignSpec.bcd),
+            st.floats(0.5, 1.0).map(DesignSpec.bcd),
+        ),
+        data=st.data(),
+    )
+    def test_stepped_series_equals_per_term_oracle(self, label, design, data):
+        n, n1, j, m = data.draw(_state_in_branch(label))
+        assert walk_branch(n, n1, j, m) == label
+        got = [unconditional_pmf(design, n, n1), conditional_pmf(design, n, n1, j, m)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distributions, "_eval_series_float", reference_eval_series_float)
+            want = [unconditional_pmf(design, n, n1), conditional_pmf(design, n, n1, j, m)]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_correction_branches_priced_correctly(self):
         # spot-check the two branches carrying the no-return correction term
