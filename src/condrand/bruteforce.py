@@ -167,29 +167,28 @@ def exact_statistic_distribution(
             return w_p, w_q
         return w_q, w_p
 
-    states: dict[tuple[int, int], int] = {(0, 0): 1}
+    # states[m] maps each reachable statistic s to its path weight at count m
+    states: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n1)]
     for j in range(n):
-        step: dict[tuple[int, int], int] = {}
+        step: list[dict[int, int]] = [{} for _ in range(n1 + 1)]
         a = ints[j]
-        for (m, s), w in states.items():
-            # prune states that can no longer hit the target count
+        for m, row in enumerate(states):
             w1, w0 = weights(j, m)
-            if w1 and m + 1 <= n1 and n - j - 1 >= n1 - m - 1:
-                key = (m + 1, s + a)
-                step[key] = step.get(key, 0) + w * w1
+            # counts are visited upwards, so step[m + 1] is still empty here
+            if w1 and m < n1:
+                step[m + 1] = {s + a: w * w1 for s, w in row.items()}
+            # prune a stay that can no longer hit the target count
             if w0 and n - j - 1 >= n1 - m:
-                key = (m, s)
-                step[key] = step.get(key, 0) + w * w0
+                stay = step[m]
+                for s, w in row.items():
+                    stay[s] = stay.get(s, 0) + w * w0
         states = step
-    total = sum(w for (m, _), w in states.items() if m == n1)
+    dist = states[n1]
+    total = sum(dist.values())
     if total == 0:
         raise InfeasibleError(
             f"N1({n}) = {n1} has probability zero under {design.label()}"
         )
-    dist: dict[int, int] = {}
-    for (m, s), w in states.items():
-        if m == n1:
-            dist[s] = dist.get(s, 0) + w
     support = sorted(dist)
     probs = [Fraction(dist[s], total) for s in support]
     return np.asarray([s / scale for s in support]), probs

@@ -167,9 +167,10 @@ def assignment_probability_exact(design: DesignSpec, j: int, m_j: int) -> Fracti
 
 
 def _probability_row(design: DesignSpec, j: int, m: np.ndarray) -> np.ndarray:
-    """Vectorized assignment probabilities at step ``j`` for counts ``m``."""
+    """Vectorized assignment probabilities at steps ``j`` for counts ``m``,
+    broadcast against each other."""
     if design.kind == COMPLETE:
-        return np.full(m.shape, 0.5)
+        return np.full(np.broadcast_shapes(np.shape(j), np.shape(m)), 0.5)
     d = 2 * m - j
     return np.where(d == 0, 0.5, np.where(d < 0, design.p, 1.0 - design.p))
 

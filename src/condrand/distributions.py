@@ -38,6 +38,10 @@ __all__ = [
 
 _NEG_INF = float("-inf")
 
+# Whole-array passes over a table take this many entries at a time, so
+# their temporaries stay small next to the table.
+BLOCK_ENTRIES = 1 << 16
+
 
 def _ballot_int(x: int, l: int) -> int:
     """Ballot coefficient C(x, l) as an exact integer.
@@ -378,7 +382,8 @@ def backward_log_table(
     """Log-probability table B[idx, m] = log P(N1(end) = target | N1(start+idx) = m).
 
     Rows run over steps ``start..end``; entries for unreachable states
-    are ``-inf``.
+    are ``-inf``.  The log assignment probabilities come a block of rows
+    at a time, so each row of the recursion is two adds and a logaddexp.
     """
     if not 0 <= start < end:
         raise ValueError(f"need 0 <= start < end, got ({start}, {end})")
@@ -387,18 +392,18 @@ def backward_log_table(
     steps = end - start
     table = np.full((steps + 1, end + 2), _NEG_INF)
     table[steps, target] = 0.0
+    rows = max(1, BLOCK_ENTRIES // (end + 1))
     with np.errstate(divide="ignore"):
-        for j in range(end - 1, start - 1, -1):
-            idx = j - start
-            mvec = np.arange(j + 1)
-            pr = _probability_row(design, j, mvec)
-            lp1 = np.log(pr)
-            lp0 = np.log1p(-pr)
-            nxt = table[idx + 1]
-            table[idx, : j + 1] = np.logaddexp(
-                lp1 + nxt[1 : j + 2], lp0 + nxt[: j + 1]
-            )
-            table[idx, j + 1 :] = _NEG_INF
+        for hi in range(end, start, -rows):
+            lo = max(start, hi - rows)
+            pr = _probability_row(design, np.arange(lo, hi)[:, None], np.arange(hi))
+            lp1, lp0 = np.log(pr), np.log1p(-pr)
+            for j in range(hi - 1, lo - 1, -1):
+                idx, r = j - start, j - lo
+                nxt = table[idx + 1]
+                up = np.add(lp1[r, : j + 1], nxt[1 : j + 2], out=lp1[r, : j + 1])
+                down = np.add(lp0[r, : j + 1], nxt[: j + 1], out=lp0[r, : j + 1])
+                np.logaddexp(up, down, out=table[idx, : j + 1])
     return table
 
 

@@ -111,7 +111,7 @@ def tail_estimate_repeatability(
                 "v_star": v_star,
                 "exact": exact_tail,
                 "mean": float(estimates.mean()),
-                "sd": float(estimates.std(ddof=1)),
+                "sd": float(estimates.std(ddof=1)) if runs > 1 else 0.0,
                 "runs": runs,
                 "n_c": n_c,
             }

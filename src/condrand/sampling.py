@@ -18,14 +18,11 @@ from typing import Iterable
 import numpy as np
 
 from .design import DesignSpec, TreatmentSequence, _probability_row
-from .distributions import backward_log_table
+from .distributions import BLOCK_ENTRIES, backward_log_table
 from .errors import InfeasibleError
 from .streams import as_generator
 
 _NEG_INF = float("-inf")
-
-# Uniforms drawn per block of the walk, rounded down to whole steps.
-_BLOCK_UNIFORMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -110,24 +107,26 @@ def _fill_segment_chain(
     design: DesignSpec, start: int, start_count: int, end: int, end_count: int, psi: np.ndarray
 ) -> None:
     """Set ``psi[j - start, m]`` to P(T_{j+1} = 1 | N1(j) = m, N1(end) =
-    end_count) for start <= j < end and m <= j, leaving other entries."""
+    end_count) for start <= j < end, a block of rows at a time; a zeroed
+    ``psi`` stays 0 for m > j."""
     table = backward_log_table(design, start, end, end_count)
     if table[0, start_count] == _NEG_INF:
         raise InfeasibleError(
             f"look (position {end}, count {end_count}) is unreachable "
             f"from count {start_count} at position {start} under {design.label()}"
         )
-    for j in range(start, end):
-        idx = j - start
-        mvec = np.arange(j + 1)
-        cur = table[idx, : j + 1]
-        nxt_up = table[idx + 1, 1 : j + 2]
+    rows = max(1, BLOCK_ENTRIES // (end + 1))
+    for lo in range(start, end, rows):
+        hi = min(lo + rows, end)
+        a, b = lo - start, hi - start
+        # counts up to hi - 1; those above a row's step have cur = -inf
+        cur = table[a:b, :hi]
         with np.errstate(invalid="ignore"):
-            ratio = np.where(cur > _NEG_INF, np.exp(nxt_up - cur), 0.0)
-        row = _probability_row(design, j, mvec) * ratio
-        if row.max(initial=0.0) > 1.0 + 1e-9:
+            ratio = np.where(cur > _NEG_INF, np.exp(table[a + 1 : b + 1, 1 : hi + 1] - cur), 0.0)
+        block = _probability_row(design, np.arange(lo, hi)[:, None], np.arange(hi)) * ratio
+        if block.max(initial=0.0) > 1.0 + 1e-9:
             raise AssertionError("transition probability exceeds 1")
-        psi[idx, : j + 1] = np.clip(row, 0.0, 1.0)
+        np.clip(block, 0.0, 1.0, out=psi[a:b, :hi])
 
 
 class ConditionalChain:
@@ -242,7 +241,7 @@ class MultilookSampler:
         steps = np.empty((self.n, size), dtype=bool)
         m = np.zeros(size, dtype=np.intp)
         prob = np.empty(size)
-        block = max(1, _BLOCK_UNIFORMS // max(size, 1))
+        block = max(1, BLOCK_ENTRIES // max(size, 1))
         for start in range(0, self.n, block):
             uniforms = rng.random((min(block, self.n - start), size))
             for j, u in enumerate(uniforms, start):

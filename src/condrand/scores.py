@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design import DesignSpec, TreatmentSequence
+from .distributions import BLOCK_ENTRIES
 
 SIMPLE_RANK = "simple-rank"
 RAW = "raw"
@@ -106,7 +107,17 @@ def statistic_batch(scores: ScoreVector, batch: np.ndarray) -> np.ndarray:
     """V for every row of a (draws, n) assignment matrix."""
     if batch.shape[1] != len(scores):
         raise ValueError("assignment matrix width does not match scores")
-    return batch @ scores.values
+    values = scores.values
+    twice = 2.0 * values
+    if (twice != np.rint(twice)).any() or np.abs(twice).sum() > 2.0**53:
+        return batch @ values
+    # sums of 0/1 draws times halves are exact in any order, so row chunks
+    # keep the bits and convert only a chunk of the draws to float at a time
+    out = np.empty(len(batch))
+    rows = max(1, BLOCK_ENTRIES // len(values))
+    for lo in range(0, len(batch), rows):
+        out[lo : lo + rows] = batch[lo : lo + rows].astype(float) @ values
+    return out
 
 
 def interim_statistic(responses, t, cut: int, kind: str = SIMPLE_RANK) -> float:

@@ -6,7 +6,10 @@ The functions here reach the same quantities another way, one state or
 one entry at a time from the closed-form laws, or in rational arithmetic,
 so the tests can hold the chain to them.  The last section prices the
 closed-form ballot series one ``math.comb`` per term, against which the
-package's stepped series is held bit for bit.  None of them is fast.
+package's stepped series is held bit for bit; the last builds the chain
+one row at a time and runs the exact DP over ``(count, statistic)``
+pairs, against which the package's block passes and per-count DP are
+held bit for bit.  None of them is fast.
 """
 
 from __future__ import annotations
@@ -16,7 +19,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from condrand.design import DesignSpec, assignment_probability, assignment_probability_exact
+from condrand.bruteforce import MAX_DP, _integerize_scores
+from condrand.design import (
+    DesignSpec,
+    _probability_row,
+    assignment_probability,
+    assignment_probability_exact,
+)
 from condrand.distributions import (
     _NEG_INF,
     _ballot_int,
@@ -279,3 +288,96 @@ def reference_eval_series_float(plan, p: float) -> float:
     if main == _NEG_INF:
         return 0.0
     return math.exp(plan.p_exp * math.log(p) + main)
+
+
+# ---------------------------------------------------------------------------
+# The chain one row at a time, and the exact DP keyed by (count, statistic).
+
+
+def reference_backward_log_table(design: DesignSpec, start: int, end: int, target: int):
+    """``backward_log_table`` with the assignment probabilities and their
+    logs taken afresh for every row."""
+    if not 0 <= start < end:
+        raise ValueError(f"need 0 <= start < end, got ({start}, {end})")
+    if not 0 <= target <= end:
+        raise ValueError(f"target {target} out of range for horizon {end}")
+    steps = end - start
+    table = np.full((steps + 1, end + 2), _NEG_INF)
+    table[steps, target] = 0.0
+    with np.errstate(divide="ignore"):
+        for j in range(end - 1, start - 1, -1):
+            idx = j - start
+            pr = _probability_row(design, j, np.arange(j + 1))
+            nxt = table[idx + 1]
+            table[idx, : j + 1] = np.logaddexp(
+                np.log(pr) + nxt[1 : j + 2], np.log1p(-pr) + nxt[: j + 1]
+            )
+    return table
+
+
+def reference_segment_chain(design: DesignSpec, r0: int, m0: int, r1: int, m1: int):
+    """Transition table psi[j - r0, m] of one segment, row by row from
+    :func:`reference_backward_log_table`."""
+    table = reference_backward_log_table(design, r0, r1, m1)
+    if table[0, m0] == _NEG_INF:
+        raise InfeasibleError(f"count {m1} at {r1} is unreachable from {m0} at {r0}")
+    psi = np.zeros((r1 - r0, r1 + 2))
+    for j in range(r0, r1):
+        idx = j - r0
+        cur = table[idx, : j + 1]
+        up = table[idx + 1, 1 : j + 2]
+        with np.errstate(invalid="ignore"):
+            ratio = np.where(cur > _NEG_INF, np.exp(up - cur), 0.0)
+        row = _probability_row(design, j, np.arange(j + 1)) * ratio
+        if row.max(initial=0.0) > 1.0 + 1e-9:
+            raise AssertionError("transition probability exceeds 1")
+        psi[idx, : j + 1] = np.clip(row, 0.0, 1.0)
+    return psi
+
+
+def reference_statistic_distribution(design: DesignSpec, scores, n1: int):
+    """``exact_statistic_distribution`` with one dict over ``(m, s)`` pairs
+    and the step weights looked up for every pair."""
+    values = list(getattr(scores, "values", scores))
+    n = len(values)
+    if not 1 <= n <= MAX_DP:
+        raise ValueError(f"exact DP supports 1 <= n <= {MAX_DP}, got {n}")
+    if not 0 <= n1 <= n:
+        raise ValueError(f"count {n1} out of range for horizon {n}")
+    ints, scale = _integerize_scores(values)
+    p = design.exact_p()
+    den = 2 * p.denominator
+    w_half = den // 2
+    w_p = int(p * den)
+    w_q = den - w_p
+
+    def weights(j: int, m: int) -> tuple[int, int]:
+        if design.kind == "complete" or 2 * m == j:
+            return w_half, w_half
+        if 2 * m < j:
+            return w_p, w_q
+        return w_q, w_p
+
+    states: dict[tuple[int, int], int] = {(0, 0): 1}
+    for j in range(n):
+        step: dict[tuple[int, int], int] = {}
+        a = ints[j]
+        for (m, s), w in states.items():
+            w1, w0 = weights(j, m)
+            if w1 and m + 1 <= n1 and n - j - 1 >= n1 - m - 1:
+                key = (m + 1, s + a)
+                step[key] = step.get(key, 0) + w * w1
+            if w0 and n - j - 1 >= n1 - m:
+                key = (m, s)
+                step[key] = step.get(key, 0) + w * w0
+        states = step
+    total = sum(w for (m, _), w in states.items() if m == n1)
+    if total == 0:
+        raise InfeasibleError(f"N1({n}) = {n1} has probability zero under {design.label()}")
+    dist: dict[int, int] = {}
+    for (m, s), w in states.items():
+        if m == n1:
+            dist[s] = dist.get(s, 0) + w
+    support = sorted(dist)
+    probs = [Fraction(dist[s], total) for s in support]
+    return np.asarray([s / scale for s in support]), probs

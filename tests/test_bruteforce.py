@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from condrand import (
     DesignSpec,
@@ -16,6 +17,7 @@ from condrand import (
     oracle_conditional_pmf,
 )
 from condrand.bruteforce import exact_statistic_quantile, oracle_sequence_law
+from oracles import reference_statistic_distribution
 
 BCD23 = DesignSpec.bcd(2 / 3)
 
@@ -115,6 +117,51 @@ class TestExactPvalue:
             support, probs = exact_statistic_distribution(BCD23, scores, 5)
             tail = sum(pr for s, pr in zip(support, probs) if s > q)
             assert tail <= Fraction(alpha).limit_denominator(10**6)
+
+
+@st.composite
+def dp_cases(draw):
+    """A design, a count and scores on the lattice: midranks of rounded
+    normal responses (ties included), or tied raw halves centered."""
+    p = draw(st.sampled_from([0.5, 0.6, 2 / 3, 0.75, 0.9, 1.0]))
+    design = draw(st.sampled_from([DesignSpec.bcd(p), DesignSpec.complete()]))
+    n = draw(st.integers(1, 18))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        scores = centered_scores(np.round(rng.standard_normal(n), draw(st.integers(0, 2))))
+    else:
+        scores = centered_scores(rng.integers(-3, 4, n) / 2.0, "raw")
+    return design, scores, draw(st.integers(0, n))
+
+
+class TestPerCountDPMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(dp_cases())
+    def test_support_and_fractions_are_the_pair_keyed_ones(self, case):
+        design, scores, n1 = case
+        try:
+            want_support, want_probs = reference_statistic_distribution(design, scores, n1)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                exact_statistic_distribution(design, scores, n1)
+            return
+        support, probs = exact_statistic_distribution(design, scores, n1)
+        assert support.tobytes() == want_support.tobytes()
+        assert probs == want_probs
+
+    @pytest.mark.parametrize("n1", [0, 1, 3, 5, 6])
+    def test_permuted_block_counts(self, n1):
+        # p = 1 forces every other step: only n1 = 3 is reachable at n = 6
+        scores = centered_scores(np.arange(6.0))
+        design = DesignSpec.bcd(1.0)
+        if n1 != 3:
+            for dp in (reference_statistic_distribution, exact_statistic_distribution):
+                with pytest.raises(InfeasibleError):
+                    dp(design, scores, n1)
+        else:
+            support, probs = exact_statistic_distribution(design, scores, n1)
+            want_support, want_probs = reference_statistic_distribution(design, scores, n1)
+            assert support.tobytes() == want_support.tobytes() and probs == want_probs
 
 
 class TestExactCovariance:

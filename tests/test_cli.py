@@ -1,5 +1,6 @@
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +300,17 @@ class TestErrorPaths:
         )
         assert code == 2
         assert out == "" and "replications must be >= 1, got 0" in err
+
+    def test_one_run_repeatability_has_zero_sd(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "tables", "--which", "2", "--runs", "1", "--reps", "100", "--seed", "1"
+            )
+        assert code == 0 and err == "" and not caught, [str(w.message) for w in caught]
+        rows = out.splitlines()[2:]
+        assert len(rows) == 6 and "nan" not in out
+        assert all(row.split(",")[5:] == ["0.000000", "1"] for row in rows)
 
     def test_usage_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -22,8 +22,6 @@ from condrand import (
 import condrand.covariance as covariance
 import condrand.sampling as sampling
 from condrand.covariance import _block_moments_float, projected_final_count
-from condrand.design import _probability_row
-from condrand.distributions import backward_log_table
 from condrand.errors import InfeasibleError
 from condrand.monitoring import SpendingFunction, estimate_boundaries
 from condrand.sampling import ConditionalChain, MultilookSampler
@@ -31,28 +29,12 @@ from oracles import (
     covariance_final_exact,
     covariance_multilook_exact,
     cross_moment_single,
+    reference_segment_chain,
     theta_single,
 )
 
 BCD23 = DesignSpec.bcd(2 / 3)
 DESIGNS = [DesignSpec.bcd(p) for p in (0.5, 2 / 3, 0.75, 1.0)] + [DesignSpec.complete()]
-
-
-def reference_segment_chain(design, r0, m0, r1, m1):
-    """Conditional transition matrix psi[j - r0, m] of one segment, row by row."""
-    table = backward_log_table(design, r0, r1, m1)
-    if table[0, m0] == -np.inf:
-        raise InfeasibleError(f"count {m1} at {r1} is unreachable from {m0} at {r0}")
-    psi = np.zeros((r1 - r0, r1 + 2))
-    for j in range(r0, r1):
-        idx = j - r0
-        cur = table[idx, : j + 1]
-        up = table[idx + 1, 1 : j + 2]
-        with np.errstate(invalid="ignore"):
-            ratio = np.where(cur > -np.inf, np.exp(up - cur), 0.0)
-        row = _probability_row(design, j, np.arange(j + 1)) * ratio
-        psi[idx, : j + 1] = np.clip(row, 0.0, 1.0)
-    return psi
 
 
 def reference_block_moments(design, r0, m0, r1, m1):

@@ -1,18 +1,22 @@
-"""Checks on the repository's own files: the demos run, and the package
+"""Checks on the repository's own files: the demos run, the package
 raises its numerical guards explicitly instead of with ``assert``, which
-``python -O`` strips."""
+``python -O`` strips, and each committed ``BENCH_*.json`` summarises its
+own per-run values."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 SOURCES = sorted((ROOT / "src" / "condrand").glob("*.py"))
+BENCHES = sorted(ROOT.glob("BENCH_*.json"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
@@ -36,3 +40,28 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found, found
+
+
+@pytest.mark.parametrize("path", BENCHES, ids=lambda p: p.name)
+def test_bench_file_agrees_with_its_runs(path):
+    bench = json.loads(path.read_text())
+    assert bench["workloads"]
+    for name, workload in bench["workloads"].items():
+        assert workload["pairs"] == len(workload["seeds"]), name
+        for metric, m in workload["metrics"].items():
+            where = (name, metric)
+            parent, change = m["parent_values"], m["change_values"]
+            assert len(parent) == len(change) == workload["pairs"], where
+            for side, values in (("parent", parent), ("change", change)):
+                q1, median, q3 = np.percentile(values, [25, 50, 75])
+                want = {"median": median, "q1": q1, "q3": q3}
+                assert m[side] == pytest.approx(want, rel=1e-12), where
+            sign = 1 if m["better"] == "higher" else -1
+            wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+            assert m["change_wins"] == wins, where
+            ratio = m["change"]["median"] / m["parent"]["median"]
+            assert m["median_ratio"] == pytest.approx(ratio, rel=1e-12), where
+
+
+def test_a_bench_file_is_committed():
+    assert BENCHES

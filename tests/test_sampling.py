@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,10 +18,19 @@ from condrand import (
     sample_multilook,
     sequence_probability,
 )
+import condrand.distributions as distributions
+import condrand.sampling as sampling
 from condrand.bruteforce import oracle_sequence_law
 from condrand.design import simulate_unconditional
+from condrand.sampling import ConditionalChain
 from condrand.scores import RAW, SIMPLE_RANK, centered_scores
-from oracles import conditional_transition, multilook_transition, segment_of
+from oracles import (
+    conditional_transition,
+    multilook_transition,
+    reference_backward_log_table,
+    reference_segment_chain,
+    segment_of,
+)
 
 BCD23 = DesignSpec.bcd(2 / 3)
 COMPLETE = DesignSpec.complete()
@@ -297,3 +308,61 @@ class TestBlockedWalkMatchesReference:
         assert got.dtype == np.int8 and got.flags.c_contiguous
         assert np.array_equal(got, want)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@st.composite
+def segment_cases(draw):
+    """A design (bias 0.5 and 1.0 included, or complete) and a segment
+    (r0, m0, r1, m1), reachable or not."""
+    p = draw(st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.5, 1.0)))
+    design = draw(st.sampled_from([DesignSpec.bcd(p), COMPLETE]))
+    r1 = draw(st.integers(1, 300))
+    r0 = draw(st.integers(0, r1 - 1))
+    return design, (r0, draw(st.integers(0, r0)), r1, draw(st.integers(0, r1)))
+
+
+class TestBlockedChainMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(segment_cases(), st.sampled_from([1, 7, 300, distributions.BLOCK_ENTRIES]))
+    def test_table_and_psi_are_the_row_by_row_bits(self, case, block):
+        design, (r0, m0, r1, m1) = case
+        with mock.patch.object(distributions, "BLOCK_ENTRIES", block), mock.patch.object(
+            sampling, "BLOCK_ENTRIES", block
+        ):
+            table = distributions.backward_log_table(design, r0, r1, m1)
+            assert table.tobytes() == reference_backward_log_table(design, r0, r1, m1).tobytes()
+            try:
+                want = reference_segment_chain(design, r0, m0, r1, m1)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    ConditionalChain(design).table(r0, m0, r1, m1)
+            else:
+                assert ConditionalChain(design).table(r0, m0, r1, m1).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "design, segment",
+        [
+            (DesignSpec.bcd(1.0), (0, 0, 10, 0)),
+            (DesignSpec.bcd(1.0), (4, 2, 9, 2)),
+            (DesignSpec.bcd(0.75), (10, 3, 20, 2)),
+            (COMPLETE, (5, 1, 8, 5)),
+        ],
+    )
+    def test_unreachable_segments_raise(self, design, segment):
+        with pytest.raises(InfeasibleError):
+            reference_segment_chain(design, *segment)
+        with pytest.raises(InfeasibleError):
+            ConditionalChain(design).table(*segment)
+
+    def test_build_memory_is_the_two_tables(self):
+        # the table and psi of n = 2000 take 61 MiB; the block passes add
+        # temporaries of about BLOCK_ENTRIES entries, not of table size
+        n = 2000
+        tables = ((n + 1) + n) * (n + 2) * 8
+        tracemalloc.start()
+        try:
+            MultilookSampler(DesignSpec.bcd(0.75), LookSchedule.single(n, n // 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * tables, (peak, tables)

@@ -1,7 +1,9 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from condrand import (
     linear_rank_statistic,
     stratified_statistic,
 )
-from condrand.scores import _midranks
+import condrand.scores as scores_module
+from condrand.scores import _midranks, statistic_batch
 
 
 class TestCenteredScores:
@@ -109,6 +112,33 @@ class TestLinearRankStatistic:
     def test_accepts_treatment_sequence(self):
         sv = ScoreVector(np.array([-0.5, -0.5, 1.0]))
         assert linear_rank_statistic(sv, TreatmentSequence.from_string("001")) == 1.0
+
+
+class TestStatisticBatch:
+    @pytest.mark.parametrize("kind", ["simple-rank", "raw", "halves"])
+    def test_chunks_give_the_single_product_bits(self, kind):
+        rng = np.random.default_rng(12)
+        batch = (rng.random((5001, 37)) < 0.5).astype(np.int8)
+        if kind == "halves":
+            sv = centered_scores(rng.integers(-4, 5, 37) / 2.0, "raw")
+        else:
+            sv = centered_scores(np.round(rng.standard_normal(37), 1), kind)
+        with mock.patch.object(scores_module, "BLOCK_ENTRIES", 37 * 100 + 5):
+            got = statistic_batch(sv, batch)
+        assert got.tobytes() == (batch @ sv.values).tobytes()
+
+    def test_rank_scores_never_copy_the_whole_batch(self):
+        # the single product converts all 200000 x 100 draws to float64, 160 MB
+        rng = np.random.default_rng(13)
+        batch = (rng.random((200_000, 100)) < 0.5).astype(np.int8)
+        sv = centered_scores(rng.standard_normal(100))
+        tracemalloc.start()
+        try:
+            statistic_batch(sv, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, peak
 
 
 class TestInterimStatistic:
