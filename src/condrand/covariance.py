@@ -26,7 +26,7 @@ from .design import DesignSpec
 from .distributions import conditional_pmf
 from .errors import DegenerateScoresError, InfeasibleError
 from .sampling import ConditionalChain, Look, LookSchedule
-from .scores import SIMPLE_RANK, ScoreVector, centered_scores
+from .scores import SIMPLE_RANK, ScoreVector, _centered, centered_scores
 from .streams import as_generator
 
 
@@ -67,9 +67,13 @@ def _block_moments_float(chain: ConditionalChain, r0: int, m0: int, r1: int, m1:
 
     Row a of ``g`` is the forward sweep started by T_a = 1: the law of the
     count before step b jointly with that event.  All open sweeps advance
-    together by the same elementwise updates, and each entry of ``lam``
-    keeps its own dot product, so the result equals a sweep per pair bit
-    for bit; a matrix-vector product would sum in another order.
+    together, and each entry of ``lam`` keeps its own full-width dot
+    product: the stacked (b, 1, w) @ (w, 1) matmul hands every 1 x 1 item
+    to the same BLAS dot as ``ndarray.dot``, so the result equals a sweep
+    per pair bit for bit; a matrix-vector product would sum in another
+    order.  The updates touch only the counts m0 + b can still reach on
+    the way to m1; outside that band psi is 0 or the sweeps hold no mass,
+    so the full-width updates would leave those columns as they are.
     """
     psi = chain.table(r0, m0, r1, m1)
     s, width = psi.shape
@@ -83,15 +87,16 @@ def _block_moments_float(chain: ConditionalChain, r0: int, m0: int, r1: int, m1:
     theta = np.einsum("im,im->i", rho[:s], psi)
     lam = np.zeros((s, s))
     g = np.zeros((s, width))
-    g_rows = list(g)  # row views made once; the loop below dots each with psi[b]
-    move = np.empty_like(g)
+    move = np.empty((s, min(m1 - m0, s - (m1 - m0)) + 1))
     for b in range(1, s):
         g[b - 1, 1:] = (rho[b - 1] * psi[b - 1])[:-1]
         row = psi[b]
-        lam[:b, b] = list(map(row.dot, g_rows[:b]))
-        np.multiply(g[:b], row, out=move[:b])
-        g[:b] -= move[:b]
-        g[:b, 1:] += move[:b, :-1]
+        np.matmul(g[:b, None, :], row[:, None], out=lam[:b, b, None, None])
+        lo, hi = max(m0, m1 - (s - b)), min(m0 + b, m1) + 1
+        band = move[:b, : hi - lo]
+        np.multiply(g[:b, lo:hi], row[lo:hi], out=band)
+        g[:b, lo:hi] -= band
+        g[:b, lo + 1 : hi + 1] += band
     return theta, lam
 
 
@@ -183,7 +188,8 @@ def interpolate_scores(
 
     Each completion keeps the observed prefix, fills the remaining
     ``n - len(observed)`` entries by resampling the observed values with
-    replacement, and re-ranks the full vector.
+    replacement, and re-ranks the full vector; the completions are ranked
+    and centered together, row by row, as :func:`centered_scores` would.
     """
     x = np.asarray(observed, dtype=float)
     if x.ndim != 1 or x.size == 0:
@@ -195,11 +201,11 @@ def interpolate_scores(
     if x.size == n:
         return [centered_scores(x, kind)] * replicates
     rng = as_generator(rng)
-    out = []
-    for _ in range(replicates):
-        fill = rng.choice(x, size=n - x.size, replace=True)
-        out.append(centered_scores(np.concatenate([x, fill]), kind))
-    return out
+    full = np.empty((replicates, n))
+    full[:, : x.size] = x
+    for row in full:
+        row[x.size :] = rng.choice(x, size=n - x.size, replace=True)
+    return [ScoreVector(a, kind) for a in _centered(full, kind)]
 
 
 def projected_final_count(design: DesignSpec, schedule: LookSchedule, look: int, horizon: int) -> int:

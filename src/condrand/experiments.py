@@ -84,6 +84,8 @@ def tail_estimate_repeatability(
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if n_c < 1:
+        raise ValueError(f"n_c must be >= 1, got {n_c}")
     design = DesignSpec.bcd(p)
     out = []
     for r_idx, (n, n1) in enumerate(rows):

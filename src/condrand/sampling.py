@@ -237,6 +237,8 @@ class MultilookSampler:
         consumes the stream exactly as ``k`` calls of ``rng.random(size)``,
         so the draws do not depend on the block length.
         """
+        if size < 0:
+            raise ValueError(f"number of draws must be >= 0, got {size}")
         rng = as_generator(rng)
         steps = np.empty((self.n, size), dtype=bool)
         m = np.zeros(size, dtype=np.intp)

@@ -49,20 +49,43 @@ class ScoreVector:
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
-    """Ranks 1..n, each tie group sharing the mean of its ranks.
+    """Ranks 1..n along the last axis, each tie group sharing the mean of
+    its ranks.
 
-    The values are half-integers, hence exact; a NaN anywhere makes every
-    rank NaN, as in ``scipy.stats.rankdata``.
+    The values are half-integers, hence exact; a NaN anywhere in a row
+    makes every rank of that row NaN, as in ``scipy.stats.rankdata``.
     """
-    if np.isnan(x).any():
-        return np.full(x.size, np.nan)
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
-    ends = np.r_[starts[1:], x.size]
-    ranks = np.empty(x.size)
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    n = x.shape[-1]
+    order = np.argsort(x, axis=-1, kind="stable")
+    xs = np.take_along_axis(x, order, axis=-1)
+    first = np.ones(x.shape, dtype=bool)
+    first[..., 1:] = xs[..., 1:] != xs[..., :-1]
+    del xs
+    last = np.ones(x.shape, dtype=bool)
+    last[..., :-1] = first[..., 1:]
+    # each position's tie group runs from its last start to its next end;
+    # int32 steps in place keep the temporaries of a bootstrap matrix small
+    pos = np.arange(n, dtype=np.int32)
+    twice = np.maximum.accumulate(np.where(first, pos, 0), axis=-1)
+    twice += np.minimum.accumulate(np.where(last, pos + 1, n)[..., ::-1], axis=-1)[..., ::-1]
+    twice += 1
+    ranks = np.empty(x.shape)
+    np.put_along_axis(ranks, order, twice, axis=-1)
+    ranks /= 2.0
+    ranks[np.isnan(x).any(axis=-1)] = np.nan
     return ranks
+
+
+def _centered(x: np.ndarray, kind: str) -> np.ndarray:
+    """Centered scores along the last axis of a response array."""
+    if kind == SIMPLE_RANK:
+        a = _midranks(x)
+    elif kind == RAW:
+        a = x
+    else:
+        raise ValueError(f"unknown score kind {kind!r}")
+    with np.errstate(invalid="ignore"):  # infinite raw values; ScoreVector rejects them
+        return a - a.mean(axis=-1, keepdims=True)
 
 
 def centered_scores(responses, kind: str = SIMPLE_RANK) -> ScoreVector:
@@ -76,15 +99,7 @@ def centered_scores(responses, kind: str = SIMPLE_RANK) -> ScoreVector:
     x = np.asarray(responses, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("responses must be a nonempty 1-D sequence")
-    if kind == SIMPLE_RANK:
-        a = _midranks(x)
-    elif kind == RAW:
-        a = x
-    else:
-        raise ValueError(f"unknown score kind {kind!r}")
-    with np.errstate(invalid="ignore"):  # infinite raw values; ScoreVector rejects them
-        centered = a - a.mean()
-    return ScoreVector(centered, kind)
+    return ScoreVector(_centered(x, kind), kind)
 
 
 def _assignment_array(t) -> np.ndarray:

@@ -301,6 +301,21 @@ class TestErrorPaths:
         assert code == 2
         assert out == "" and "replications must be >= 1, got 0" in err
 
+    def test_zero_draws_repeatability_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "MultilookSampler", _never_called)
+        code, out, err = run_cli(
+            capsys, "tables", "--which", "2", "--runs", "2", "--reps", "0", "--seed", "1"
+        )
+        assert code == 2
+        assert out == "" and "n_c must be >= 1, got 0" in err
+
+    def test_negative_sample_count_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sample", "--design", "bcd:0.75", "--n", "10", "--n1", "5", "--count", "-1"
+        )
+        assert code == 2
+        assert out == "" and "number of draws must be >= 0, got -1" in err
+
     def test_one_run_repeatability_has_zero_sd(self, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

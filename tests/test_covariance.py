@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -252,6 +253,23 @@ class TestInterpolateScores:
         with pytest.raises(ValueError):
             interpolate_scores([1.0], 4, rng=1, replicates=0)
 
+    @pytest.mark.parametrize("kind", ["simple-rank", "raw"])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_stacked_completions_equal_one_vector_at_a_time(self, kind, ties):
+        rng = np.random.default_rng(17)
+        for k, n in ((1, 9), (40, 41), (120, 350), (250, 350)):
+            x = rng.integers(0, 6, k) / 2.0 if ties else rng.standard_normal(k) * 1e3 + 7.0
+            want_rng = np.random.default_rng(k)
+            want = [
+                centered_scores(
+                    np.concatenate([x, want_rng.choice(x, size=n - k, replace=True)]), kind
+                )
+                for _ in range(30)
+            ]
+            got = interpolate_scores(x, n, np.random.default_rng(k), 30, kind)
+            assert [sv.kind for sv in got] == [kind] * 30
+            assert [sv.values.tobytes() for sv in got] == [sv.values.tobytes() for sv in want]
+
 
 class TestInformationAtLook:
     def test_last_look_exactly_one(self):
@@ -313,6 +331,54 @@ class TestBlockMoments:
         theta, lam = _block_moments_float(ConditionalChain(design), r0, m0, r1, m1)
         assert np.array_equal(theta, want[0])
         assert np.array_equal(lam, want[1])
+
+    @pytest.mark.parametrize(
+        "bias, segment",
+        [
+            (0.75, (0, 0, 250, 126)),  # the bench's segments
+            (0.75, (250, 126, 350, 176)),
+            (0.75, (10, 4, 60, 4)),  # m1 = m0: every step is forced to 0
+            (0.75, (10, 4, 60, 54)),  # m1 - m0 = r1 - r0: every step forced to 1
+            (0.75, (0, 0, 40, 35)),  # the band narrows to the forced diagonal
+            (None, (20, 3, 70, 3)),
+            (None, (20, 3, 70, 53)),
+            (1.0, (0, 0, 60, 30)),  # p = 1: forced off balance, psi clipped to [0, 1]
+            (1.0, (40, 20, 100, 50)),
+            (1.0, (41, 20, 101, 51)),
+            (1.0, (10, 5, 11, 5)),
+            (1.0, (10, 5, 11, 6)),
+        ],
+    )
+    def test_fixed_segments_equal_per_pair_loop(self, bias, segment):
+        design = DesignSpec.complete() if bias is None else DesignSpec.bcd(bias)
+        theta, lam = _block_moments_float(ConditionalChain(design), *segment)
+        want = reference_block_moments(design, *segment)
+        assert theta.tobytes() == want[0].tobytes()
+        assert lam.tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 33, 252, 1002])
+    def test_stacked_matmul_is_the_per_row_dot(self, width):
+        rng = np.random.default_rng(width)
+        g = rng.standard_normal((60, width)) * 10.0 ** rng.integers(-8, 8, (60, 1))
+        row = rng.uniform(0.0, 1.0, width)
+        lam = np.zeros((60, 61))
+        np.matmul(g[:, None, :], row[:, None], out=lam[:, 7, None, None])
+        want = np.array(list(map(row.dot, g)))
+        assert lam[:, 7].tobytes() == want.tobytes()
+
+    def test_sweep_memory_holds_a_band_wide_move(self):
+        # psi, rho, g and lam are (about) 1000 x 1002 each; the update
+        # buffer is only as wide as the reachable band, here 501 counts
+        n, n1 = 1000, 500
+        arrays = (3 * n * (n + 2) + (n + 2) + n * n + n * (min(n1, n - n1) + 1)) * 8
+        covariance_final(DesignSpec.bcd(0.75), 40, 20)
+        tracemalloc.start()
+        try:
+            covariance_final(DesignSpec.bcd(0.75), n, n1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * arrays, (peak, arrays)
 
     def test_sampler_and_covariance_share_the_chain(self):
         design = DesignSpec.bcd(0.75)

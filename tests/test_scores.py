@@ -63,6 +63,16 @@ class TestCenteredScores:
     def test_nan_response_makes_every_rank_nan(self):
         assert np.isnan(_midranks(np.array([1.0, np.nan, 2.0]))).all()
 
+    def test_midranks_rank_each_row_as_a_vector(self):
+        rng = np.random.default_rng(3)
+        for x in (rng.standard_normal((50, 37)), rng.integers(0, 4, (50, 37)) / 2.0):
+            x[4, 9] = np.nan
+            got = _midranks(x)
+            assert np.isnan(got[4]).all()
+            assert got.tobytes() == np.array([_midranks(row) for row in x]).tobytes()
+            want = np.array([rankdata(row, method="average") for row in np.delete(x, 4, 0)])
+            assert np.array_equal(np.delete(got, 4, 0), want)
+
     @pytest.mark.parametrize("kind", ["simple-rank", "raw"])
     def test_nan_response_rejected(self, kind):
         with pytest.raises(ValueError, match="finite"):
