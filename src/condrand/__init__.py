@@ -8,12 +8,8 @@ randomization-based information fractions.
 """
 
 from .bruteforce import (
-    EnumeratedLaw,
-    enumerate_law,
     exact_conditional_pvalue,
-    exact_covariance,
     exact_statistic_distribution,
-    oracle_conditional_pmf,
 )
 from .covariance import (
     ConditionalCovariance,
@@ -21,19 +17,15 @@ from .covariance import (
     covariance_final,
     covariance_multilook,
     information_at_look,
-    information_fraction,
     interpolate_scores,
-    multilook_covariances,
 )
 from .design import (
     DesignSpec,
     TreatmentSequence,
     assignment_probability,
-    sequence_probability,
     simulate_unconditional,
 )
 from .distributions import (
-    ballot_coefficient,
     conditional_pmf,
     pmf_table,
     unconditional_pmf,
@@ -52,7 +44,6 @@ from .montecarlo import (
     estimate_pvalue_stratified,
     k_percentile,
     mc_sample_size,
-    mc_sample_size_mse,
     negative_binomial_quantile,
 )
 from .monitoring import (

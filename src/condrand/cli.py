@@ -143,8 +143,19 @@ def read_schedule(path: str) -> tuple[LookSchedule, DesignSpec | None]:
         raise CliInputError(f"{path}: invalid schedule ({exc})") from exc
     design = None
     if "design" in obj:
-        design = DesignSpec.from_json(obj["design"])
+        try:
+            design = DesignSpec.from_json(obj["design"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CliInputError(f"{path}: invalid design ({exc})") from exc
     return schedule, design
+
+
+def _look_pair(text: str) -> tuple[int, int]:
+    try:
+        j, m = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected J:M, two integers, got {text!r}") from None
+    return j, m
 
 
 def _design_arg(parser: argparse.ArgumentParser, required: bool = True) -> None:
@@ -421,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--target", type=int, default=None, help="single n1 to price")
     p_dist.add_argument(
         "--given",
-        type=lambda s: tuple(int(x) for x in s.split(":")),
+        type=_look_pair,
         default=None,
         metavar="J:M",
         help="condition on an interim count",
@@ -495,11 +506,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "reps") and args.reps is None:
-        args.reps = _default_reps()
     if hasattr(args, "runs") and args.runs is None and getattr(args, "which", None) == 2:
         args.runs = 200
     try:
+        if hasattr(args, "reps") and args.reps is None:
+            args.reps = _default_reps()
         return args.func(args)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

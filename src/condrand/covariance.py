@@ -106,16 +106,15 @@ def _as_schedule(conditioning) -> LookSchedule:
     return LookSchedule.from_pairs(conditioning)
 
 
-def multilook_covariances(
+def covariance_multilook(
     design: DesignSpec, schedule: LookSchedule, *, _chain: ConditionalChain | None = None
-) -> list[ConditionalCovariance]:
-    """Covariance matrices for every look prefix of ``schedule``.
+) -> ConditionalCovariance:
+    """Covariance of the first r_L assignments given every look count.
 
-    Blocks are shared across prefixes: the covariance through look l is
-    block diagonal with one block per segment, and earlier blocks do not
-    change as later looks are added.  ``_chain``, a chain of the same
-    design, supplies the segment tables and keeps the blocks; a caller
-    that passes one chain to several calls builds each segment once.
+    The matrix is block diagonal with one block per segment.  ``_chain``,
+    a chain of the same design, supplies the segment tables and keeps the
+    blocks; a caller that passes one chain to several calls builds each
+    segment once.
     """
     schedule = _as_schedule(schedule)
     chain = ConditionalChain(design) if _chain is None else _chain
@@ -125,25 +124,12 @@ def multilook_covariances(
             block = lam + lam.T - np.outer(theta, theta)
             np.fill_diagonal(block, theta * (1.0 - theta))
             chain.blocks[segment] = block
-    blocks = [chain.blocks[seg] for seg in schedule.segments()]
-    out = []
-    for l in range(1, len(schedule) + 1):
-        r_l = schedule.looks[l - 1].position
-        sigma = np.zeros((r_l, r_l))
-        pos = 0
-        for block in blocks[:l]:
-            s = block.shape[0]
-            sigma[pos : pos + s, pos : pos + s] = block
-            pos += s
-        out.append(ConditionalCovariance(sigma, schedule.prefix(l)))
-    return out
-
-
-def covariance_multilook(
-    design: DesignSpec, schedule: LookSchedule, *, _chain: ConditionalChain | None = None
-) -> ConditionalCovariance:
-    """Covariance of the first r_L assignments given every look count."""
-    return multilook_covariances(design, _as_schedule(schedule), _chain=_chain)[-1]
+    # allocated after the sweeps, so that it does not add to their peak
+    sigma = np.zeros((schedule.horizon,) * 2)
+    for segment in schedule.segments():
+        r0, _, r1, _ = segment
+        sigma[r0:r1, r0:r1] = chain.blocks[segment]
+    return ConditionalCovariance(sigma, schedule)
 
 
 def covariance_final(design: DesignSpec, n: int, n1: int) -> ConditionalCovariance:
@@ -153,17 +139,6 @@ def covariance_final(design: DesignSpec, n: int, n1: int) -> ConditionalCovarian
 
 # ---------------------------------------------------------------------------
 # Information fractions.
-
-
-def information_fraction(
-    scores_l: ScoreVector,
-    scores_n: ScoreVector,
-    sigma_l: ConditionalCovariance,
-    sigma_n: ConditionalCovariance,
-    look: int | None = None,
-) -> InformationFraction:
-    """Ratio of conditional statistic variances at a look and at the end."""
-    return _ratio(sigma_l.quadratic_form(scores_l), sigma_n.quadratic_form(scores_n), look)
 
 
 def _ratio(num: float, den: float, look: int | None) -> InformationFraction:
@@ -254,7 +229,7 @@ def information_at_look(
             vector as given.
         final_count: Override for the final-count constraint.
         _chain: Chain whose segment blocks to reuse and extend, as in
-            :func:`multilook_covariances`.
+            :func:`covariance_multilook`.
     """
     schedule = _as_schedule(schedule)
     if mode not in ("interim", "full"):

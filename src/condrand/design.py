@@ -156,16 +156,6 @@ def assignment_probability(design: DesignSpec, j: int, m_j: int) -> float:
     return design.p if 2 * m_j < j else 1.0 - design.p
 
 
-def assignment_probability_exact(design: DesignSpec, j: int, m_j: int) -> Fraction:
-    """Rational-arithmetic version of :func:`assignment_probability`."""
-    if j < 0 or not 0 <= m_j <= j:
-        raise ValueError(f"invalid state (j={j}, m={m_j})")
-    if design.kind == COMPLETE or 2 * m_j == j:
-        return Fraction(1, 2)
-    p = design.exact_p()
-    return p if 2 * m_j < j else 1 - p
-
-
 def _probability_row(design: DesignSpec, j: int, m: np.ndarray) -> np.ndarray:
     """Vectorized assignment probabilities at steps ``j`` for counts ``m``,
     broadcast against each other."""
@@ -207,19 +197,3 @@ def simulate_unconditional(
     if size is None:
         return TreatmentSequence(out[0])
     return out
-
-
-def sequence_probability(design: DesignSpec, seq, exact: bool = False):
-    """Unconditional probability of one full assignment sequence."""
-    bits = seq.assignments if isinstance(seq, TreatmentSequence) else np.asarray(seq)
-    prob = Fraction(1) if exact else 1.0
-    m = 0
-    for j, t in enumerate(bits):
-        phi = (
-            assignment_probability_exact(design, j, m)
-            if exact
-            else assignment_probability(design, j, m)
-        )
-        prob *= phi if t else 1 - phi
-        m += int(t)
-    return prob

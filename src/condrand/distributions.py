@@ -12,8 +12,7 @@ ballot coefficients.  Every probability is available from two backends:
 
 Branches of the conditional law are classified by the walk geometry
 (start in deficit / balanced / surplus; end below / at / above balance;
-or no return to balance at all), and the classification is exposed for
-test coverage via :func:`walk_branch`.
+or no return to balance at all).
 """
 
 from __future__ import annotations
@@ -28,11 +27,9 @@ from .design import COMPLETE, DesignSpec, _probability_row
 from .errors import InfeasibleError
 
 __all__ = [
-    "ballot_coefficient",
     "unconditional_pmf",
     "conditional_pmf",
     "pmf_table",
-    "walk_branch",
     "backward_log_table",
 ]
 
@@ -44,7 +41,8 @@ BLOCK_ENTRIES = 1 << 16
 
 
 def _ballot_int(x: int, l: int) -> int:
-    """Ballot coefficient C(x, l) as an exact integer.
+    """Ballot coefficient C(x, l) = (x - l)/(x + l) * binom(x + l, l) as an
+    exact integer.
 
     C(x, l) counts lattice paths with ``x`` up-steps and ``l`` down-steps
     that never return to their starting level; C(0, 0) = 1 by convention.
@@ -83,18 +81,6 @@ def _ballot_terms(x: int, l_max: int):
         if rem:
             raise AssertionError(f"ballot numerator {num} is not divisible by {x + l}")
         yield l, c
-
-
-def ballot_coefficient(x: int, l: int, exact: bool = False):
-    """C(x, l) = (x - l)/(x + l) * binom(x + l, l), an integer-valued count.
-
-    Args:
-        x: Up-step count, >= 0.
-        l: Down-step count, 0 <= l <= x.
-        exact: Return the exact integer instead of a float.
-    """
-    value = _ballot_int(x, l)
-    return value if exact else float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -170,23 +156,6 @@ def _plan_conditional(n: int, n1: int, j: int, m: int):
         )
     # too few future zeros to ever reach balance
     return _PurePlan("surplus_no_return", n - j, n1 - m, n - j - n1 + m, n1 - m)
-
-
-def walk_branch(n: int, n1: int, j: int, m: int) -> str:
-    """Name of the closed-form branch used for P(N1(n)=n1 | N1(j)=m).
-
-    Exposed so tests can assert that a sweep exercises every branch.
-    """
-    _validate_conditional_args(n, n1, j, m)
-    if j == n:
-        return "certain" if n1 == m else "impossible"
-    if m > n1 or n - j < n1 - m:
-        return "impossible"
-    if j == 0:
-        return "unconditional"
-    if 2 * m == j:
-        return "balanced_restart"
-    return _plan_conditional(n, n1, j, m).label
 
 
 # ---------------------------------------------------------------------------

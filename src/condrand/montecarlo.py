@@ -167,11 +167,3 @@ def mc_sample_size(p_c: float, rel_error: float = 0.1, confidence: float = 0.99)
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     z = float(special.ndtri((1.0 + confidence) / 2.0))
     return math.ceil((z / rel_error) ** 2 * (1.0 - p_c) / p_c)
-
-
-def mc_sample_size_mse(epsilon: float) -> int:
-    """Draws guaranteeing mean squared error at most ``epsilon`` for any
-    p-value (worst case p = 1/2)."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    return math.ceil(1.0 / (4.0 * epsilon))

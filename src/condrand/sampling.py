@@ -253,22 +253,6 @@ class MultilookSampler:
                 m += steps[j]
         return steps
 
-    def sequence_log_probability(self, seq) -> float:
-        """Log-probability of one admissible sequence under the sampler."""
-        bits = seq.assignments if isinstance(seq, TreatmentSequence) else np.asarray(seq)
-        if bits.shape[-1] != self.n:
-            raise ValueError("sequence length does not match the schedule horizon")
-        logp = 0.0
-        m = 0
-        for j, t in enumerate(bits):
-            pr = float(self._rows[j][m])
-            step = pr if t else 1.0 - pr
-            if step <= 0.0:
-                return _NEG_INF
-            logp += np.log(step)
-            m += int(t)
-        return logp
-
 
 def sample_conditional(
     design: DesignSpec,

@@ -1,40 +1,183 @@
-"""Reference routes to the conditional chain's transitions and moments.
+"""Reference routes to the package's laws, transitions and moments.
 
 The package computes transitions, means and covariances from one
 conditional chain per segment (``condrand.sampling.ConditionalChain``).
-The functions here reach the same quantities another way, one state or
-one entry at a time from the closed-form laws, or in rational arithmetic,
-so the tests can hold the chain to them.  The last section prices the
-closed-form ballot series one ``math.comb`` per term, against which the
-package's stepped series is held bit for bit; the last builds the chain
-one row at a time and runs the exact DP over ``(count, statistic)``
-pairs, against which the package's block passes and per-count DP are
-held bit for bit.  None of them is fast.
+The functions here reach the same quantities another way, so the tests
+can hold the package to them.  None of them is fast.  In order:
+
+* the unconditional law of every sequence by enumeration, in rational
+  arithmetic, with the laws, covariances and quantiles derived from it,
+  a sequence's probability under a sampler, and the closed-form branch
+  that prices each conditional state;
+* the chain's transitions, one state at a time from the closed forms;
+* its moments, one entry at a time as sums over the closed forms;
+* the chain in rational arithmetic;
+* the closed-form ballot series priced one ``math.comb`` per term,
+  against which the package's stepped series is held bit for bit;
+* the chain built one row at a time, and the exact DP run over
+  ``(count, statistic)`` pairs, against which the package's block passes
+  and per-count DP are held bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from condrand.bruteforce import MAX_DP, _integerize_scores
-from condrand.design import (
-    DesignSpec,
-    _probability_row,
-    assignment_probability,
-    assignment_probability_exact,
-)
+from condrand.bruteforce import MAX_DP, _integerize_scores, exact_statistic_distribution
+from condrand.design import COMPLETE, DesignSpec, _probability_row, assignment_probability
 from condrand.distributions import (
     _NEG_INF,
     _ballot_int,
     _correction_value,
+    _plan_conditional,
+    _validate_conditional_args,
     conditional_pmf,
     unconditional_pmf,
 )
 from condrand.errors import InfeasibleError
 from condrand.sampling import LookSchedule
+
+# ---------------------------------------------------------------------------
+# The law of every sequence, by enumeration.
+
+MAX_ENUM = 20
+
+
+def assignment_probability_exact(design: DesignSpec, j: int, m_j: int) -> Fraction:
+    """Rational-arithmetic version of ``assignment_probability``."""
+    if j < 0 or not 0 <= m_j <= j:
+        raise ValueError(f"invalid state (j={j}, m={m_j})")
+    if design.kind == COMPLETE or 2 * m_j == j:
+        return Fraction(1, 2)
+    p = design.exact_p()
+    return p if 2 * m_j < j else 1 - p
+
+
+def sequence_probability(design: DesignSpec, bits) -> Fraction:
+    """Unconditional probability of one full assignment sequence."""
+    prob = Fraction(1)
+    m = 0
+    for j, t in enumerate(bits):
+        phi = assignment_probability_exact(design, j, m)
+        prob *= phi if t else 1 - phi
+        m += int(t)
+    return prob
+
+
+def sampler_sequence_probability(sampler, bits) -> float:
+    """Probability of one sequence under a ``MultilookSampler``: the
+    product of its public transitions along the walk."""
+    prob = 1.0
+    m = 0
+    for j, t in enumerate(bits):
+        pr = sampler.transition(j, m)
+        prob *= pr if t else 1.0 - pr
+        m += int(t)
+    return prob
+
+
+@dataclass
+class EnumeratedLaw:
+    """The full unconditional law f(t) over every sequence of length n."""
+
+    design: DesignSpec
+    n: int
+    entries: dict[tuple[int, ...], Fraction] = field(repr=False)
+
+    def probability(self, predicate) -> Fraction:
+        """Total mass of sequences satisfying ``predicate(sequence_tuple)``."""
+        return sum((p for t, p in self.entries.items() if predicate(t)), start=Fraction(0))
+
+    def conditional_probability(self, event, given) -> Fraction:
+        """P(event | given), both callables on sequence tuples."""
+        denom = self.probability(given)
+        if denom == 0:
+            raise InfeasibleError("conditioning event has zero mass")
+        return self.probability(lambda t: given(t) and event(t)) / denom
+
+
+def count_constraints_predicate(constraints):
+    """Predicate for an intersection of interim count constraints
+    ``(position, count)``; the empty intersection holds everywhere."""
+    cons = [(int(r), int(c)) for r, c in constraints]
+    return lambda t: all(sum(t[:r]) == c for r, c in cons)
+
+
+def enumerate_law(design: DesignSpec, n: int) -> EnumeratedLaw:
+    """Materialize f(t) for all 2^n sequences in exact arithmetic; paths
+    of probability zero are left out."""
+    if not 1 <= n <= MAX_ENUM:
+        raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUM}, got {n}")
+    entries: dict[tuple[int, ...], Fraction] = {}
+    bits = [0] * n
+
+    def rec(j: int, m: int, prob: Fraction) -> None:
+        if j == n:
+            entries[tuple(bits)] = prob
+            return
+        phi = assignment_probability_exact(design, j, m)
+        if phi:
+            bits[j] = 1
+            rec(j + 1, m + 1, prob * phi)
+        if phi != 1:
+            bits[j] = 0
+            rec(j + 1, m, prob * (1 - phi))
+
+    rec(0, 0, Fraction(1))
+    return EnumeratedLaw(design, n, entries)
+
+
+def oracle_sequence_law(law: EnumeratedLaw, constraints) -> dict[tuple[int, ...], Fraction]:
+    """Normalized law over the sequences satisfying all count constraints."""
+    pred = count_constraints_predicate(constraints)
+    kept = {t: p for t, p in law.entries.items() if pred(t)}
+    total = sum(kept.values(), start=Fraction(0))
+    if total == 0:
+        raise InfeasibleError("constraints have zero mass")
+    return {t: p / total for t, p in kept.items()}
+
+
+def exact_covariance(law: EnumeratedLaw, constraints) -> np.ndarray:
+    """Exact conditional covariance of T given count constraints, a
+    symmetric n x n object array of fractions."""
+    cond = oracle_sequence_law(law, constraints)
+    t = np.array(list(cond), dtype=object)
+    pr = np.array(list(cond.values()), dtype=object)
+    first = pr @ t
+    return (t.T * pr) @ t - np.outer(first, first)
+
+
+def exact_statistic_quantile(design: DesignSpec, scores, n1: int, alpha: float) -> float:
+    """Smallest support value of the exact DP law whose strict upper tail
+    is at most ``alpha``."""
+    support, probs = exact_statistic_distribution(design, scores, n1)
+    tail = Fraction(0)
+    best = float(support[-1])
+    for s, pr in zip(reversed(support), reversed(probs)):
+        # tail is P(V > s) before adding this atom
+        if tail <= Fraction(alpha).limit_denominator(10**9):
+            best = float(s)
+        tail += pr
+    return best
+
+
+def walk_branch(n: int, n1: int, j: int, m: int) -> str:
+    """Name of the closed-form branch that prices P(N1(n)=n1 | N1(j)=m)."""
+    _validate_conditional_args(n, n1, j, m)
+    if j == n:
+        return "certain" if n1 == m else "impossible"
+    if m > n1 or n - j < n1 - m:
+        return "impossible"
+    if j == 0:
+        return "unconditional"
+    if 2 * m == j:
+        return "balanced_restart"
+    return _plan_conditional(n, n1, j, m).label
+
 
 # ---------------------------------------------------------------------------
 # Transitions, one state at a time from the closed forms.

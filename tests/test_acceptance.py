@@ -17,11 +17,9 @@ from condrand import (
     conditional_pmf,
     covariance_final,
     covariance_multilook,
-    enumerate_law,
     estimate_pvalue_conditional,
     estimate_pvalue_rejection,
     exact_conditional_pvalue,
-    exact_covariance,
     incremental_alpha,
     information_at_look,
     k_percentile,
@@ -31,12 +29,17 @@ from condrand import (
     simulate_unconditional,
     unconditional_pmf,
 )
-from condrand.bruteforce import oracle_sequence_law
-from condrand.distributions import walk_branch
 from condrand.experiments import monitored_trial_type_i_error, tail_estimate_repeatability
 from condrand.scores import statistic_batch
 from condrand.streams import substream
-from oracles import covariance_final_exact, covariance_multilook_exact
+from oracles import (
+    covariance_final_exact,
+    covariance_multilook_exact,
+    enumerate_law,
+    exact_covariance,
+    oracle_sequence_law,
+    walk_branch,
+)
 
 BIASES = (0.5, 0.6, 2 / 3, 0.75, 1.0)
 

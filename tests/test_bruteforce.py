@@ -9,15 +9,18 @@ from condrand import (
     InfeasibleError,
     ScoreVector,
     centered_scores,
-    enumerate_law,
     exact_conditional_pvalue,
-    exact_covariance,
     exact_statistic_distribution,
     linear_rank_statistic,
-    oracle_conditional_pmf,
 )
-from condrand.bruteforce import exact_statistic_quantile, oracle_sequence_law
-from oracles import reference_statistic_distribution
+from oracles import (
+    count_constraints_predicate,
+    enumerate_law,
+    exact_covariance,
+    exact_statistic_quantile,
+    oracle_sequence_law,
+    reference_statistic_distribution,
+)
 
 BCD23 = DesignSpec.bcd(2 / 3)
 
@@ -50,17 +53,19 @@ class TestEnumerateLaw:
 class TestOracleConditional:
     def test_matches_hand_value(self):
         law = enumerate_law(BCD23, 4)
-        assert oracle_conditional_pmf(law, 2, [(1, 1)]) == Fraction(16, 27)
+        given = count_constraints_predicate([(1, 1)])
+        assert law.conditional_probability(lambda t: sum(t) == 2, given) == Fraction(16, 27)
 
     def test_no_constraints_is_unconditional(self):
         law = enumerate_law(BCD23, 4)
         total = law.probability(lambda t: sum(t) == 2)
-        assert oracle_conditional_pmf(law, 2) == total
+        given = count_constraints_predicate([])
+        assert law.conditional_probability(lambda t: sum(t) == 2, given) == total
 
     def test_zero_mass_conditioning(self):
         law = enumerate_law(DesignSpec.bcd(1.0), 4)
         with pytest.raises(InfeasibleError):
-            oracle_conditional_pmf(law, 2, [(2, 2)])
+            law.conditional_probability(lambda t: sum(t) == 2, count_constraints_predicate([(2, 2)]))
 
     def test_sequence_law_normalizes(self):
         law = enumerate_law(BCD23, 6)

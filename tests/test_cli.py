@@ -332,6 +332,35 @@ class TestErrorPaths:
             main(["dist", "--design", "bcd:0.6"])  # missing --n
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("given", ["3", "1:2:3", "1:x"])
+    def test_given_needs_j_colon_m_exit_2(self, capsys, given):
+        with pytest.raises(SystemExit) as exc:
+            main(["dist", "--design", "bcd:0.6", "--n", "4", "--given", given])
+        assert exc.value.code == 2
+        assert "expected J:M" in capsys.readouterr().err
+
+    def test_reps_env_not_an_integer_exit_4(self, capsys, trial_files, monkeypatch):
+        monkeypatch.setenv("CONDRAND_REPS", "abc")
+        code, _, err = run_cli(
+            capsys, "pvalue", "--design", "bcd:0.6",
+            "--responses", str(trial_files["responses"]),
+            "--assignments", str(trial_files["assignments"]),
+        )
+        assert code == 4
+        assert err == "error: CONDRAND_REPS must be an integer, got 'abc'\n"
+
+    @pytest.mark.parametrize("command", ["sample", "boundaries", "info"])
+    @pytest.mark.parametrize("design", [{"p": 0.7}, {"kind": "bcd"}, 3, {"kind": 3}])
+    def test_malformed_schedule_design_exit_4(self, capsys, tmp_path, trial_files, command, design):
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text(json.dumps({"looks": [{"r": 12, "n1": 6}], "design": design}))
+        argv = [command, "--schedule", str(schedule), "--seed", "1"]
+        if command != "sample":
+            argv += ["--responses", str(trial_files["responses"])]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 4
+        assert f"{schedule}: invalid design (" in err
+
     def test_reps_env_override(self, capsys, trial_files, monkeypatch):
         monkeypatch.setenv("CONDRAND_REPS", "123")
         code, out, _ = run_cli(

@@ -13,23 +13,23 @@ from condrand import (
     centered_scores,
     covariance_final,
     covariance_multilook,
-    enumerate_law,
-    exact_covariance,
     information_at_look,
-    information_fraction,
     interpolate_scores,
-    multilook_covariances,
 )
 import condrand.covariance as covariance
 import condrand.sampling as sampling
-from condrand.covariance import _block_moments_float, projected_final_count
+from condrand.covariance import _block_moments_float, _ratio, projected_final_count
 from condrand.errors import InfeasibleError
 from condrand.monitoring import SpendingFunction, estimate_boundaries
 from condrand.sampling import ConditionalChain, MultilookSampler
 from oracles import (
+    count_constraints_predicate,
     covariance_final_exact,
     covariance_multilook_exact,
     cross_moment_single,
+    enumerate_law,
+    exact_covariance,
+    oracle_sequence_law,
     reference_segment_chain,
     theta_single,
 )
@@ -79,12 +79,11 @@ class TestThetaSingle:
             assert theta_single(DesignSpec.complete(), 6, 2, i, "exact") == Fraction(1, 3)
 
     def test_matches_enumeration(self):
-        from condrand.bruteforce import exact_moments
-
         law = enumerate_law(BCD23, 7)
-        first = exact_moments(law, [(7, 3)])
+        given = count_constraints_predicate([(7, 3)])
         for i in range(1, 8):
-            assert theta_single(BCD23, 7, 3, i, "exact") == first[i - 1]
+            want = law.conditional_probability(lambda t: t[i - 1] == 1, given)
+            assert theta_single(BCD23, 7, 3, i, "exact") == want
 
 
 class TestCrossMomentSingle:
@@ -99,8 +98,6 @@ class TestCrossMomentSingle:
         assert cross_moment_single(BCD23, 4, 2, 1, 2) == pytest.approx(0.125)
 
     def test_matches_enumeration(self):
-        from condrand.bruteforce import oracle_sequence_law
-
         law = enumerate_law(DesignSpec.bcd(0.75), 6)
         cond = oracle_sequence_law(law, [(6, 3)])
         for i, j in ((1, 2), (2, 5), (3, 6)):
@@ -189,9 +186,10 @@ class TestCovarianceMultilook:
         got = covariance_multilook(design, schedule).sigma
         assert np.abs(got - want.astype(float)).max() < 1e-12
 
-    def test_prefix_blocks_shared(self):
-        covs = multilook_covariances(BCD23, self.SCHEDULE)
-        assert covs[0].sigma == pytest.approx(covs[1].sigma[:2, :2])
+    def test_prefix_is_top_left_corner(self):
+        prefix = covariance_multilook(BCD23, self.SCHEDULE.prefix(1)).sigma
+        full = covariance_multilook(BCD23, self.SCHEDULE).sigma
+        assert np.array_equal(prefix, full[:2, :2])
 
     def test_block_rows_sum_to_zero(self):
         cov = covariance_multilook(DesignSpec.bcd(0.75), LookSchedule.from_pairs([(5, 3), (11, 6)]))
@@ -201,9 +199,8 @@ class TestCovarianceMultilook:
 class TestInformationFraction:
     def test_final_look_is_one(self):
         sv = centered_scores([1.0, 3.0, 2.0, 4.0])
-        cov = covariance_final(BCD23, 4, 2)
-        frac = information_fraction(sv, sv, cov, cov)
-        assert frac.t == 1.0
+        q = covariance_final(BCD23, 4, 2).quadratic_form(sv)
+        assert _ratio(q, q, None).t == 1.0
 
     def test_matches_oracle_ratio(self):
         design = BCD23
@@ -216,19 +213,18 @@ class TestInformationFraction:
         want = (scores2.values @ sig2[:2, :2] @ scores2.values) / (
             scores4.values @ sig4 @ scores4.values
         )
-        got = information_fraction(
-            scores2,
-            scores4,
-            covariance_multilook(design, schedule.prefix(1)),
-            covariance_multilook(design, schedule),
+        got = _ratio(
+            covariance_multilook(design, schedule.prefix(1)).quadratic_form(scores2),
+            covariance_multilook(design, schedule).quadratic_form(scores4),
+            None,
         )
         assert got.t == pytest.approx(want, abs=1e-12)
 
     def test_degenerate_scores_raise(self):
         sv = centered_scores([2.0, 2.0, 2.0, 2.0])
-        cov = covariance_final(BCD23, 4, 2)
+        q = covariance_final(BCD23, 4, 2).quadratic_form(sv)
         with pytest.raises(DegenerateScoresError):
-            information_fraction(sv, sv, cov, cov)
+            _ratio(q, q, None)
 
 
 class TestInterpolateScores:

@@ -7,16 +7,19 @@ from hypothesis import assume, given, settings, strategies as st
 
 from condrand import (
     DesignSpec,
-    ballot_coefficient,
     conditional_pmf,
     distributions,
-    enumerate_law,
-    oracle_conditional_pmf,
     pmf_table,
     unconditional_pmf,
 )
-from condrand.distributions import _ballot_int, _ballot_terms, backward_log_table, walk_branch
-from oracles import backward_exact_table, reference_eval_series_float
+from condrand.distributions import _ballot_int, _ballot_terms, backward_log_table
+from oracles import (
+    backward_exact_table,
+    count_constraints_predicate,
+    enumerate_law,
+    reference_eval_series_float,
+    walk_branch,
+)
 
 BCD23 = DesignSpec.bcd(2 / 3)
 DESIGNS = [DesignSpec.bcd(p) for p in (0.5, 0.6, 2 / 3, 0.75, 1.0)]
@@ -25,26 +28,27 @@ DESIGNS = [DesignSpec.bcd(p) for p in (0.5, 0.6, 2 / 3, 0.75, 1.0)]
 class TestBallotCoefficient:
     def test_zero_downsteps(self):
         for x in (0, 1, 5, 40):
-            assert ballot_coefficient(x, 0, exact=True) == 1
+            assert _ballot_int(x, 0) == 1
 
     def test_small_value(self):
-        assert ballot_coefficient(2, 1, exact=True) == 1
-        assert ballot_coefficient(4, 2, exact=True) == 5
+        assert _ballot_int(2, 1) == 1
+        assert _ballot_int(4, 2) == 5
 
     def test_diagonal_vanishes(self):
         for x in (1, 3, 10):
-            assert ballot_coefficient(x, x, exact=True) == 0
+            assert _ballot_int(x, x) == 0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            ballot_coefficient(2, 3)
+            _ballot_int(2, 3)
         with pytest.raises(ValueError):
-            ballot_coefficient(-1, 0)
+            _ballot_int(-1, 0)
 
     def test_float_matches_exact(self):
-        for x in range(12):
+        # the float ratio (x - l)/(x + l) * binom(x + l, l) rounds to the integer
+        for x in range(1, 12):
             for l in range(x + 1):
-                assert ballot_coefficient(x, l) == float(ballot_coefficient(x, l, exact=True))
+                assert round((x - l) / (x + l) * math.comb(x + l, l)) == _ballot_int(x, l)
 
 
 class TestBallotTerms:
@@ -155,7 +159,9 @@ class TestConditionalPmf:
                         if mass == 0:
                             continue
                         for n1 in range(n + 1):
-                            want = oracle_conditional_pmf(law, n1, [(j, m)])
+                            want = law.conditional_probability(
+                                lambda t, k=n1: sum(t) == k, count_constraints_predicate([(j, m)])
+                            )
                             got = conditional_pmf(design, n, n1, j, m, "exact")
                             assert got == want, (design.p, n, n1, j, m)
 
@@ -285,7 +291,9 @@ class TestWalkBranches:
                         continue
                     if law.probability(lambda t, jj=j, mm=m: sum(t[:jj]) == mm) == 0:
                         continue
-                    want = oracle_conditional_pmf(law, n1, [(j, m)])
+                    want = law.conditional_probability(
+                        lambda t, k=n1: sum(t) == k, count_constraints_predicate([(j, m)])
+                    )
                     assert conditional_pmf(design, n, n1, j, m, "exact") == want
                     checked += 1
         assert checked > 20

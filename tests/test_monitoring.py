@@ -15,7 +15,8 @@ from condrand import (
     sequential_decision,
     spend,
 )
-from condrand.bruteforce import exact_statistic_distribution, exact_statistic_quantile
+from condrand.bruteforce import exact_statistic_distribution
+from oracles import exact_statistic_quantile
 
 OBF = SpendingFunction("obf", 0.05)
 

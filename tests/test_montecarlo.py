@@ -16,7 +16,6 @@ from condrand import (
     exact_conditional_pvalue,
     k_percentile,
     mc_sample_size,
-    mc_sample_size_mse,
     negative_binomial_quantile,
     stratified_statistic,
     unconditional_pmf,
@@ -146,9 +145,6 @@ class TestSampleSizePlanning:
         assert mc_sample_size(0.04, 0.1, 0.99) == 15_924
         assert mc_sample_size(0.5, 0.1, 0.99) == 664
 
-    def test_mse_bound(self):
-        assert mc_sample_size_mse(0.0001) == 2500
-
     def test_smaller_pvalues_need_more(self):
         sizes = [mc_sample_size(p) for p in (0.2, 0.1, 0.05, 0.01)]
         assert sizes == sorted(sizes)
@@ -157,5 +153,3 @@ class TestSampleSizePlanning:
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
                 mc_sample_size(bad)
-        with pytest.raises(ValueError):
-            mc_sample_size_mse(0.0)

@@ -1,11 +1,12 @@
 """Checks on the repository's own files: the demos run, the package
 raises its numerical guards explicitly instead of with ``assert``, which
-``python -O`` strips, and each committed ``BENCH_*.json`` summarises its
-own per-run values."""
+``python -O`` strips, every public name has a caller outside the tests,
+and each committed ``BENCH_*.json`` summarises its own per-run values."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +41,35 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found, found
+
+
+def _used_names(path: Path) -> set[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # test-only code belongs in tests/oracles.py, not in the package
+    init = ROOT / "src" / "condrand" / "__init__.py"
+    exported = {
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    callers = [p for p in SOURCES if p != init]
+    callers += sorted((ROOT / "bench").glob("*.py")) + DEMOS
+    used = set().union(*map(_used_names, callers))
+    readme = (ROOT / "README.md").read_text()
+    unused = sorted(
+        name for name in exported
+        if name not in used and not re.search(rf"\b{name}\b", readme)
+    )
+    assert exported and not unused, unused
 
 
 @pytest.mark.parametrize("path", BENCHES, ids=lambda p: p.name)

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -13,23 +12,24 @@ from condrand import (
     InfeasibleError,
     LookSchedule,
     MultilookSampler,
-    enumerate_law,
     sample_conditional,
     sample_multilook,
-    sequence_probability,
 )
 import condrand.distributions as distributions
 import condrand.sampling as sampling
-from condrand.bruteforce import oracle_sequence_law
 from condrand.design import simulate_unconditional
 from condrand.sampling import ConditionalChain
 from condrand.scores import RAW, SIMPLE_RANK, centered_scores
 from oracles import (
     conditional_transition,
+    enumerate_law,
     multilook_transition,
+    oracle_sequence_law,
     reference_backward_log_table,
     reference_segment_chain,
+    sampler_sequence_probability,
     segment_of,
+    sequence_probability,
 )
 
 BCD23 = DesignSpec.bcd(2 / 3)
@@ -130,7 +130,7 @@ class TestSamplers:
         sch = LookSchedule.from_pairs([(2, 1), (4, 2)])
         sampler = MultilookSampler(COMPLETE, sch)
         for bits in ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)):
-            assert math.exp(sampler.sequence_log_probability(np.array(bits))) == pytest.approx(0.25)
+            assert sampler_sequence_probability(sampler, bits) == pytest.approx(0.25)
 
     def test_sequence_law_is_conditional_law(self):
         # h(t) = f(t) / P(all constraints): the telescoping identity
@@ -140,7 +140,7 @@ class TestSamplers:
         law = enumerate_law(design, 6)
         cond = oracle_sequence_law(law, [(3, 1), (6, 3)])
         for bits, want in cond.items():
-            got = math.exp(sampler.sequence_log_probability(np.array(bits)))
+            got = sampler_sequence_probability(sampler, bits)
             assert got == pytest.approx(float(want), rel=1e-10)
 
     def test_empirical_law_chi_square(self):
@@ -168,10 +168,10 @@ class TestSamplers:
         for bits, f in law.entries.items():
             if sum(bits) != n1:
                 continue
-            got = math.exp(sampler.sequence_log_probability(np.array(bits)))
-            want = float(sequence_probability(design, np.array(bits), exact=True) / total)
+            got = sampler_sequence_probability(sampler, bits)
+            want = float(sequence_probability(design, bits) / total)
             assert got == pytest.approx(want, rel=1e-10)
-            assert Fraction(f) == sequence_probability(design, np.array(bits), exact=True)
+            assert Fraction(f) == sequence_probability(design, bits)
 
     def test_infeasible_schedule_names_look(self):
         design = DesignSpec.bcd(1.0)
