@@ -1,3 +1,4 @@
+import argparse
 import json
 import tempfile
 import warnings
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from condrand import experiments
-from condrand.cli import main
+from condrand.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -23,6 +24,93 @@ def _never_called(*args, **kwargs):
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
+
+
+RANK_OR_RAW = ("simple-rank", "raw")
+
+# (default, choices, required, type) of every option, by subcommand
+CLI_SURFACE = {
+    "dist": {
+        "--design": (None, None, True, "parse"),
+        "--n": (None, None, True, "int"),
+        "--target": (None, None, False, "int"),
+        "--given": (None, None, False, "_look_pair"),
+        "--backend": ("float", ("float", "exact"), False, None),
+        "--out": (None, None, False, None),
+    },
+    "sample": {
+        "--design": (None, None, False, "parse"),
+        "--n": (None, None, False, "int"),
+        "--n1": (None, None, False, "int"),
+        "--schedule": (None, None, False, None),
+        "--count": (1, None, False, "int"),
+        "--seed": (None, None, False, "int"),
+        "--out": (None, None, False, None),
+    },
+    "pvalue": {
+        "--design": (None, None, True, "parse"),
+        "--responses": (None, None, True, None),
+        "--assignments": (None, None, True, None),
+        "--scores": ("simple-rank", RANK_OR_RAW, False, None),
+        "--method": ("direct", ("direct", "rejection"), False, None),
+        "--reps": (None, None, False, "int"),
+        "--seed": (None, None, False, "int"),
+        "--exact": (False, None, False, None),
+        "--stratified": (False, None, False, None),
+        "--out": (None, None, False, None),
+    },
+    "boundaries": {
+        "--design": (None, None, False, "parse"),
+        "--schedule": (None, None, True, None),
+        "--responses": (None, None, True, None),
+        "--alpha": (0.05, None, False, "float"),
+        "--spending": ("obf", ("obf", "pocock"), False, None),
+        "--reps": (None, None, False, "int"),
+        "--seed": (None, None, False, "int"),
+        "--quantile": ("smooth", ("smooth", "ecdf"), False, None),
+        "--info": ("full", ("full", "interim"), False, None),
+        "--bootstrap": (100, None, False, "int"),
+        "--scores": ("simple-rank", RANK_OR_RAW, False, None),
+        "--out": (None, None, False, None),
+    },
+    "info": {
+        "--design": (None, None, False, "parse"),
+        "--schedule": (None, None, True, None),
+        "--responses": (None, None, True, None),
+        "--bootstrap": (100, None, False, "int"),
+        "--mode": ("interim", ("interim", "full"), False, None),
+        "--seed": (None, None, False, "int"),
+        "--scores": ("simple-rank", RANK_OR_RAW, False, None),
+        "--out": (None, None, False, None),
+    },
+    "tables": {
+        "--which": (None, (1, 2, 3), True, "int"),
+        "--seed": (None, None, False, "int"),
+        "--reps": (None, None, False, "int"),
+        "--runs": (None, None, False, "int"),
+        "--n": (None, None, False, "int"),
+        "--full": (False, None, False, None),
+        "--out": (None, None, False, None),
+    },
+}
+
+
+def test_cli_surface_is_pinned():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: {
+            " ".join(a.option_strings): (
+                a.default,
+                None if a.choices is None else tuple(a.choices),
+                a.required,
+                getattr(a.type, "__name__", None),
+            )
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for name, parser in sub.choices.items()
+    }
+    assert surface == CLI_SURFACE
 
 
 @pytest.fixture
