@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -33,7 +33,14 @@ from .montecarlo import (
 )
 from .monitoring import SpendingFunction, estimate_boundaries
 from .sampling import ConditionalChain, LookSchedule, MultilookSampler
-from .scores import SIMPLE_RANK, Stratum, StratifiedData, centered_scores, linear_rank_statistic, stratified_statistic
+from .scores import (
+    SIMPLE_RANK,
+    Stratum,
+    StratifiedData,
+    centered_scores,
+    linear_rank_statistic,
+    stratified_statistic,
+)
 from .streams import substream
 
 EXIT_OK = 0
@@ -46,21 +53,6 @@ class CliInputError(Exception):
     """An input file could not be read or parsed."""
 
 
-@dataclass
-class _Output:
-    path: str | None
-
-    def write(self, text: str) -> None:
-        if self.path is None:
-            sys.stdout.write(text)
-        else:
-            try:
-                with open(self.path, "w") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                raise CliInputError(f"cannot write {self.path}: {exc}") from exc
-
-
 def _default_reps() -> int:
     raw = os.environ.get("CONDRAND_REPS", "2500")
     try:
@@ -69,10 +61,18 @@ def _default_reps() -> int:
         raise CliInputError(f"CONDRAND_REPS must be an integer, got {raw!r}") from exc
 
 
-def _resolve_seed(seed: int | None) -> int:
-    if seed is not None:
-        return int(seed)
-    return int(np.random.SeedSequence().entropy % (2**63))
+def _write(path: str | None, result: str | dict) -> None:
+    """Write text as is, or a dict as sorted JSON, to ``path`` or stdout."""
+    if isinstance(result, dict):
+        result = json.dumps(result, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if path is None:
+        sys.stdout.write(result)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(result)
+    except OSError as exc:
+        raise CliInputError(f"cannot write {path}: {exc}") from exc
 
 
 def _read_lines(path: str) -> list[tuple[int, str]]:
@@ -129,7 +129,8 @@ def read_assignments(path: str) -> list[TreatmentSequence]:
     return out
 
 
-def read_schedule(path: str) -> tuple[LookSchedule, DesignSpec | None]:
+def _schedule_and_design(path: str, design: DesignSpec | None):
+    """The schedule file's looks, and ``design`` or else the file's own."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -141,12 +142,14 @@ def read_schedule(path: str) -> tuple[LookSchedule, DesignSpec | None]:
         schedule = LookSchedule.from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliInputError(f"{path}: invalid schedule ({exc})") from exc
-    design = None
     if "design" in obj:
         try:
-            design = DesignSpec.from_json(obj["design"])
+            embedded = DesignSpec.from_json(obj["design"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CliInputError(f"{path}: invalid design ({exc})") from exc
+        design = design or embedded
+    if design is None:
+        raise ValueError("no design given on the command line or in the schedule file")
     return schedule, design
 
 
@@ -158,19 +161,6 @@ def _look_pair(text: str) -> tuple[int, int]:
     return j, m
 
 
-def _design_arg(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    parser.add_argument(
-        "--design",
-        type=DesignSpec.parse,
-        required=required,
-        help="randomization procedure, 'bcd:<p>' or 'complete'",
-    )
-
-
-def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
 def _boundaries_json(boundaries: dict) -> dict:
     """Boundary JSON with each infinite boundary, at a look that spends no
     alpha and so never stops the trial, written as null."""
@@ -178,69 +168,53 @@ def _boundaries_json(boundaries: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands.
+# Subcommands.  Each returns its result: CSV or text as a string, JSON as
+# a dict.
 
 
-def _cmd_dist(args) -> int:
-    design = args.design
-    rows: list[tuple[int, float]] = []
+def _cmd_dist(args) -> str:
+    design, n = args.design, args.n
     if args.given:
         j, m = args.given
-        targets = [args.target] if args.target is not None else range(args.n + 1)
-        for n1 in targets:
-            rows.append((n1, conditional_pmf(design, args.n, n1, j, m, args.backend)))
+        targets = [args.target] if args.target is not None else range(n + 1)
+        rows = [(n1, conditional_pmf(design, n, n1, j, m, args.backend)) for n1 in targets]
     elif args.target is not None:
-        rows.append((args.target, unconditional_pmf(design, args.n, args.target, args.backend)))
+        rows = [(args.target, unconditional_pmf(design, n, args.target, args.backend))]
     else:
-        table = pmf_table(design, args.n, args.backend)
-        rows = list(enumerate(table))
-    lines = ["n1,probability"]
-    for n1, pr in rows:
-        lines.append(f"{n1},{float(pr):.17g}")
-    _Output(args.out).write("\n".join(lines) + "\n")
-    return EXIT_OK
+        rows = enumerate(pmf_table(design, n, args.backend))
+    return "n1,probability\n" + "".join(f"{n1},{float(pr):.17g}\n" for n1, pr in rows)
 
 
-def _cmd_sample(args) -> int:
-    seed = _resolve_seed(args.seed)
+def _cmd_sample(args) -> str:
     if args.schedule:
-        schedule, embedded = read_schedule(args.schedule)
-        design = args.design or embedded
-        if design is None:
-            raise ValueError("no design given on the command line or in the schedule file")
+        schedule, design = _schedule_and_design(args.schedule, args.design)
     else:
         if args.n is None or args.n1 is None:
             raise ValueError("need either --schedule or both --n and --n1")
-        design = args.design
-        if design is None:
+        if args.design is None:
             raise ValueError("--design is required without a schedule file")
-        schedule = LookSchedule.single(args.n, args.n1)
+        schedule, design = LookSchedule.single(args.n, args.n1), args.design
     sampler = MultilookSampler(design, schedule)
-    batch = sampler.draw_batch(substream(seed, 0), args.count)
+    batch = sampler.draw_batch(substream(args.seed, 0), args.count)
     header = (
         f"# design={design.label()} schedule="
-        f"{';'.join(f'{l.position}:{l.count}' for l in schedule.looks)} seed={seed}"
+        f"{';'.join(f'{l.position}:{l.count}' for l in schedule.looks)} seed={args.seed}"
     )
     body = "\n".join("".join(str(b) for b in row) for row in batch)
-    _Output(args.out).write(header + "\n" + body + "\n")
-    return EXIT_OK
+    return header + "\n" + body + "\n"
 
 
-def _split_strata(values: np.ndarray, labels: list[str]) -> list[np.ndarray]:
-    order: list[str] = []
-    for lab in labels:
-        if lab not in order:
-            order.append(lab)
-    order = sorted(order)
-    arrays = []
-    lab_arr = np.asarray(labels)
-    for lab in order:
-        arrays.append(values[lab_arr == lab])
-    return arrays
+def _estimate_json(est, seed: int) -> dict:
+    return {
+        "estimate": est.estimate,
+        "se": est.standard_error,
+        "n_effective": est.n_effective,
+        "method": est.method,
+        "seed": seed,
+    }
 
 
-def _cmd_pvalue(args) -> int:
-    seed = _resolve_seed(args.seed)
+def _cmd_pvalue(args) -> dict:
     design = args.design
     values, labels = read_responses(args.responses)
     sequences = read_assignments(args.assignments)
@@ -250,7 +224,7 @@ def _cmd_pvalue(args) -> int:
             raise ValueError("--stratified supports only the direct method")
         if labels is None:
             raise CliInputError("--stratified needs a stratum column in the responses CSV")
-        groups = _split_strata(values, labels)
+        groups = [values[np.asarray(labels) == lab] for lab in sorted(set(labels))]
         if len(sequences) != len(groups):
             raise CliInputError(
                 f"{len(groups)} strata but {len(sequences)} assignment sequences"
@@ -264,18 +238,8 @@ def _cmd_pvalue(args) -> int:
             strata.append(Stratum(centered_scores(grp, args.scores), seq.count(), design))
         data = StratifiedData(tuple(strata))
         v_star = stratified_statistic(data, sequences)
-        est = estimate_pvalue_stratified(data, v_star, args.reps, substream(seed, 0))
-        payload = {
-            "estimate": est.estimate,
-            "se": est.standard_error,
-            "n_effective": est.n_effective,
-            "v_star": v_star,
-            "method": est.method,
-            "stratified": True,
-            "seed": seed,
-        }
-        _Output(args.out).write(_json_dump(payload))
-        return EXIT_OK
+        est = estimate_pvalue_stratified(data, v_star, args.reps, substream(args.seed, 0))
+        return {**_estimate_json(est, args.seed), "v_star": v_star, "stratified": True}
 
     seq = sequences[0]
     if len(seq) != values.size:
@@ -285,111 +249,57 @@ def _cmd_pvalue(args) -> int:
     scores = centered_scores(values, args.scores)
     v_star = linear_rank_statistic(scores, seq)
     n, n1 = len(seq), seq.count()
+    common = {"v_star": v_star, "n": n, "n1": n1}
     if args.exact:
         pv = exact_conditional_pvalue(design, scores, n1, v_star)
-        payload = {
-            "pvalue": float(pv),
-            "v_star": v_star,
-            "method": "exact",
-            "n": n,
-            "n1": n1,
-        }
-        _Output(args.out).write(_json_dump(payload))
-        return EXIT_OK
-    if args.method == "rejection":
-        est = estimate_pvalue_rejection(design, n, n1, scores, v_star, args.reps, substream(seed, 0))
-    else:
-        est = estimate_pvalue_conditional(design, n, n1, scores, v_star, args.reps, substream(seed, 0))
-    payload = {
-        "estimate": est.estimate,
-        "se": est.standard_error,
-        "n_effective": est.n_effective,
-        "v_star": v_star,
-        "method": est.method,
-        "n": n,
-        "n1": n1,
-        "seed": seed,
-    }
-    _Output(args.out).write(_json_dump(payload))
-    return EXIT_OK
+        return {**common, "pvalue": float(pv), "method": "exact"}
+    direct = args.method == "direct"
+    estimate = estimate_pvalue_conditional if direct else estimate_pvalue_rejection
+    est = estimate(design, n, n1, scores, v_star, args.reps, substream(args.seed, 0))
+    return {**common, **_estimate_json(est, args.seed)}
 
 
-def _cmd_boundaries(args) -> int:
-    seed = _resolve_seed(args.seed)
-    schedule, embedded = read_schedule(args.schedule)
-    design = args.design or embedded
-    if design is None:
-        raise ValueError("no design given on the command line or in the schedule file")
+def _cmd_boundaries(args) -> dict:
+    schedule, design = _schedule_and_design(args.schedule, args.design)
     values, _ = read_responses(args.responses)
     sf = SpendingFunction(args.spending, args.alpha)
     result = estimate_boundaries(
-        design,
-        schedule,
-        values,
-        sf,
-        args.reps,
-        substream(seed, 0),
-        info_mode=args.info,
-        bootstrap=args.bootstrap,
-        quantile_method=args.quantile,
-        score_kind=args.scores,
+        design, schedule, values, sf, args.reps, substream(args.seed, 0), info_mode=args.info,
+        bootstrap=args.bootstrap, quantile_method=args.quantile, score_kind=args.scores,
     )
-    payload = _boundaries_json(result.to_json())
-    payload["seed"] = seed
-    payload["design"] = design.label()
-    _Output(args.out).write(_json_dump(payload))
-    return EXIT_OK
+    return {**_boundaries_json(result.to_json()), "seed": args.seed, "design": design.label()}
 
 
-def _cmd_info(args) -> int:
-    seed = _resolve_seed(args.seed)
-    schedule, embedded = read_schedule(args.schedule)
-    design = args.design or embedded
-    if design is None:
-        raise ValueError("no design given on the command line or in the schedule file")
+def _cmd_info(args) -> dict:
+    schedule, design = _schedule_and_design(args.schedule, args.design)
     values, _ = read_responses(args.responses)
-    per_look = []
     chain = ConditionalChain(design)  # each segment built once across looks
+    per_look = []
     for look in range(1, len(schedule) + 1):
         frac = information_at_look(
-            design,
-            schedule,
-            values,
-            look,
-            mode=args.mode,
-            bootstrap=args.bootstrap,
-            rng=substream(seed, look),
-            kind=args.scores,
-            _chain=chain,
+            design, schedule, values, look, mode=args.mode, bootstrap=args.bootstrap,
+            rng=substream(args.seed, look), kind=args.scores, _chain=chain,
         )
-        per_look.append(
-            {
-                "look": look,
-                "t": frac.t,
-                "numerator": frac.numerator,
-                "denominator": frac.denominator,
-            }
-        )
-    payload = {"per_look": per_look, "seed": seed, "mode": args.mode}
-    _Output(args.out).write(_json_dump(payload))
-    return EXIT_OK
+        per_look.append(asdict(frac))
+    return {"per_look": per_look, "seed": args.seed, "mode": args.mode}
 
 
-def _cmd_tables(args) -> int:
-    seed = _resolve_seed(args.seed)
+def _cmd_tables(args) -> str | dict:
+    given = {"--n": args.n is not None, "--runs": args.runs is not None, "--full": args.full}
+    for flag in {1: ("--n", "--runs", "--full"), 2: ("--n",)}.get(args.which, ()):
+        if given[flag]:
+            raise ValueError(f"{flag} does not apply to --which {args.which}")
     if args.which == 1:
-        rows = experiments.sample_size_grid(n_c=args.reps, level=0.95)
         lines = ["design,n,n1,ratio,k"]
-        for r in rows:
+        for r in experiments.sample_size_grid(n_c=args.reps):
             lines.append(f"{r['design']},{r['n']},{r['n1']},{r['ratio']:.2f},{r['k']}")
-        _Output(args.out).write("\n".join(lines) + "\n")
-        return EXIT_OK
+        return "\n".join(lines) + "\n"
     if args.which == 2:
-        rows = ((30, 15), (30, 12), (40, 20), (40, 16), (100, 50), (100, 40))
-        if args.full:
-            rows = rows + ((500, 250), (500, 200))
         out = experiments.tail_estimate_repeatability(
-            rows=rows, runs=args.runs, n_c=args.reps, seed=seed
+            rows=experiments.TAIL_FULL_ROWS if args.full else experiments.TAIL_ROWS,
+            runs=200 if args.runs is None else args.runs,
+            n_c=args.reps,
+            seed=args.seed,
         )
         lines = ["n,n1,v_star,exact,mean,sd,runs"]
         for r in out:
@@ -398,25 +308,35 @@ def _cmd_tables(args) -> int:
                 f"{r['n']},{r['n1']},{r['v_star']:.6g},{exact},"
                 f"{r['mean']:.6f},{r['sd']:.6f},{r['runs']}"
             )
-        _Output(args.out).write(f"# seed={seed}\n" + "\n".join(lines) + "\n")
-        return EXIT_OK
+        return f"# seed={args.seed}\n" + "\n".join(lines) + "\n"
     n = args.n if args.n is not None else (350 if args.full else 100)
-    looks = (round(n * 250 / 350), round(n * 300 / 350), n)
-    reps = args.runs if args.runs is not None else (1000 if args.full else 200)
+    if n < 6:
+        # the looks sit at n * 250/350, n * 300/350 and n, which collide below 6
+        raise ValueError(f"--n must be >= 6 for three distinct looks, got {n}")
     result = experiments.monitored_trial_type_i_error(
         n=n,
-        look_positions=looks,
-        replications=reps,
+        look_positions=(round(n * 250 / 350), round(n * 300 / 350), n),
+        replications=args.runs if args.runs is not None else (1000 if args.full else 200),
         n_c=args.reps,
-        seed=seed,
+        seed=args.seed,
     )
-    result["boundaries"] = _boundaries_json(result["boundaries"])
-    _Output(args.out).write(_json_dump(result))
-    return EXIT_OK
+    return {**result, "boundaries": _boundaries_json(result["boundaries"])}
 
 
 # ---------------------------------------------------------------------------
 # Parser assembly.
+
+# flags that several subcommands share
+_SHARED = {
+    "--design": dict(
+        type=DesignSpec.parse, help="randomization procedure, 'bcd:<p>' or 'complete'"
+    ),
+    "--scores": dict(choices=(SIMPLE_RANK, "raw"), default=SIMPLE_RANK),
+    "--reps": dict(type=int, default=None, help="draws per estimate (CONDRAND_REPS, else 2500)"),
+    "--bootstrap": dict(type=int, default=100, help="completions of the unseen responses"),
+    "--seed": dict(type=int, default=None),
+    "--out": dict(default=None, help="output path (stdout by default)"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,92 +346,78 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_dist = sub.add_parser("dist", help="exact count distributions as CSV")
-    _design_arg(p_dist)
-    p_dist.add_argument("--n", type=int, required=True, help="horizon")
-    p_dist.add_argument("--target", type=int, default=None, help="single n1 to price")
-    p_dist.add_argument(
-        "--given",
-        type=_look_pair,
-        default=None,
-        metavar="J:M",
-        help="condition on an interim count",
+    def command(name, func, summary, *shared, design_required=False):
+        p = sub.add_parser(name, help=summary)
+        for flag in shared:
+            p.add_argument(flag, required=design_required and flag == "--design", **_SHARED[flag])
+        p.set_defaults(func=func)
+        return p
+
+    p = command(
+        "dist", _cmd_dist, "exact count distributions as CSV", "--design", "--out",
+        design_required=True,
     )
-    p_dist.add_argument("--backend", choices=("float", "exact"), default="float")
-    p_dist.add_argument("--out", default=None)
-    p_dist.set_defaults(func=_cmd_dist)
+    p.add_argument("--n", type=int, required=True, help="horizon")
+    p.add_argument("--target", type=int, default=None, help="single n1 to price")
+    p.add_argument("--given", type=_look_pair, metavar="J:M", help="condition on an interim count")
+    p.add_argument("--backend", choices=("float", "exact"), default="float")
 
-    p_sample = sub.add_parser("sample", help="draw constrained assignment sequences")
-    _design_arg(p_sample, required=False)
-    p_sample.add_argument("--n", type=int, default=None)
-    p_sample.add_argument("--n1", type=int, default=None)
-    p_sample.add_argument("--schedule", default=None, help="schedule JSON path")
-    p_sample.add_argument("--count", type=int, default=1)
-    p_sample.add_argument("--seed", type=int, default=None)
-    p_sample.add_argument("--out", default=None)
-    p_sample.set_defaults(func=_cmd_sample)
+    p = command(
+        "sample", _cmd_sample, "draw constrained assignment sequences", "--design", "--seed",
+        "--out",
+    )
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n1", type=int, default=None)
+    p.add_argument("--schedule", default=None, help="schedule JSON path")
+    p.add_argument("--count", type=int, default=1)
 
-    p_pv = sub.add_parser("pvalue", help="conditional randomization test p-value")
-    _design_arg(p_pv)
-    p_pv.add_argument("--responses", required=True, help="CSV of outcomes")
-    p_pv.add_argument("--assignments", required=True, help="observed 0/1 sequence file")
-    p_pv.add_argument("--scores", choices=(SIMPLE_RANK, "raw"), default=SIMPLE_RANK)
-    p_pv.add_argument("--method", choices=("direct", "rejection"), default="direct")
-    p_pv.add_argument("--reps", type=int, default=None)
-    p_pv.add_argument("--seed", type=int, default=None)
-    p_pv.add_argument("--exact", action="store_true", help="exact DP p-value")
-    p_pv.add_argument("--stratified", action="store_true")
-    p_pv.add_argument("--out", default=None)
-    p_pv.set_defaults(func=_cmd_pvalue)
+    p = command(
+        "pvalue", _cmd_pvalue, "conditional randomization test p-value", "--design", "--scores",
+        "--reps", "--seed", "--out", design_required=True,
+    )
+    p.add_argument("--responses", required=True, help="CSV of outcomes")
+    p.add_argument("--assignments", required=True, help="observed 0/1 sequence file")
+    p.add_argument("--method", choices=("direct", "rejection"), default="direct")
+    p.add_argument("--exact", action="store_true", help="exact DP p-value")
+    p.add_argument("--stratified", action="store_true")
 
-    p_bd = sub.add_parser("boundaries", help="alpha-spending boundary estimation")
-    _design_arg(p_bd, required=False)
-    p_bd.add_argument("--schedule", required=True)
-    p_bd.add_argument("--responses", required=True)
-    p_bd.add_argument("--alpha", type=float, default=0.05)
-    p_bd.add_argument("--spending", choices=("obf", "pocock"), default="obf")
-    p_bd.add_argument("--reps", type=int, default=None)
-    p_bd.add_argument("--seed", type=int, default=None)
-    p_bd.add_argument("--quantile", choices=("smooth", "ecdf"), default="smooth")
-    p_bd.add_argument("--info", choices=("full", "interim"), default="full")
-    p_bd.add_argument("--bootstrap", type=int, default=100)
-    p_bd.add_argument("--scores", choices=(SIMPLE_RANK, "raw"), default=SIMPLE_RANK)
-    p_bd.add_argument("--out", default=None)
-    p_bd.set_defaults(func=_cmd_boundaries)
+    p = command(
+        "boundaries", _cmd_boundaries, "alpha-spending boundary estimation", "--design",
+        "--scores", "--reps", "--bootstrap", "--seed", "--out",
+    )
+    p.add_argument("--schedule", required=True)
+    p.add_argument("--responses", required=True)
+    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--spending", choices=("obf", "pocock"), default="obf")
+    p.add_argument("--quantile", choices=("smooth", "ecdf"), default="smooth")
+    p.add_argument("--info", choices=("full", "interim"), default="full")
 
-    p_info = sub.add_parser("info", help="randomization-based information fractions")
-    _design_arg(p_info, required=False)
-    p_info.add_argument("--schedule", required=True)
-    p_info.add_argument("--responses", required=True)
-    p_info.add_argument("--bootstrap", type=int, default=100)
-    p_info.add_argument("--mode", choices=("interim", "full"), default="interim")
-    p_info.add_argument("--seed", type=int, default=None)
-    p_info.add_argument("--scores", choices=(SIMPLE_RANK, "raw"), default=SIMPLE_RANK)
-    p_info.add_argument("--out", default=None)
-    p_info.set_defaults(func=_cmd_info)
+    p = command(
+        "info", _cmd_info, "randomization-based information fractions", "--design", "--scores",
+        "--bootstrap", "--seed", "--out",
+    )
+    p.add_argument("--schedule", required=True)
+    p.add_argument("--responses", required=True)
+    p.add_argument("--mode", choices=("interim", "full"), default="interim")
 
-    p_tab = sub.add_parser("tables", help="benchmark experiments")
-    p_tab.add_argument("--which", type=int, choices=(1, 2, 3), required=True)
-    p_tab.add_argument("--seed", type=int, default=None)
-    p_tab.add_argument("--reps", type=int, default=None, help="per-estimate draws")
-    p_tab.add_argument("--runs", type=int, default=None, help="outer repetitions")
-    p_tab.add_argument("--n", type=int, default=None, help="horizon for --which 3")
-    p_tab.add_argument("--full", action="store_true", help="paper-scale settings")
-    p_tab.add_argument("--out", default=None)
-    p_tab.set_defaults(func=_cmd_tables)
+    p = command("tables", _cmd_tables, "benchmark experiments", "--reps", "--seed", "--out")
+    p.add_argument("--which", type=int, choices=(1, 2, 3), required=True)
+    p.add_argument("--runs", type=int, default=None, help="outer repetitions")
+    p.add_argument("--n", type=int, default=None, help="horizon for --which 3")
+    p.add_argument("--full", action="store_true", help="paper-scale settings")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "runs") and args.runs is None and getattr(args, "which", None) == 2:
-        args.runs = 200
+    args = build_parser().parse_args(argv)
     try:
         if hasattr(args, "reps") and args.reps is None:
             args.reps = _default_reps()
-        return args.func(args)
+        if hasattr(args, "seed") and args.seed is None:
+            args.seed = int(np.random.SeedSequence().entropy % (2**63))
+        _write(args.out, args.func(args))
+        return EXIT_OK
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

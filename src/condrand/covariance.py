@@ -100,12 +100,6 @@ def _block_moments_float(chain: ConditionalChain, r0: int, m0: int, r1: int, m1:
     return theta, lam
 
 
-def _as_schedule(conditioning) -> LookSchedule:
-    if isinstance(conditioning, LookSchedule):
-        return conditioning
-    return LookSchedule.from_pairs(conditioning)
-
-
 def covariance_multilook(
     design: DesignSpec, schedule: LookSchedule, *, _chain: ConditionalChain | None = None
 ) -> ConditionalCovariance:
@@ -116,7 +110,6 @@ def covariance_multilook(
     blocks; a caller that passes one chain to several calls builds each
     segment once.
     """
-    schedule = _as_schedule(schedule)
     chain = ConditionalChain(design) if _chain is None else _chain
     for segment in schedule.segments():
         if segment not in chain.blocks:
@@ -205,11 +198,9 @@ def information_at_look(
     responses,
     look: int,
     *,
-    horizon: int | None = None,
     mode: str = "interim",
     bootstrap: int = 100,
     rng: np.random.Generator | int | None = None,
-    final_count: int | None = None,
     kind: str = SIMPLE_RANK,
     _chain: ConditionalChain | None = None,
 ) -> InformationFraction:
@@ -217,25 +208,22 @@ def information_at_look(
 
     The numerator conditions on the look counts observed through ``look``.
     The denominator conditions on the same counts plus a final-count
-    constraint: the observed final count when the trial is complete
-    (``mode="full"``), or its projection from the current allocation rate
-    mid-trial.  At the last look the two conditionings coincide and the
-    fraction is exactly 1.
+    constraint at the schedule's horizon: the schedule's final count when
+    the trial is complete (``mode="full"``), or its projection from the
+    current allocation rate mid-trial.  At the last look the two
+    conditionings coincide and the fraction is exactly 1.
 
     Args:
         mode: ``"interim"`` fills unknown responses by bootstrap
             resampling (``bootstrap`` replicates, averaging the variance
             across completions); ``"full"`` uses the complete response
             vector as given.
-        final_count: Override for the final-count constraint.
         _chain: Chain whose segment blocks to reuse and extend, as in
             :func:`covariance_multilook`.
     """
-    schedule = _as_schedule(schedule)
     if mode not in ("interim", "full"):
         raise ValueError(f"mode must be 'interim' or 'full', got {mode!r}")
-    if horizon is None:
-        horizon = schedule.horizon
+    horizon = schedule.horizon
     r_l = schedule.looks[look - 1].position
     x = np.asarray(responses, dtype=float)
     if x.size < r_l:
@@ -250,14 +238,11 @@ def information_at_look(
             raise DegenerateScoresError("interim-statistic variance is zero")
         return InformationFraction(1.0, look, num, num)
 
-    if final_count is None:
-        if mode == "full":
-            if schedule.horizon != horizon:
-                raise ValueError("full mode needs the completed schedule or final_count")
-            final_count = schedule.final_count
-        else:
-            final_count = projected_final_count(design, prefix, look, horizon)
-    den_schedule = LookSchedule(prefix.looks + (Look(horizon, int(final_count)),))
+    if mode == "full":
+        final_count = schedule.final_count
+    else:
+        final_count = projected_final_count(design, prefix, look, horizon)
+    den_schedule = LookSchedule(prefix.looks + (Look(horizon, final_count),))
     sigma_n = covariance_multilook(design, den_schedule, _chain=chain)
 
     if mode == "full":

@@ -9,7 +9,6 @@ the rest of the package; other designs are intentionally not accepted.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -62,9 +61,7 @@ class DesignSpec:
         raise ValueError(f"cannot parse design {text!r}; expected 'bcd:<p>' or 'complete'")
 
     @classmethod
-    def from_json(cls, obj: dict | str) -> "DesignSpec":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
+    def from_json(cls, obj: dict) -> "DesignSpec":
         kind = obj["kind"].lower()
         if kind == COMPLETE:
             return cls.complete()

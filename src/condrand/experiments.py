@@ -22,23 +22,26 @@ from .design import DesignSpec, simulate_unconditional
 from .montecarlo import k_percentile
 from .monitoring import OBRIEN_FLEMING, SpendingFunction, estimate_boundaries
 from .sampling import LookSchedule, MultilookSampler
-from .scores import SIMPLE_RANK, centered_scores, statistic_batch
+from .scores import centered_scores, statistic_batch
 from .streams import substream
 
+# (n, n1) rows of the repeatability study; paper scale adds n = 500
+TAIL_ROWS = ((30, 15), (30, 12), (40, 20), (40, 16), (100, 50), (100, 40))
+TAIL_FULL_ROWS = TAIL_ROWS + ((500, 250), (500, 200))
 
-def sample_size_grid(
-    n_c: int = 2500,
-    level: float = 0.95,
-    biases=(2.0 / 3.0, 3.0 / 4.0),
-    horizons=(100, 200, 500),
-    ratios=(0.45, 0.48, 0.50),
-) -> list[dict]:
-    """Rejection-sampling cost percentiles over a (design, n, n1) grid."""
+
+def sample_size_grid(n_c: int = 2500) -> list[dict]:
+    """Rejection-sampling cost percentiles over a (design, n, n1) grid.
+
+    The grid is fixed: biases 2/3 and 3/4, horizons 100, 200 and 500, and
+    n1 = round(n * ratio) for ratios 0.45, 0.48 and 0.50.  Each cell is
+    the 95th percentile of the draws needed for ``n_c`` acceptances.
+    """
     rows = []
-    for p in biases:
+    for p in (2.0 / 3.0, 3.0 / 4.0):
         design = DesignSpec.bcd(p)
-        for n in horizons:
-            for ratio in ratios:
+        for n in (100, 200, 500):
+            for ratio in (0.45, 0.48, 0.50):
                 n1 = round(n * ratio)
                 rows.append(
                     {
@@ -46,7 +49,7 @@ def sample_size_grid(
                         "n": n,
                         "n1": n1,
                         "ratio": ratio,
-                        "k": k_percentile(design, n, n1, n_c, level),
+                        "k": k_percentile(design, n, n1, n_c, 0.95),
                     }
                 )
     return rows
@@ -67,40 +70,35 @@ def _inclusive_tail_threshold(design, scores, n1: int, target: float) -> float:
 
 
 def tail_estimate_repeatability(
-    rows=((30, 15), (30, 12), (40, 20), (40, 16), (100, 50), (100, 40)),
-    runs: int = 200,
-    n_c: int = 2500,
-    p: float = 0.6,
-    seed: int = 2012,
-    target_tail: float = 0.1,
-    calibration_draws: int = 200_000,
+    rows=TAIL_ROWS, runs: int = 200, n_c: int = 2500, seed: int = 2012
 ) -> list[dict]:
     """Spread of repeated conditional tail estimates near the 0.1 tail.
 
-    Each row generates its own standard-normal responses, calibrates a
-    threshold whose true upper tail is close to ``target_tail`` (exactly,
-    via the DP, when the horizon allows), then repeats the ``n_c``-draw
-    estimate ``runs`` times.
+    The design is ``bcd:0.6``.  Each row generates its own standard-normal
+    responses, calibrates a threshold whose true upper tail is close to
+    0.1 (exactly, via the DP, when the horizon allows; otherwise from
+    200,000 constrained draws), then repeats the ``n_c``-draw estimate
+    ``runs`` times.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if n_c < 1:
         raise ValueError(f"n_c must be >= 1, got {n_c}")
-    design = DesignSpec.bcd(p)
+    design = DesignSpec.bcd(0.6)
     out = []
     for r_idx, (n, n1) in enumerate(rows):
         responses = substream(seed, r_idx, 0).standard_normal(n)
         scores = centered_scores(responses)
         sampler = MultilookSampler(design, LookSchedule.single(n, n1))
         if n <= MAX_DP:
-            v_star = _inclusive_tail_threshold(design, scores, n1, target_tail)
+            v_star = _inclusive_tail_threshold(design, scores, n1, 0.1)
             exact_tail = float(exact_conditional_pvalue(design, scores, n1, v_star))
         else:
             calib = statistic_batch(
-                scores, sampler.draw_batch(substream(seed, r_idx, 1), calibration_draws)
+                scores, sampler.draw_batch(substream(seed, r_idx, 1), 200_000)
             )
             calib.sort()
-            v_star = float(calib[math.ceil(calib.size * (1.0 - target_tail)) - 1])
+            v_star = float(calib[math.ceil(calib.size * 0.9) - 1])
             exact_tail = None
         estimates = np.empty(runs)
         for k in range(runs):
@@ -133,15 +131,12 @@ def monitored_trial_type_i_error(
     spending_kind: str = OBRIEN_FLEMING,
     bootstrap: int = 100,
     info_mode: str = "interim",
-    quantile_method: str = "smooth",
-    score_kind: str = SIMPLE_RANK,
-    response_mean: float = 1.0,
-    response_variance: float = 0.9,
 ) -> dict:
     """Attained level of the monitored conditional test under the null.
 
-    One null dataset and one observed assignment sequence fix the look
-    counts; boundaries are estimated once by the staged algorithm; then
+    One null dataset (responses N(1, 0.9)) and one observed assignment
+    sequence fix the look counts; boundaries are estimated once by the
+    staged algorithm, with simple-rank scores and the smooth quantile; then
     each replication draws ``n_c`` fresh sequences from the fully
     constrained reference set and records how often any look statistic
     crosses its boundary.  Replication r uses substream (3, r) of the
@@ -152,9 +147,7 @@ def monitored_trial_type_i_error(
     if look_positions[-1] != n:
         raise ValueError("the last look must sit at the horizon")
     design = DesignSpec.bcd(p)
-    responses = response_mean + math.sqrt(response_variance) * substream(
-        seed, 0
-    ).standard_normal(n)
+    responses = 1.0 + math.sqrt(0.9) * substream(seed, 0).standard_normal(n)
     observed = simulate_unconditional(design, n, substream(seed, 1))
     counts = observed.running_counts()
     schedule = LookSchedule.from_pairs((r, int(counts[r - 1])) for r in look_positions)
@@ -168,11 +161,9 @@ def monitored_trial_type_i_error(
         substream(seed, 2),
         info_mode=info_mode,
         bootstrap=bootstrap,
-        quantile_method=quantile_method,
-        score_kind=score_kind,
     )
     sampler = MultilookSampler(design, schedule)
-    prefix_scores = [centered_scores(responses[:r], score_kind) for r in look_positions]
+    prefix_scores = [centered_scores(responses[:r]) for r in look_positions]
     bounds = np.asarray(result.d)
     rates = np.empty(replications)
     for rep in range(replications):

@@ -31,6 +31,9 @@ POCOCK = "pocock"
 
 _KINDS = (OBRIEN_FLEMING, POCOCK)
 
+# fewest sequences a stage may keep before its boundary is refused
+MIN_RETAINED = 100
+
 
 @dataclass(frozen=True)
 class SpendingFunction:
@@ -150,15 +153,12 @@ class MonitoringDecision:
 
 def _conservative_boundary(values: np.ndarray, level: float, method: str) -> float:
     """Quantile estimate raised, if ties demand it, to the smallest sample
-    value whose strict upper tail fits inside ``1 - level``."""
-    d = nonparametric_quantile(values, level, method)
-    budget = (1.0 - level) * values.size
-    if (values > d).sum() <= budget:
-        return d
-    for v in np.unique(values):
-        if v >= d and (values > v).sum() <= budget:
-            return float(v)
-    return float(values.max())
+    value whose strict upper tail fits inside ``1 - level``: the ``ecdf``
+    quantile."""
+    return max(
+        nonparametric_quantile(values, level, method),
+        nonparametric_quantile(values, level, "ecdf"),
+    )
 
 
 def estimate_boundaries(
@@ -173,7 +173,6 @@ def estimate_boundaries(
     info_mode: str = "full",
     bootstrap: int = 100,
     quantile_method: str = "smooth",
-    min_retained: int = 100,
     score_kind: str = SIMPLE_RANK,
 ) -> BoundaryResult:
     """Estimate upper-tailed boundaries d_1..d_L for a monitored trial.
@@ -181,15 +180,14 @@ def estimate_boundaries(
     Stage l draws ``n_c / prod_{i<l}(1 - alpha_i)`` sequences constrained
     by the counts of looks 1..l, keeps those inside all earlier
     boundaries, and sets d_l to the (1 - alpha_l) quantile of the look-l
-    statistic among the survivors.  Look statistics re-rank the responses
-    within each look prefix.
+    statistic among the survivors; fewer than ``MIN_RETAINED`` (100)
+    survivors at a look that spends alpha raise :class:`UnderSampleError`.
+    Look statistics re-rank the responses within each look prefix.
 
     Args:
         responses: Outcomes through the last scheduled look.
         info_fractions: Information fractions per look; computed from the
             conditional covariances (mode ``info_mode``) when omitted.
-        min_retained: Fail with :class:`UnderSampleError` if fewer
-            sequences survive at any stage.
     """
     if n_c < 1:
         raise ValueError(f"need at least one sequence per stage, got {n_c}")
@@ -231,10 +229,10 @@ def estimate_boundaries(
         if alpha_l <= 0.0:
             bounds.append(math.inf)
             continue
-        if retained.size < min_retained:
+        if retained.size < MIN_RETAINED:
             raise UnderSampleError(
                 f"stage {l} retained {retained.size} sequences "
-                f"(< {min_retained}); increase the per-stage sample size {n_c}"
+                f"(< {MIN_RETAINED}); increase the per-stage sample size {n_c}"
             )
         bounds.append(_conservative_boundary(retained, 1.0 - alpha_l, quantile_method))
         inflation *= 1.0 - alpha_l

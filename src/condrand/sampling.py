@@ -11,7 +11,6 @@ within segment k only the next look's constraint enters the transition.
 from __future__ import annotations
 
 import copy
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -41,9 +40,7 @@ class LookSchedule:
     looks: tuple[Look, ...]
 
     def __post_init__(self) -> None:
-        looks = tuple(
-            l if isinstance(l, Look) else Look(int(l[0]), int(l[1])) for l in self.looks
-        )
+        looks = tuple(self.looks)
         if not looks:
             raise ValueError("a schedule needs at least one look")
         prev = Look(0, 0)
@@ -94,9 +91,7 @@ class LookSchedule:
         return cls(tuple(Look(int(r), int(c)) for r, c in pairs))
 
     @classmethod
-    def from_json(cls, obj: dict | str) -> "LookSchedule":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
+    def from_json(cls, obj: dict) -> "LookSchedule":
         return cls.from_pairs((l["r"], l["n1"]) for l in obj["looks"])
 
     def to_json(self) -> dict:

@@ -16,7 +16,9 @@ can hold the package to them.  None of them is fast.  In order:
   against which the package's stepped series is held bit for bit;
 * the chain built one row at a time, and the exact DP run over
   ``(count, statistic)`` pairs, against which the package's block passes
-  and per-count DP are held bit for bit.
+  and per-count DP are held bit for bit;
+* a stage's conservative boundary by a walk over the distinct sample
+  values.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from condrand.distributions import (
     unconditional_pmf,
 )
 from condrand.errors import InfeasibleError
+from condrand.monitoring import nonparametric_quantile
 from condrand.sampling import LookSchedule
 
 # ---------------------------------------------------------------------------
@@ -524,3 +527,21 @@ def reference_statistic_distribution(design: DesignSpec, scores, n1: int):
     support = sorted(dist)
     probs = [Fraction(dist[s], total) for s in support]
     return np.asarray([s / scale for s in support]), probs
+
+
+# ---------------------------------------------------------------------------
+# The conservative boundary by a walk over the distinct sample values.
+
+
+def conservative_boundary_reference(values: np.ndarray, level: float, method: str) -> float:
+    """The quantile estimate, or if its strict upper tail is over the
+    ``1 - level`` budget, the smallest distinct sample value above it
+    whose strict upper tail fits."""
+    d = nonparametric_quantile(values, level, method)
+    budget = (1.0 - level) * values.size
+    if (values > d).sum() <= budget:
+        return d
+    for v in np.unique(values):
+        if v >= d and (values > v).sum() <= budget:
+            return float(v)
+    return float(values.max())

@@ -19,7 +19,7 @@ def run_cli(capsys, *argv):
 
 
 def _never_called(*args, **kwargs):
-    raise AssertionError("work started before the run count was checked")
+    raise AssertionError("work started before the input was checked")
 
 
 def _reject_constant(name):
@@ -372,6 +372,25 @@ class TestErrorPaths:
         code, out, err = run_cli(capsys, "tables", "--which", "3", "--n", "0", "--seed", "1")
         assert code == 2
         assert out == "" and "error:" in err
+
+    @pytest.mark.parametrize("n", ["2", "3", "4", "5"])
+    def test_horizon_too_short_for_three_looks_exit_2(self, capsys, monkeypatch, n):
+        monkeypatch.setattr(experiments, "monitored_trial_type_i_error", _never_called)
+        code, out, err = run_cli(capsys, "tables", "--which", "3", "--n", n, "--seed", "1")
+        assert code == 2
+        assert out == "" and f"--n must be >= 6 for three distinct looks, got {n}" in err
+
+    @pytest.mark.parametrize(
+        "which, flag",
+        [("1", ["--n", "5"]), ("1", ["--runs", "3"]), ("1", ["--runs", "0"]), ("1", ["--full"]),
+         ("2", ["--n", "50"]), ("2", ["--n", "0"])],
+    )
+    def test_flag_the_study_ignores_exit_2(self, capsys, monkeypatch, which, flag):
+        monkeypatch.setattr(experiments, "sample_size_grid", _never_called)
+        monkeypatch.setattr(experiments, "tail_estimate_repeatability", _never_called)
+        code, out, err = run_cli(capsys, "tables", "--which", which, *flag, "--seed", "1")
+        assert code == 2
+        assert out == "" and f"{flag[0]} does not apply to --which {which}" in err
 
     def test_zero_runs_repeatability_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr(experiments, "MultilookSampler", _never_called)

@@ -77,6 +77,20 @@ class TestUnconditionalPmf:
             for n in (17, 128, 500):
                 assert abs(pmf_table(design, n).sum() - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("p", [0.55, 2 / 3, 0.75])
+    def test_float_law_holds_at_horizon_2000(self, p):
+        design, n = DesignSpec.bcd(p), 2000
+        table = pmf_table(design, n)
+        assert abs(table.sum() - 1.0) < 1e-12
+        for n1 in (1000, 995, 960, 900):
+            exact = unconditional_pmf(design, n, n1, "exact")
+            want = math.log(exact.numerator) - math.log(exact.denominator)
+            assert abs(math.log(table[n1]) - want) < 1e-12, n1
+            # the backward recursion drifts further, up to 1.3e-11 here at
+            # log P = -88, so it is held to the exact value relatively
+            backward = backward_log_table(design, 0, n, n1)[0, 0]
+            assert abs(backward - want) < 1e-12 * abs(want), n1
+
     def test_table_small(self):
         assert pmf_table(DesignSpec.bcd(0.5), 2) == pytest.approx([0.25, 0.5, 0.25])
         table = pmf_table(BCD23, 2, "exact")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from condrand import (
     DesignSpec,
@@ -16,7 +17,8 @@ from condrand import (
     spend,
 )
 from condrand.bruteforce import exact_statistic_distribution
-from oracles import exact_statistic_quantile
+from condrand.monitoring import _conservative_boundary
+from oracles import conservative_boundary_reference, exact_statistic_quantile
 
 OBF = SpendingFunction("obf", 0.05)
 
@@ -92,6 +94,22 @@ class TestNonparametricQuantile:
             nonparametric_quantile([1.0], 1.0)
         with pytest.raises(ValueError):
             nonparametric_quantile([1.0], 0.5, method="kernel")
+
+
+class TestConservativeBoundary:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ints=st.lists(st.integers(-6, 6), min_size=1, max_size=80),
+        scale=st.sampled_from([1.0, 0.5, 0.1, 3.7]),
+        level=st.floats(0.01, 0.999),
+        method=st.sampled_from(["smooth", "ecdf"]),
+    )
+    def test_matches_the_walk_over_distinct_values(self, ints, scale, level, method):
+        # small integer ranges force ties, where the walk steps past the estimate
+        values = np.asarray(ints, dtype=float) * scale
+        got = _conservative_boundary(values, level, method)
+        want = conservative_boundary_reference(values, level, method)
+        assert type(got) is type(want) and got == want
 
 
 class TestSequentialDecision:

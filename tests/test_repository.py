@@ -1,10 +1,12 @@
 """Checks on the repository's own files: the demos run, the package
 raises its numerical guards explicitly instead of with ``assert``, which
 ``python -O`` strips, every public name has a caller outside the tests,
-and each committed ``BENCH_*.json`` summarises its own per-run values."""
+every option of a public function is set by some caller, and each
+committed ``BENCH_*.json`` summarises its own per-run values."""
 
 import ast
 import json
+import math
 import os
 import re
 import subprocess
@@ -70,6 +72,76 @@ def test_every_export_has_a_caller_outside_the_tests():
         if name not in used and not re.search(rf"\b{name}\b", readme)
     )
     assert exported and not unused, unused
+
+
+# Options that no call sets but that stay, each with its reason.
+UNSET_OPTIONS_KEPT = {
+    # the seam through which an exact-boundary oracle hands in its fractions
+    "estimate_boundaries(info_fractions)",
+    # the interim count N1(j) of a prefix; the callers so far want N1(n)
+    "TreatmentSequence.count(upto)",
+    # raw scores at a look, as every other scoring function takes them
+    "interim_statistic(kind)",
+    # inputs of the sample-size formula; the demo plans at their defaults
+    "mc_sample_size(rel_error)",
+    "mc_sample_size(confidence)",
+}
+STUDIES = ("sample_size_grid", "tail_estimate_repeatability", "monitored_trial_type_i_error")
+
+
+def _defaulted_parameters(fn: ast.FunctionDef, method: bool):
+    """(name, position) of each parameter with a default; keyword-only
+    parameters have position None, and a method's positions skip self
+    (the package defines no static methods)."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i - method) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def test_every_option_is_set_by_some_caller():
+    # an option that every caller leaves at its default is a constant
+    init = ROOT / "src" / "condrand" / "__init__.py"
+    owners = {
+        alias.asname or alias.name: node.module
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    owners.update(dict.fromkeys(STUDIES, "experiments"))
+    options = []  # (label, name the call uses, parameter, position)
+    for name, module in owners.items():
+        for node in ast.parse((ROOT / "src" / "condrand" / f"{module}.py").read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name == name:
+                options += [(name, name, *p) for p in _defaulted_parameters(node, False)]
+            if isinstance(node, ast.ClassDef) and node.name == name:
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        callee = name if fn.name == "__init__" else fn.name
+                        label = f"{name}.{fn.name}"
+                        options += [(label, callee, *p) for p in _defaulted_parameters(fn, True)]
+    calls: dict[str, list[tuple[float, set]]] = {}
+    for path in SOURCES + sorted((ROOT / "bench").glob("*.py")) + DEMOS:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                callee = getattr(node.func, "id", None) or node.func.attr
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                # a ** argument shows up as a keyword named None
+                keywords = {k.arg for k in node.keywords}
+                calls.setdefault(callee, []).append(
+                    (math.inf if starred else len(node.args), keywords)
+                )
+    unset = {
+        f"{label}({param})"
+        for label, callee, param, position in options
+        if not any(
+            param in keywords or None in keywords or position is not None and count > position
+            for count, keywords in calls.get(callee, [])
+        )
+    }
+    assert options and unset == UNSET_OPTIONS_KEPT, unset ^ UNSET_OPTIONS_KEPT
 
 
 @pytest.mark.parametrize("path", BENCHES, ids=lambda p: p.name)
