@@ -23,7 +23,7 @@ from .montecarlo import k_percentile
 from .monitoring import OBRIEN_FLEMING, SpendingFunction, estimate_boundaries
 from .sampling import LookSchedule, MultilookSampler
 from .scores import centered_scores, statistic_batch
-from .streams import substream
+from .streams import map_replicates, substream
 
 # (n, n1) rows of the repeatability study; paper scale adds n = 500
 TAIL_ROWS = ((30, 15), (30, 12), (40, 20), (40, 16), (100, 50), (100, 40))
@@ -140,7 +140,8 @@ def monitored_trial_type_i_error(
     each replication draws ``n_c`` fresh sequences from the fully
     constrained reference set and records how often any look statistic
     crosses its boundary.  Replication r uses substream (3, r) of the
-    seed, so the result does not depend on how replications are batched.
+    seed, so the result does not depend on how replications are batched;
+    they run on every CPU this process may use (:func:`map_replicates`).
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
@@ -165,10 +166,15 @@ def monitored_trial_type_i_error(
     sampler = MultilookSampler(design, schedule)
     prefix_scores = [centered_scores(responses[:r]) for r in look_positions]
     bounds = np.asarray(result.d)
-    rates = np.empty(replications)
-    for rep in range(replications):
-        stats_rep = sampler.accumulate_statistics(substream(seed, 3, rep), n_c, prefix_scores)
-        rates[rep] = float((stats_rep > bounds).any(axis=1).mean())
+
+    def crossing_rates(lo: int, hi: int) -> np.ndarray:
+        out = np.empty(hi - lo)
+        for rep in range(lo, hi):
+            stats_rep = sampler.accumulate_statistics(substream(seed, 3, rep), n_c, prefix_scores)
+            out[rep - lo] = float((stats_rep > bounds).any(axis=1).mean())
+        return out
+
+    rates = map_replicates(crossing_rates, replications)
     return {
         "alpha": alpha,
         "alpha_hat": float(rates.mean()),

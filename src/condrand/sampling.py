@@ -19,6 +19,7 @@ import numpy as np
 from .design import DesignSpec, TreatmentSequence, _probability_row
 from .distributions import BLOCK_ENTRIES, backward_log_table
 from .errors import InfeasibleError
+from .scores import sums_exactly
 from .streams import as_generator
 
 _NEG_INF = float("-inf")
@@ -201,8 +202,12 @@ class MultilookSampler:
                 covering the first r_l positions.
 
         Returns:
-            Array of shape (size, L) of look statistics, each summed over
-            the steps in step order.
+            Array of shape (size, L) of look statistics, each equal bit
+            for bit to its sum over the steps in step order.  When every
+            look's sums are exact in float32 (:func:`sums_exactly`; midranks
+            are up to n of about 5800) all looks are one float32
+            contraction; otherwise each look is summed in step order.
+            Neither path calls BLAS.
         """
         ends = [l.position for l in self.schedule.looks]
         score_vectors = list(score_vectors)
@@ -216,6 +221,19 @@ class MultilookSampler:
             weights.append(vals)
         size = int(size)
         steps = self._walk(rng, size)
+        if all(sums_exactly(w, np.float32) for w in weights):
+            # every partial sum is exact in float32, so one contraction of
+            # a zero-padded (L, n) score table, in any order, keeps the bits;
+            # steps become float32 a block at a time to keep memory small
+            padded = np.zeros((len(ends), self.n), dtype=np.float32)
+            for l, (r, w) in enumerate(zip(ends, weights)):
+                padded[l, :r] = w
+            stats = np.zeros((size, len(ends)), dtype=np.float32)
+            block = max(1, 2 * BLOCK_ENTRIES // max(size, 1))
+            for lo in range(0, self.n, block):
+                part = steps[lo : lo + block].astype(np.float32)
+                stats += np.einsum("lj,jk->kl", padded[:, lo : lo + block], part)
+            return stats.astype(float)
         if size == 1:
             # einsum sums a single column with split accumulators; a second
             # column keeps its loop over the steps outermost

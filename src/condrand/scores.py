@@ -118,13 +118,28 @@ def linear_rank_statistic(scores: ScoreVector, t) -> float:
     return float(scores.values @ arr)
 
 
+def sums_exactly(values: np.ndarray, dtype) -> bool:
+    """Whether every sum of a subset of ``values`` is exact in ``dtype``,
+    whatever the order of the additions.
+
+    It holds when every value is a multiple of 1/2 and the absolute values
+    add up to less than 2^(p-1), where p is the bits of ``dtype``'s
+    significand (53 for float64, 24 for float32): every partial sum is
+    then a multiple of 1/2 that the float holds exactly.  The check is
+    exact too: a float64 sum of integers stays below 2^53 only when it
+    has not rounded.
+    """
+    twice = 2.0 * np.asarray(values, dtype=float)
+    limit = 2.0 ** (np.finfo(dtype).nmant + 1)
+    return bool((twice == np.rint(twice)).all()) and float(np.abs(twice).sum()) < limit
+
+
 def statistic_batch(scores: ScoreVector, batch: np.ndarray) -> np.ndarray:
     """V for every row of a (draws, n) assignment matrix."""
     if batch.shape[1] != len(scores):
         raise ValueError("assignment matrix width does not match scores")
     values = scores.values
-    twice = 2.0 * values
-    if (twice != np.rint(twice)).any() or np.abs(twice).sum() > 2.0**53:
+    if not sums_exactly(values, np.float64):
         return batch @ values
     # sums of 0/1 draws times halves are exact in any order, so row chunks
     # keep the bits and convert only a chunk of the draws to float at a time

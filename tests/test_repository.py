@@ -1,8 +1,9 @@
 """Checks on the repository's own files: the demos run, the package
 raises its numerical guards explicitly instead of with ``assert``, which
-``python -O`` strips, every public name has a caller outside the tests,
-every option of a public function is set by some caller, and each
-committed ``BENCH_*.json`` summarises its own per-run values."""
+``python -O`` strips, importing it leaves ``multiprocessing`` unloaded,
+every public name has a caller outside the tests, every option of a
+public function is set by some caller, and each committed
+``BENCH_*.json`` summarises its own per-run values."""
 
 import ast
 import json
@@ -22,14 +23,18 @@ SOURCES = sorted((ROOT / "src" / "condrand").glob("*.py"))
 BENCHES = sorted(ROOT.glob("BENCH_*.json"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(demo, tmp_path):
+def _env_with_src() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
     done = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, str(demo)], cwd=tmp_path, env=_env_with_src(),
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
@@ -43,6 +48,17 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found, found
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # the replicate workers import it on first use, so set-up does not pay for it
+    code = "import sys, condrand; print('multiprocessing' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=_env_with_src(), capture_output=True, text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def _used_names(path: Path) -> set[str]:

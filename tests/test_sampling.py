@@ -19,7 +19,7 @@ import condrand.distributions as distributions
 import condrand.sampling as sampling
 from condrand.design import simulate_unconditional
 from condrand.sampling import ConditionalChain
-from condrand.scores import RAW, SIMPLE_RANK, centered_scores
+from condrand.scores import RAW, SIMPLE_RANK, centered_scores, sums_exactly
 from oracles import (
     conditional_transition,
     enumerate_law,
@@ -308,6 +308,60 @@ class TestBlockedWalkMatchesReference:
         assert got.dtype == np.int8 and got.flags.c_contiguous
         assert np.array_equal(got, want)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class TestExactContraction:
+    """Scores whose sums are exact in float32 take one float32 contraction;
+    either path must equal the step-order reference bit for bit."""
+
+    @staticmethod
+    def _check(sampler, scores, size, seed=5):
+        got = sampler.accumulate_statistics(np.random.default_rng(seed), size, scores)
+        want = reference_accumulate_statistics(sampler, np.random.default_rng(seed), size, scores)
+        assert got.dtype == np.float64 and got.shape == (size, len(sampler.schedule))
+        assert np.array_equal(got, want)
+        return got
+
+    @pytest.fixture
+    def three_looks(self):
+        schedule = LookSchedule.from_pairs([(25, 12), (41, 20), (60, 31)])
+        return MultilookSampler(DesignSpec.bcd(0.7), schedule)
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 2500])
+    def test_tied_rank_scores(self, three_looks, size):
+        responses = np.round(np.random.default_rng(8).standard_normal(60), 1)
+        scores = [centered_scores(responses[: l.position]) for l in three_looks.schedule.looks]
+        assert all(sums_exactly(sv.values, np.float32) for sv in scores)
+        assert len(np.unique(responses)) < 60  # midranks of ties are halves
+        self._check(three_looks, scores, size)
+
+    @pytest.mark.parametrize("size", [0, 1, 2500])
+    def test_raw_scores(self, three_looks, size):
+        responses = np.random.default_rng(9).standard_normal(60)
+        scores = [centered_scores(responses[: l.position], RAW) for l in three_looks.schedule.looks]
+        assert not any(sums_exactly(sv.values, np.float32) for sv in scores)
+        self._check(three_looks, scores, size)
+
+    def test_guard_at_float32_significand(self):
+        # every draw takes both steps; 2^23 + 1/2 has no float32, so a
+        # float32 sum of the vector just over the guard would round
+        sampler = MultilookSampler(DesignSpec.bcd(0.75), LookSchedule.single(2, 2))
+        under_guard = np.array([2.0**23 - 1.0, 0.5])  # sum of |2 score| is 2^24 - 1
+        over_guard = np.array([2.0**23, 0.5])  # 2^24 + 1
+        assert sums_exactly(under_guard, np.float32)
+        assert not sums_exactly(over_guard, np.float32)
+        assert np.float32(over_guard.sum()) != over_guard.sum()
+        assert (self._check(sampler, [under_guard], 3) == 2.0**23 - 0.5).all()
+        assert (self._check(sampler, [over_guard], 3) == 2.0**23 + 0.5).all()
+
+    def test_predicate(self):
+        assert sums_exactly(np.array([2.0**51, -0.5]), np.float64)
+        # 2^53 + 1 rounds to 2^53 in the guard's own sum, which still fails it
+        assert not sums_exactly(np.array([2.0**52, 0.5]), np.float64)
+        assert not sums_exactly(np.array([2.0**22, -(2.0**22)]), np.float32)
+        assert not sums_exactly(np.array([0.25, -0.25]), np.float32)
+        assert not sums_exactly(np.array([np.nan, 0.5]), np.float32)
+        assert not sums_exactly(np.array([np.inf, -np.inf]), np.float64)
 
 
 @st.composite
