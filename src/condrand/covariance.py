@@ -223,12 +223,14 @@ def information_at_look(
     """
     if mode not in ("interim", "full"):
         raise ValueError(f"mode must be 'interim' or 'full', got {mode!r}")
+    prefix = schedule.prefix(look)
     horizon = schedule.horizon
-    r_l = schedule.looks[look - 1].position
+    r_l = prefix.horizon
     x = np.asarray(responses, dtype=float)
     if x.size < r_l:
         raise ValueError(f"need at least {r_l} responses for look {look}")
-    prefix = schedule.prefix(look)
+    if mode == "full" and x.size < horizon:
+        raise ValueError(f"full mode needs {horizon} responses, got {x.size}")
     scores_l = centered_scores(x[:r_l], kind)
     chain = ConditionalChain(design) if _chain is None else _chain
     sigma_l = covariance_multilook(design, prefix, _chain=chain)
@@ -246,8 +248,6 @@ def information_at_look(
     sigma_n = covariance_multilook(design, den_schedule, _chain=chain)
 
     if mode == "full":
-        if x.size < horizon:
-            raise ValueError(f"full mode needs {horizon} responses, got {x.size}")
         den_scores = [centered_scores(x[:horizon], kind)]
     else:
         den_scores = interpolate_scores(x[:r_l], horizon, rng, bootstrap, kind)

@@ -22,7 +22,7 @@ from .design import DesignSpec, simulate_unconditional
 from .montecarlo import k_percentile
 from .monitoring import OBRIEN_FLEMING, SpendingFunction, estimate_boundaries
 from .sampling import LookSchedule, MultilookSampler
-from .scores import centered_scores, statistic_batch
+from .scores import centered_scores
 from .streams import map_replicates, substream
 
 # (n, n1) rows of the repeatability study; paper scale adds n = 500
@@ -94,16 +94,14 @@ def tail_estimate_repeatability(
             v_star = _inclusive_tail_threshold(design, scores, n1, 0.1)
             exact_tail = float(exact_conditional_pvalue(design, scores, n1, v_star))
         else:
-            calib = statistic_batch(
-                scores, sampler.draw_batch(substream(seed, r_idx, 1), 200_000)
-            )
-            calib.sort()
+            calib = sampler.accumulate_statistics(substream(seed, r_idx, 1), 200_000, [scores])
+            calib = np.sort(calib[:, 0])
             v_star = float(calib[math.ceil(calib.size * 0.9) - 1])
             exact_tail = None
         estimates = np.empty(runs)
         for k in range(runs):
-            batch = sampler.draw_batch(substream(seed, r_idx, 2, k), n_c)
-            estimates[k] = float((statistic_batch(scores, batch) >= v_star).mean())
+            v = sampler.accumulate_statistics(substream(seed, r_idx, 2, k), n_c, [scores])
+            estimates[k] = float((v[:, 0] >= v_star).mean())
         out.append(
             {
                 "n": n,

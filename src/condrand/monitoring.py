@@ -198,6 +198,8 @@ def estimate_boundaries(
         raise ValueError(
             f"need {looks[-1].position} responses, got {x.size}"
         )
+    if info_fractions is not None and len(info_fractions) != len(looks):
+        raise ValueError(f"got {len(info_fractions)} information fractions for {len(looks)} looks")
     # one chain serves the covariance blocks and every stage
     sampler = MultilookSampler(design, schedule)
     if info_fractions is None:

@@ -20,7 +20,7 @@ from scipy import special
 from .design import DesignSpec, simulate_unconditional
 from .distributions import require_feasible
 from .errors import InsufficientAcceptancesError
-from .sampling import LookSchedule, MultilookSampler, sample_conditional
+from .sampling import LookSchedule, MultilookSampler
 from .scores import ScoreVector, StratifiedData, statistic_batch
 from .streams import as_generator
 
@@ -64,8 +64,8 @@ def estimate_pvalue_conditional(
     if len(scores) != n:
         raise ValueError(f"scores have length {len(scores)}, expected {n}")
     require_feasible(design, n, n1)
-    batch = sample_conditional(design, n, n1, rng, size=int(n_c))
-    v = statistic_batch(scores, batch)
+    sampler = MultilookSampler(design, LookSchedule.single(n, n1))
+    v = sampler.accumulate_statistics(rng, int(n_c), [scores])[:, 0]
     hits = int((v >= v_star).sum())
     return PValueEstimate.from_indicators(hits, int(n_c), DIRECT)
 
@@ -116,8 +116,7 @@ def estimate_pvalue_stratified(
     for stratum in data.strata:
         schedule = LookSchedule.single(len(stratum.scores), stratum.n1)
         sampler = MultilookSampler(stratum.design, schedule)
-        batch = sampler.draw_batch(rng, int(n_c))
-        total += statistic_batch(stratum.scores, batch)
+        total += sampler.accumulate_statistics(rng, int(n_c), [stratum.scores])[:, 0]
     hits = int((total >= v_star).sum())
     return PValueEstimate.from_indicators(hits, int(n_c), DIRECT)
 

@@ -19,7 +19,7 @@ import numpy as np
 from .design import DesignSpec, TreatmentSequence, _probability_row
 from .distributions import BLOCK_ENTRIES, backward_log_table
 from .errors import InfeasibleError
-from .scores import sums_exactly
+from .scores import step_sums
 from .streams import as_generator
 
 _NEG_INF = float("-inf")
@@ -73,7 +73,7 @@ class LookSchedule:
     def prefix(self, through_look: int) -> "LookSchedule":
         """Schedule truncated to the first ``through_look`` looks (1-based)."""
         if not 1 <= through_look <= len(self.looks):
-            raise ValueError(f"look index {through_look} out of range")
+            raise ValueError(f"look index {through_look} out of range for {len(self.looks)} looks")
         return LookSchedule(self.looks[:through_look])
 
     def segments(self) -> Iterable[tuple[int, int, int, int]]:
@@ -202,16 +202,13 @@ class MultilookSampler:
                 covering the first r_l positions.
 
         Returns:
-            Array of shape (size, L) of look statistics, each equal bit
-            for bit to its sum over the steps in step order.  When every
-            look's sums are exact in float32 (:func:`sums_exactly`; midranks
-            are up to n of about 5800) all looks are one float32
-            contraction; otherwise each look is summed in step order.
-            Neither path calls BLAS.
+            Array of shape (size, L) of look statistics, each summed by
+            :func:`~condrand.scores.step_sums` and so equal bit for bit to
+            its sum over the steps in step order.
         """
         ends = [l.position for l in self.schedule.looks]
         score_vectors = list(score_vectors)
-        if len(score_vectors) < len(ends):
+        if len(score_vectors) != len(ends):
             raise ValueError(f"need {len(ends)} score vectors, got {len(score_vectors)}")
         weights = []
         for r, sv in zip(ends, score_vectors):
@@ -219,29 +216,7 @@ class MultilookSampler:
             if vals.size != r:
                 raise ValueError(f"score vector for look at {r} has length {vals.size}")
             weights.append(vals)
-        size = int(size)
-        steps = self._walk(rng, size)
-        if all(sums_exactly(w, np.float32) for w in weights):
-            # every partial sum is exact in float32, so one contraction of
-            # a zero-padded (L, n) score table, in any order, keeps the bits;
-            # steps become float32 a block at a time to keep memory small
-            padded = np.zeros((len(ends), self.n), dtype=np.float32)
-            for l, (r, w) in enumerate(zip(ends, weights)):
-                padded[l, :r] = w
-            stats = np.zeros((size, len(ends)), dtype=np.float32)
-            block = max(1, 2 * BLOCK_ENTRIES // max(size, 1))
-            for lo in range(0, self.n, block):
-                part = steps[lo : lo + block].astype(np.float32)
-                stats += np.einsum("lj,jk->kl", padded[:, lo : lo + block], part)
-            return stats.astype(float)
-        if size == 1:
-            # einsum sums a single column with split accumulators; a second
-            # column keeps its loop over the steps outermost
-            steps = np.repeat(steps, 2, axis=1)
-        stats = np.zeros((size, len(ends)))
-        for l, (r, w) in enumerate(zip(ends, weights)):
-            stats[:, l] = np.einsum("jk,j->k", steps[:r], w)[:size]
-        return stats
+        return step_sums(weights, self._walk(rng, int(size)))
 
     def _walk(self, rng: np.random.Generator | int | None, size: int) -> np.ndarray:
         """An (n, size) bool matrix whose row j holds step j of every draw.

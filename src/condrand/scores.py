@@ -109,13 +109,11 @@ def _assignment_array(t) -> np.ndarray:
 
 
 def linear_rank_statistic(scores: ScoreVector, t) -> float:
-    """V = scores . t for one assignment vector."""
+    """V = scores . t for one assignment vector, summed by :func:`step_sums`."""
     arr = _assignment_array(t)
-    if arr.shape[-1] != len(scores):
-        raise ValueError(
-            f"length mismatch: {len(scores)} scores vs {arr.shape[-1]} assignments"
-        )
-    return float(scores.values @ arr)
+    if arr.shape != (len(scores),):
+        raise ValueError(f"length mismatch: {len(scores)} scores vs assignment shape {arr.shape}")
+    return float(step_sums([scores.values], arr[:, None])[0, 0])
 
 
 def sums_exactly(values: np.ndarray, dtype) -> bool:
@@ -134,20 +132,44 @@ def sums_exactly(values: np.ndarray, dtype) -> bool:
     return bool((twice == np.rint(twice)).all()) and float(np.abs(twice).sum()) < limit
 
 
+def step_sums(weights, steps: np.ndarray) -> np.ndarray:
+    """The (size, L) statistics of an (n, size) 0/1 step matrix, one column
+    per draw, under 1-D score arrays ``weights`` that each cover a prefix.
+
+    This is the package's one summation rule, so a sequence scores the
+    same float whether observed or drawn: entry (k, l) equals bit for bit
+    the step-order sum of ``weights[l][j] * steps[j, k]``.  When every
+    vector's sums are exact in float32 (:func:`sums_exactly`; midranks are
+    up to n of about 5800) all are one float32 contraction, in any order;
+    otherwise each is a float64 ``einsum`` over the steps outermost.
+    Neither calls BLAS.
+    """
+    n, size = steps.shape
+    if all(sums_exactly(w, np.float32) for w in weights):
+        # steps become float32 a block at a time to keep memory small
+        padded = np.zeros((len(weights), n), dtype=np.float32)
+        for l, w in enumerate(weights):
+            padded[l, : w.size] = w
+        stats = np.zeros((size, len(weights)), dtype=np.float32)
+        block = max(1, 2 * BLOCK_ENTRIES // max(size, 1))
+        for lo in range(0, n, block):
+            part = steps[lo : lo + block].astype(np.float32)
+            stats += np.einsum("lj,jk->kl", padded[:, lo : lo + block], part)
+        return stats.astype(float)
+    # einsum keeps the steps outermost only over C-ordered rows of two or
+    # more draws; it sums a single column with split accumulators
+    steps = np.ascontiguousarray(steps if size > 1 else np.repeat(steps, 2, axis=1))
+    stats = np.empty((size, len(weights)))
+    for l, w in enumerate(weights):
+        stats[:, l] = np.einsum("jk,j->k", steps[: w.size], w)[:size]
+    return stats
+
+
 def statistic_batch(scores: ScoreVector, batch: np.ndarray) -> np.ndarray:
     """V for every row of a (draws, n) assignment matrix."""
     if batch.shape[1] != len(scores):
         raise ValueError("assignment matrix width does not match scores")
-    values = scores.values
-    if not sums_exactly(values, np.float64):
-        return batch @ values
-    # sums of 0/1 draws times halves are exact in any order, so row chunks
-    # keep the bits and convert only a chunk of the draws to float at a time
-    out = np.empty(len(batch))
-    rows = max(1, BLOCK_ENTRIES // len(values))
-    for lo in range(0, len(batch), rows):
-        out[lo : lo + rows] = batch[lo : lo + rows].astype(float) @ values
-    return out
+    return step_sums([scores.values], batch.T)[:, 0]
 
 
 def interim_statistic(responses, t, cut: int, kind: str = SIMPLE_RANK) -> float:

@@ -304,6 +304,26 @@ class TestInformationAtLook:
         with pytest.raises(DegenerateScoresError):
             information_at_look(BCD23, schedule, np.ones(8), 1, rng=3, bootstrap=10)
 
+    def test_inputs_checked_before_any_covariance(self, monkeypatch):
+        built = []
+        real = covariance.covariance_multilook
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(covariance, "covariance_multilook", counting)
+        schedule = LookSchedule.from_pairs([(10, 5), (20, 10), (40, 20)])
+        x = np.random.default_rng(14).standard_normal(40)
+        for look in (0, 4):
+            with pytest.raises(ValueError, match=f"look index {look} out of range for 3 looks"):
+                information_at_look(BCD23, schedule, x, look)
+        with pytest.raises(ValueError, match="full mode needs 40 responses, got 30"):
+            information_at_look(BCD23, schedule, x[:30], 1, mode="full")
+        assert built == []
+        information_at_look(BCD23, schedule, x, 1, mode="full")
+        assert len(built) == 2
+
 
 class TestBlockMoments:
     @settings(max_examples=60, deadline=None)

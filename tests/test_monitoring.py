@@ -18,6 +18,7 @@ from condrand import (
 )
 from condrand.bruteforce import exact_statistic_distribution
 from condrand.monitoring import _conservative_boundary
+from condrand.sampling import MultilookSampler
 from oracles import conservative_boundary_reference, exact_statistic_quantile
 
 OBF = SpendingFunction("obf", 0.05)
@@ -162,6 +163,20 @@ class TestEstimateBoundaries:
         assert math.isinf(result.d[0])
         assert result.incremental_alpha[0] == 0.0
         assert math.isfinite(result.d[1])
+
+    @pytest.mark.parametrize("fractions", [[0.5, 1.0], [0.3, 0.6, 0.9, 1.0]])
+    def test_fraction_count_checked_before_any_draw(self, fractions, monkeypatch):
+        # before the check, two fractions raised IndexError after two
+        # stages, and four ran through and spent less than alpha
+        design, responses = self._setup()
+        schedule = LookSchedule.from_pairs([(4, 2), (8, 4), (12, 6)])
+        walks = []
+        monkeypatch.setattr(MultilookSampler, "_walk", lambda *args: walks.append(args))
+        with pytest.raises(ValueError, match=f"{len(fractions)} information fractions for 3 looks"):
+            estimate_boundaries(
+                design, schedule, responses, OBF, 2000, rng=6, info_fractions=fractions
+            )
+        assert walks == []
 
     def test_under_sample_error(self):
         design, responses = self._setup()

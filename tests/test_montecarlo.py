@@ -7,6 +7,8 @@ from condrand import (
     DesignSpec,
     InfeasibleError,
     InsufficientAcceptancesError,
+    LookSchedule,
+    MultilookSampler,
     StratifiedData,
     Stratum,
     centered_scores,
@@ -15,11 +17,13 @@ from condrand import (
     estimate_pvalue_stratified,
     exact_conditional_pvalue,
     k_percentile,
+    linear_rank_statistic,
     mc_sample_size,
     negative_binomial_quantile,
     stratified_statistic,
     unconditional_pmf,
 )
+from condrand.design import simulate_unconditional
 
 BCD23 = DesignSpec.bcd(2 / 3)
 
@@ -99,6 +103,77 @@ class TestStratifiedEstimator:
         est = estimate_pvalue_stratified(data, v_star, 20_000, rng=22)
         assert 0.0 < est.estimate <= 1.0
         assert est.n_effective == 20_000
+
+
+class TestTiedDrawsCount:
+    """A draw equal to the observed sequence has V = v* and must count.
+
+    Raw scores sum inexactly, so this holds only when the observed and
+    the drawn statistics are summed by one rule.  Each dataset's hits
+    are recounted from a replay of the estimator's draws: a draw counts
+    when it is the observed sequence or when its exact statistic exceeds
+    v* by far more than any rounding.
+    """
+
+    DESIGN = DesignSpec.bcd(0.75)
+    N = 10
+    DATASETS = 100
+
+    def _dataset(self, seed, n=N):
+        rng = np.random.default_rng(seed)
+        observed = simulate_unconditional(self.DESIGN, n, rng)
+        return centered_scores(rng.standard_normal(n), "raw"), observed.assignments
+
+    @staticmethod
+    def _expected_hits(draws, observed, values):
+        """Hits over (strata, draws, n) draws of (strata, n) observed sequences."""
+        exact = lambda t: math.fsum(v for tt, vv in zip(t, values) for v in vv[tt == 1])
+        v_obs = exact(observed)
+        hits = 0
+        for draw in zip(*draws):
+            same = all((d == o).all() for d, o in zip(draw, observed))
+            gap = exact(draw) - v_obs
+            assert same or abs(gap) > 1e-9  # no distinct sequence ties v*
+            hits += same or gap > 0
+        return hits
+
+    @pytest.mark.parametrize("method", ["direct", "rejection"])
+    def test_single_stratum(self, method):
+        for seed in range(self.DATASETS):
+            scores, observed = self._dataset(seed)
+            n1 = int(observed.sum())
+            v_star = linear_rank_statistic(scores, observed)
+            if method == "direct":
+                est = estimate_pvalue_conditional(
+                    self.DESIGN, self.N, n1, scores, v_star, 400, rng=seed
+                )
+                sampler = MultilookSampler(self.DESIGN, LookSchedule.single(self.N, n1))
+                draws = sampler.draw_batch(seed, 400)
+            else:
+                est = estimate_pvalue_rejection(
+                    self.DESIGN, self.N, n1, scores, v_star, 2000, rng=seed
+                )
+                draws = simulate_unconditional(self.DESIGN, self.N, seed, size=2000)
+                draws = draws[draws.sum(axis=1) == n1]
+            want = self._expected_hits([draws], [observed], [scores.values])
+            assert round(est.estimate * est.n_effective) == want, seed
+
+    def test_stratified(self):
+        # two strata of 5 subjects, so that both draws often equal the observed
+        for seed in range(self.DATASETS):
+            (a, t_a), (b, t_b) = self._dataset(2 * seed, 5), self._dataset(2 * seed + 1, 5)
+            data = StratifiedData(
+                (Stratum(a, int(t_a.sum()), self.DESIGN), Stratum(b, int(t_b.sum()), self.DESIGN))
+            )
+            v_star = stratified_statistic(data, [t_a, t_b])
+            est = estimate_pvalue_stratified(data, v_star, 400, rng=seed)
+            rng = np.random.default_rng(seed)
+            draws = [
+                MultilookSampler(s.design, LookSchedule.single(5, s.n1)).draw_batch(rng, 400)
+                for s in data.strata
+            ]
+            want = self._expected_hits(draws, [t_a, t_b], [a.values, b.values])
+            assert round(est.estimate * est.n_effective) == want, seed
 
 
 class TestNegativeBinomialQuantile:

@@ -18,8 +18,17 @@ from condrand import (
 import condrand.distributions as distributions
 import condrand.sampling as sampling
 from condrand.design import simulate_unconditional
+from condrand.experiments import tail_estimate_repeatability
 from condrand.sampling import ConditionalChain
-from condrand.scores import RAW, SIMPLE_RANK, centered_scores, sums_exactly
+from condrand.scores import (
+    RAW,
+    SIMPLE_RANK,
+    ScoreVector,
+    centered_scores,
+    linear_rank_statistic,
+    statistic_batch,
+    sums_exactly,
+)
 from oracles import (
     conditional_transition,
     enumerate_law,
@@ -195,6 +204,14 @@ class TestSamplers:
         with pytest.raises(ValueError, match="need 2 score vectors"):
             sampler.accumulate_statistics(rng, 5, scores[:1])
 
+    def test_extra_score_vectors_raise(self):
+        schedule = LookSchedule.from_pairs([(4, 2), (9, 5), (12, 6)])
+        sampler = MultilookSampler(DesignSpec.bcd(0.75), schedule)
+        scores = [np.arange(float(l.position)) - (l.position - 1) / 2 for l in schedule.looks]
+        with pytest.raises(ValueError, match="need 3 score vectors, got 4"):
+            sampler.accumulate_statistics(1, 5, scores + scores[-1:])
+        assert sampler.accumulate_statistics(1, 5, scores).shape == (5, 3)
+
     def test_prefix_draws_as_a_fresh_sampler(self):
         design = DesignSpec.bcd(0.7)
         sch = LookSchedule.from_pairs([(5, 3), (11, 5), (16, 9)])
@@ -308,6 +325,54 @@ class TestBlockedWalkMatchesReference:
         assert got.dtype == np.int8 and got.flags.c_contiguous
         assert np.array_equal(got, want)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@st.composite
+def scored_single_looks(draw):
+    """A single-look sampler with n <= 60, and raw, tied-rank or
+    half-integer scores for it."""
+    design = DesignSpec.bcd(draw(st.floats(0.5, 1.0)))
+    n = draw(st.integers(1, 60))
+    path = simulate_unconditional(design, n, draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["raw", "tied-rank", "halves"]))
+    if kind == "raw":
+        sv = centered_scores(rng.standard_normal(n), RAW)
+    elif kind == "tied-rank":
+        sv = centered_scores(np.round(rng.standard_normal(n), 1))
+    else:
+        halves = rng.integers(-9, 10, n) / 2.0
+        halves[-1] -= halves.sum()
+        sv = ScoreVector(halves, RAW)
+    return MultilookSampler(design, LookSchedule.single(n, path.count())), sv
+
+
+class TestOneSummationRule:
+    """The observed statistic, a batch of rows and the walk's statistics
+    are one sum, so a sequence scores the same float on every route."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(scored_single_looks(), st.sampled_from([1, 2, 2500]), st.integers(0, 2**32 - 1))
+    def test_routes_agree_bit_for_bit(self, case, size, seed):
+        sampler, sv = case
+        walked = sampler.accumulate_statistics(np.random.default_rng(seed), size, [sv])
+        want = reference_accumulate_statistics(sampler, np.random.default_rng(seed), size, [sv])
+        assert walked.tobytes() == want.tobytes()
+        batch = sampler.draw_batch(np.random.default_rng(seed), size)
+        assert statistic_batch(sv, batch).tobytes() == walked[:, 0].tobytes()
+        rows = np.array([linear_rank_statistic(sv, row) for row in batch])
+        assert rows.tobytes() == walked[:, 0].tobytes()
+
+    def test_calibration_never_copies_the_draws(self):
+        # table 2's n = 100 rows score 200000 draws; the walk's bool steps
+        # (20 MB) are all it holds, where a (draws, n) copy would add 20 MB
+        tracemalloc.start()
+        try:
+            tail_estimate_repeatability(rows=((100, 50),), runs=1, n_c=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000 * 100 + 10e6, peak
 
 
 class TestExactContraction:
