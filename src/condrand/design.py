@@ -162,6 +162,12 @@ def _probability_row(design: DesignSpec, j: int, m: np.ndarray) -> np.ndarray:
     return np.where(d == 0, 0.5, np.where(d < 0, design.p, 1.0 - design.p))
 
 
+def _imbalance_probabilities(design: DesignSpec, end: int) -> np.ndarray:
+    """Assignment probabilities at the imbalances d = 2m - j = -end..2 end,
+    the one at d at index d + end (count 0 at step -d has imbalance d)."""
+    return _probability_row(design, np.arange(end, -2 * end - 1, -1), 0)
+
+
 def simulate_unconditional(
     design: DesignSpec,
     n: int,

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .design import COMPLETE, DesignSpec, _probability_row
+from .design import COMPLETE, DesignSpec, _imbalance_probabilities
 from .errors import InfeasibleError
 
 __all__ = [
@@ -36,8 +36,9 @@ __all__ = [
 
 _NEG_INF = float("-inf")
 
-# Whole-array passes over a table take this many entries at a time, so
-# their temporaries stay small next to the table.
+# Whole-array passes over a table (the transition fill, the walk and
+# ``scores.step_sums``) take this many entries at a time, so their
+# temporaries stay small next to the table.
 BLOCK_ENTRIES = 1 << 16
 
 
@@ -352,8 +353,10 @@ def backward_log_table(
     """Log-probability table B[idx, m] = log P(N1(end) = target | N1(start+idx) = m).
 
     Rows run over steps ``start..end``; entries for unreachable states
-    are ``-inf``.  The log assignment probabilities come a block of rows
-    at a time, so each row of the recursion is two adds and a logaddexp.
+    are ``-inf``.  The log assignment probabilities are taken once, by
+    imbalance, so row j reads them as a stride-2 slice and computes only
+    the counts that can still reach the target, with two adds and one
+    logaddexp; the entries off that band stay ``-inf``.
     """
     if not 0 <= start < end:
         raise ValueError(f"need 0 <= start < end, got ({start}, {end})")
@@ -362,18 +365,14 @@ def backward_log_table(
     steps = end - start
     table = np.full((steps + 1, end + 2), _NEG_INF)
     table[steps, target] = 0.0
-    rows = max(1, BLOCK_ENTRIES // (end + 1))
+    pr = _imbalance_probabilities(design, end)
     with np.errstate(divide="ignore"):
-        for hi in range(end, start, -rows):
-            lo = max(start, hi - rows)
-            pr = _probability_row(design, np.arange(lo, hi)[:, None], np.arange(hi))
-            lp1, lp0 = np.log(pr), np.log1p(-pr)
-            for j in range(hi - 1, lo - 1, -1):
-                idx, r = j - start, j - lo
-                nxt = table[idx + 1]
-                up = np.add(lp1[r, : j + 1], nxt[1 : j + 2], out=lp1[r, : j + 1])
-                down = np.add(lp0[r, : j + 1], nxt[: j + 1], out=lp0[r, : j + 1])
-                np.logaddexp(up, down, out=table[idx, : j + 1])
+        lp1, lp0 = np.log(pr), np.log1p(-pr)
+        for j in range(end - 1, start - 1, -1):
+            lo, hi = max(0, target - (end - j)), min(j, target) + 1
+            idx, d = j - start, slice(end + 2 * lo - j, end + 2 * hi - j, 2)
+            up, down = lp1[d] + table[idx + 1, lo + 1 : hi + 1], lp0[d] + table[idx + 1, lo:hi]
+            np.logaddexp(up, down, out=table[idx, lo:hi])
     return table
 
 

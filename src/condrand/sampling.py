@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .design import DesignSpec, TreatmentSequence, _probability_row
+from .design import DesignSpec, TreatmentSequence, _imbalance_probabilities
 from .distributions import BLOCK_ENTRIES, backward_log_table
 from .errors import InfeasibleError
 from .scores import step_sums
@@ -103,26 +103,34 @@ def _fill_segment_chain(
     design: DesignSpec, start: int, start_count: int, end: int, end_count: int, psi: np.ndarray
 ) -> None:
     """Set ``psi[j - start, m]`` to P(T_{j+1} = 1 | N1(j) = m, N1(end) =
-    end_count) for start <= j < end, a block of rows at a time; a zeroed
-    ``psi`` stays 0 for m > j."""
+    end_count) for start <= j < end, a block of rows at a time.  A block
+    computes only the counts from the first that can reach ``end_count``
+    in its first row up to ``end_count``; the rest of a zeroed ``psi``
+    stays 0."""
+    if not 0 <= start_count <= start:
+        raise InfeasibleError(f"count {start_count} at position {start} is outside 0..{start}")
     table = backward_log_table(design, start, end, end_count)
     if table[0, start_count] == _NEG_INF:
         raise InfeasibleError(
             f"look (position {end}, count {end_count}) is unreachable "
             f"from count {start_count} at position {start} under {design.label()}"
         )
+    pr = _imbalance_probabilities(design, end)
     rows = max(1, BLOCK_ENTRIES // (end + 1))
     for lo in range(start, end, rows):
         hi = min(lo + rows, end)
         a, b = lo - start, hi - start
-        # counts up to hi - 1; those above a row's step have cur = -inf
-        cur = table[a:b, :hi]
+        c0, c1 = max(0, end_count - (end - lo)), min(hi, end_count + 1)
+        cur, up = table[a:b, c0:c1], table[a + 1 : b + 1, c0 + 1 : c1 + 1]
         with np.errstate(invalid="ignore"):
-            ratio = np.where(cur > _NEG_INF, np.exp(table[a + 1 : b + 1, 1 : hi + 1] - cur), 0.0)
-        block = _probability_row(design, np.arange(lo, hi)[:, None], np.arange(hi)) * ratio
+            ratio = np.where(cur > _NEG_INF, np.exp(up - cur), 0.0)
+        # P(T_{j+1} = 1 | N1(j) = m) is pr[end + 2m - j]: a read-only view of pr
+        view = (b - a, c1 - c0), (-pr.itemsize, 2 * pr.itemsize)
+        box = np.lib.stride_tricks.as_strided(pr[end + 2 * c0 - lo :], *view, writeable=False)
+        block = box * ratio
         if block.max(initial=0.0) > 1.0 + 1e-9:
             raise AssertionError("transition probability exceeds 1")
-        np.clip(block, 0.0, 1.0, out=psi[a:b, :hi])
+        np.clip(block, 0.0, 1.0, out=psi[a:b, c0:c1])
 
 
 class ConditionalChain:
@@ -234,11 +242,11 @@ class MultilookSampler:
         block = max(1, BLOCK_ENTRIES // max(size, 1))
         for start in range(0, self.n, block):
             uniforms = rng.random((min(block, self.n - start), size))
-            for j, u in enumerate(uniforms, start):
+            for row, u, step in zip(self._rows[start : start + block], uniforms, steps[start:]):
                 # counts never leave 0..j, so clipping skips a bounds check only
-                self._rows[j].take(m, out=prob, mode="clip")
-                np.less(u, prob, out=steps[j])
-                m += steps[j]
+                row.take(m, out=prob, mode="clip")
+                np.less(u, prob, out=step)
+                m += step
         return steps
 
 

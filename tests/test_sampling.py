@@ -445,9 +445,8 @@ class TestBlockedChainMatchesReference:
     @given(segment_cases(), st.sampled_from([1, 7, 300, distributions.BLOCK_ENTRIES]))
     def test_table_and_psi_are_the_row_by_row_bits(self, case, block):
         design, (r0, m0, r1, m1) = case
-        with mock.patch.object(distributions, "BLOCK_ENTRIES", block), mock.patch.object(
-            sampling, "BLOCK_ENTRIES", block
-        ):
+        # the backward table works row by row; only the fill is blocked
+        with mock.patch.object(sampling, "BLOCK_ENTRIES", block):
             table = distributions.backward_log_table(design, r0, r1, m1)
             assert table.tobytes() == reference_backward_log_table(design, r0, r1, m1).tobytes()
             try:
@@ -472,6 +471,33 @@ class TestBlockedChainMatchesReference:
             reference_segment_chain(design, *segment)
         with pytest.raises(InfeasibleError):
             ConditionalChain(design).table(*segment)
+
+    @pytest.mark.parametrize(
+        "design, segment",
+        [
+            *[
+                (DesignSpec.bcd(p), (0, 0, 500, n1))
+                for p in (2 / 3, 0.75)
+                for n1 in (225, 240, 250)
+            ],
+            # the n = 350 trial's three looks, and an interim denominator
+            (DesignSpec.bcd(0.75), (0, 0, 250, 126)),
+            (DesignSpec.bcd(0.75), (250, 126, 300, 148)),
+            (DesignSpec.bcd(0.75), (300, 148, 350, 174)),
+            (DesignSpec.bcd(0.75), (250, 126, 350, 176)),
+        ],
+    )
+    def test_bench_and_golden_horizons_are_the_row_by_row_bits(self, design, segment):
+        r0, m0, r1, m1 = segment
+        table = distributions.backward_log_table(design, r0, r1, m1)
+        assert table.tobytes() == reference_backward_log_table(design, r0, r1, m1).tobytes()
+        want = reference_segment_chain(design, *segment)
+        assert ConditionalChain(design).table(*segment).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("segment", [(5, -10, 10, 3), (5, 20, 10, 8), (5, 6, 10, 8)])
+    def test_start_count_outside_its_range_raises(self, segment):
+        with pytest.raises(InfeasibleError, match=f"count {segment[1]} at position 5"):
+            ConditionalChain(DesignSpec.bcd(0.75)).table(*segment)
 
     def test_build_memory_is_the_two_tables(self):
         # the table and psi of n = 2000 take 61 MiB; the block passes add
