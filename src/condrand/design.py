@@ -153,19 +153,13 @@ def assignment_probability(design: DesignSpec, j: int, m_j: int) -> float:
     return design.p if 2 * m_j < j else 1.0 - design.p
 
 
-def _probability_row(design: DesignSpec, j: int, m: np.ndarray) -> np.ndarray:
-    """Vectorized assignment probabilities at steps ``j`` for counts ``m``,
-    broadcast against each other."""
-    if design.kind == COMPLETE:
-        return np.full(np.broadcast_shapes(np.shape(j), np.shape(m)), 0.5)
-    d = 2 * m - j
-    return np.where(d == 0, 0.5, np.where(d < 0, design.p, 1.0 - design.p))
-
-
 def _imbalance_probabilities(design: DesignSpec, end: int) -> np.ndarray:
     """Assignment probabilities at the imbalances d = 2m - j = -end..2 end,
-    the one at d at index d + end (count 0 at step -d has imbalance d)."""
-    return _probability_row(design, np.arange(end, -2 * end - 1, -1), 0)
+    the one at d at index d + end."""
+    if design.kind == COMPLETE:
+        return np.full(3 * end + 1, 0.5)
+    d = np.arange(-end, 2 * end + 1)
+    return np.where(d == 0, 0.5, np.where(d < 0, design.p, 1.0 - design.p))
 
 
 def simulate_unconditional(
@@ -192,9 +186,9 @@ def simulate_unconditional(
     rows = 1 if size is None else int(size)
     out = np.empty((rows, n), dtype=np.int8)
     m = np.zeros(rows, dtype=np.int64)
+    pr = _imbalance_probabilities(design, n)
     for j in range(n):
-        pr = _probability_row(design, j, m)
-        t = rng.random(rows) < pr
+        t = rng.random(rows) < pr[n + 2 * m - j]
         out[:, j] = t
         m += t
     if size is None:

@@ -11,9 +11,14 @@ ballot coefficients.  Every probability is available from two backends:
 * ``"exact"``: arbitrary-precision rational arithmetic, intended for
   verification and small-sample exact work (horizons up to a few dozen).
 
-Branches of the conditional law are classified by the walk geometry
-(start in deficit / balanced / surplus; end below / at / above balance;
-or no return to balance at all).
+The coin treats the two arms alike, so P(N1(n) = n1 | N1(j) = m) =
+P(N1(n) = n - n1 | N1(j) = j - m).  Every law is therefore priced from
+below balance: a start in surplus (2m > j) is mirrored into a start in
+deficit, and an unconditional count above n/2 into one below.  From a
+deficit the walk either ends below, at or above balance, or never
+returns to balance at all; a balanced start restarts the unconditional
+law.  The mirror only turns a binomial argument k into t - k, and
+binom(t, k) = binom(t, t - k), so every value keeps its bits.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from fractions import Fraction
 import numpy as np
 
 from .design import COMPLETE, DesignSpec, _imbalance_probabilities
-from .errors import InfeasibleError
 
 __all__ = [
     "unconditional_pmf",
@@ -42,33 +46,14 @@ _NEG_INF = float("-inf")
 BLOCK_ENTRIES = 1 << 16
 
 
-def _ballot_int(x: int, l: int) -> int:
-    """Ballot coefficient C(x, l) = (x - l)/(x + l) * binom(x + l, l) as an
-    exact integer.
-
-    C(x, l) counts lattice paths with ``x`` up-steps and ``l`` down-steps
-    that never return to their starting level; C(0, 0) = 1 by convention.
-    """
-    if l < 0 or x < 0:
-        raise ValueError(f"ballot coefficient needs nonnegative arguments, got ({x}, {l})")
-    if l > x:
-        raise ValueError(f"ballot coefficient undefined for l > x ({l} > {x})")
-    if l == 0:
-        return 1
-    if l == x:
-        return 0
-    num = (x - l) * math.comb(x + l, l)
-    if num % (x + l) != 0:
-        raise AssertionError(f"ballot numerator {num} is not divisible by {x + l}")
-    return num // (x + l)
-
-
 def _ballot_terms(x: int, l_max: int):
     """Yield ``(l, C(x, l))`` for each ``l <= l_max`` with ``C(x, l) > 0``.
 
-    The same integers as :func:`_ballot_int`, each stepped exactly from
-    the previous binomial ``binom(x + l, l)`` instead of a fresh
-    ``math.comb``, so a whole series costs one pass over its digits.
+    C(x, l) = (x - l)/(x + l) * binom(x + l, l) counts lattice paths with
+    ``x`` up-steps and ``l`` down-steps that never return to their starting
+    level; C(0, 0) = 1 by convention.  Each is stepped exactly from the
+    previous binomial ``binom(x + l, l)`` instead of a fresh ``math.comb``,
+    so a whole series costs one pass over its digits.
     """
     if l_max < 0:
         return
@@ -94,7 +79,6 @@ class _SeriesPlan:
     """One closed-form branch: optionally halved ballot series plus an
     optional no-return correction term, all times a power of p."""
 
-    label: str
     halved: bool
     p_exp: int
     x: int
@@ -109,7 +93,6 @@ class _PurePlan:
     """A branch where the walk never returns to balance: a single binomial
     term ``binom(trials, ones) p^p_exp q^q_exp``."""
 
-    label: str
     trials: int
     ones: int
     p_exp: int
@@ -117,47 +100,27 @@ class _PurePlan:
 
 
 def _plan_unconditional(n: int, n1: int):
+    n1 = min(n1, n - n1)  # the mirror: end at or below balance
     if 2 * n1 == n:
-        return _SeriesPlan("end_balanced", False, n1, n1, n1 - 1, 0)
-    if 2 * n1 < n:
-        return _SeriesPlan("end_below", True, n1, n - n1, n1, n - 2 * n1 - 1)
-    return _SeriesPlan("end_above", True, n - n1, n1, n - n1, 2 * n1 - n - 1)
+        return _SeriesPlan(False, n1, n1, n1 - 1, 0)
+    return _SeriesPlan(True, n1, n - n1, n1, n - 2 * n1 - 1)
 
 
 def _plan_conditional(n: int, n1: int, j: int, m: int):
-    """Branch plan for P(N1(n) = n1 | N1(j) = m), 1 <= j < n, feasible state."""
-    if 2 * m < j:
-        # start in deficit: imbalance 2m - j < 0
-        if n1 < j - m:
-            # too few future ones to ever reach balance
-            return _PurePlan("deficit_no_return", n - j, n1 - m, n1 - m, n - j - n1 + m)
-        if 2 * n1 < n:
-            corr = (n1 - m, n1 - j + m, n - j - n1 + m)
-            return _SeriesPlan(
-                "deficit_end_below", True, n1 - m, n - n1 - m, n1 + m - j,
-                n - 2 * n1 - 1, n - j, corr,
-            )
-        if 2 * n1 == n:
-            return _SeriesPlan("deficit_end_balanced", False, n1 - m, n1 - m, n - j - n1 + m, 0)
-        return _SeriesPlan(
-            "deficit_end_above", True, n - n1 - m, n1 - m, n - j - n1 + m, 2 * n1 - n - 1
-        )
-    # start in surplus: imbalance 2m - j > 0 (the balanced start is handled
-    # by restarting the unconditional law, see conditional_pmf)
+    """Branch plan for P(N1(n) = n1 | N1(j) = m), 1 <= j < n, feasible state
+    off balance."""
+    if 2 * m > j:
+        # the mirror: a start in surplus is the other arm's start in deficit
+        n1, m = n - n1, j - m
+    if n1 < j - m:
+        # too few future ones to ever reach balance
+        return _PurePlan(n - j, n1 - m, n1 - m, n - j - n1 + m)
     if 2 * n1 < n:
-        return _SeriesPlan(
-            "surplus_end_below", True, n1 + m - j, n - j - n1 + m, n1 - m, n - 2 * n1 - 1
-        )
+        corr = (n1 - m, n1 - j + m, n - j - n1 + m)
+        return _SeriesPlan(True, n1 - m, n - n1 - m, n1 + m - j, n - 2 * n1 - 1, n - j, corr)
     if 2 * n1 == n:
-        return _SeriesPlan("surplus_end_balanced", False, n - j - n1 + m, n - j - n1 + m, n1 - m, 0)
-    if n1 <= n - m:
-        corr = (n1 - m, n1 - j + m, n1 - m)
-        return _SeriesPlan(
-            "surplus_end_above", True, n - j - n1 + m, n1 + m - j, n - n1 - m,
-            2 * n1 - n - 1, n - j, corr,
-        )
-    # too few future zeros to ever reach balance
-    return _PurePlan("surplus_no_return", n - j, n1 - m, n - j - n1 + m, n1 - m)
+        return _SeriesPlan(False, n1 - m, n1 - m, n - j - n1 + m, 0)
+    return _SeriesPlan(True, n - n1 - m, n1 - m, n - j - n1 + m, 2 * n1 - n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +145,10 @@ def _eval_series_float(plan: _SeriesPlan, p: float) -> float:
     q = 1.0 - p
     logs: list[float] = []
     if q == 0.0:
-        # permuted-block limit: only terms with a zero q-exponent survive
-        l0 = -plan.q_base
-        if 0 <= l0 <= plan.l_max:
-            c = _ballot_int(plan.x, l0)
-            if c > 0:
-                logs.append(math.log(c))
+        # permuted-block limit: only a zero q-exponent survives; q_base >= 0,
+        # so that is the l = 0 term when q_base == 0, and log C(x, 0) = 0
+        if plan.q_base == 0 and plan.l_max >= 0:
+            logs.append(0.0)
     else:
         lq = math.log(q)
         for l, c in _ballot_terms(plan.x, plan.l_max):
@@ -375,12 +336,3 @@ def backward_log_table(
             np.logaddexp(up, down, out=table[idx, lo:hi])
     return table
 
-
-def require_feasible(design: DesignSpec, n: int, n1: int) -> float:
-    """Return P(N1(n) = n1), raising if the conditioning event is null."""
-    pi = unconditional_pmf(design, n, n1)
-    if pi <= 0.0:
-        raise InfeasibleError(
-            f"N1({n}) = {n1} has probability zero under {design.label()}"
-        )
-    return pi

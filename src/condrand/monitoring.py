@@ -14,7 +14,7 @@ the nominal number survive the earlier boundaries in expectation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import special
@@ -132,15 +132,7 @@ class BoundaryResult:
     spending: str
 
     def to_json(self) -> dict:
-        return {
-            "d": list(self.d),
-            "incremental_alpha": list(self.incremental_alpha),
-            "info_fractions": list(self.info_fractions),
-            "n_used": list(self.n_used),
-            "n_generated": list(self.n_generated),
-            "alpha": self.alpha,
-            "spending": self.spending,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ import numpy as np
 from scipy import special
 
 from .design import DesignSpec, simulate_unconditional
-from .distributions import require_feasible
-from .errors import InsufficientAcceptancesError
+from .distributions import unconditional_pmf
+from .errors import InfeasibleError, InsufficientAcceptancesError
 from .sampling import LookSchedule, MultilookSampler
 from .scores import ScoreVector, StratifiedData, statistic_batch
 from .streams import as_generator
@@ -63,7 +63,6 @@ def estimate_pvalue_conditional(
         raise ValueError(f"need at least one draw, got {n_c}")
     if len(scores) != n:
         raise ValueError(f"scores have length {len(scores)}, expected {n}")
-    require_feasible(design, n, n1)
     sampler = MultilookSampler(design, LookSchedule.single(n, n1))
     v = sampler.accumulate_statistics(rng, int(n_c), [scores])[:, 0]
     hits = int((v >= v_star).sum())
@@ -151,7 +150,9 @@ def k_percentile(design: DesignSpec, n: int, n1: int, n_c: int, level: float) ->
     """Planning quantile for rejection sampling: the ``level`` percentile of
     the total number of unconditional draws needed to collect ``n_c``
     sequences with N1(n) = n1."""
-    pi = require_feasible(design, n, n1)
+    pi = unconditional_pmf(design, n, n1)
+    if pi <= 0.0:
+        raise InfeasibleError(f"N1({n}) = {n1} has probability zero under {design.label()}")
     return negative_binomial_quantile(int(n_c), pi, level)
 
 

@@ -153,6 +153,8 @@ class ConditionalChain:
         key = (start, start_count, end, end_count)
         psi = self._tables.get(key)
         if psi is None:
+            if not 0 <= start < end:
+                raise ValueError(f"need 0 <= start < end, got positions {start} and {end}")
             psi = np.zeros((end - start, end + 2))
             _fill_segment_chain(self.design, *key, psi)
             self._tables[key] = psi

@@ -7,14 +7,18 @@ can hold the package to them.  None of them is fast.  In order:
 
 * the unconditional law of every sequence by enumeration, in rational
   arithmetic, with the laws, covariances and quantiles derived from it,
-  a sequence's probability under a sampler, and the closed-form branch
-  that prices each conditional state;
+  and a sequence's probability under a sampler;
+* the closed-form plans derived on both sides of balance, each with the
+  name of its branch, against which the package's mirrored plans are
+  held bit for bit;
 * the chain's transitions, one state at a time from the closed forms;
 * its moments, one entry at a time as sums over the closed forms;
 * the chain in rational arithmetic;
 * the closed-form ballot series priced one ``math.comb`` per term,
   against which the package's stepped series is held bit for bit;
-* the chain built one row at a time, and the exact DP run over
+* the assignment probabilities one step at a time, from which
+  unconditional sequences are drawn and the chain is built one row at a
+  time, and the exact DP run over
   ``(count, statistic)`` pairs, against which the package's block passes
   and per-count DP are held bit for bit;
 * a stage's conservative boundary by a walk over the distinct sample
@@ -30,12 +34,12 @@ from fractions import Fraction
 import numpy as np
 
 from condrand.bruteforce import MAX_DP, _integerize_scores, exact_statistic_distribution
-from condrand.design import COMPLETE, DesignSpec, _probability_row, assignment_probability
+from condrand.design import COMPLETE, DesignSpec, assignment_probability
 from condrand.distributions import (
     _NEG_INF,
-    _ballot_int,
     _correction_value,
-    _plan_conditional,
+    _PurePlan,
+    _SeriesPlan,
     _validate_conditional_args,
     conditional_pmf,
     unconditional_pmf,
@@ -168,6 +172,58 @@ def exact_statistic_quantile(design: DesignSpec, scores, n1: int, alpha: float) 
     return best
 
 
+# ---------------------------------------------------------------------------
+# The closed-form plans on both sides of balance, each with its branch name.
+
+
+def reference_plan_unconditional(n: int, n1: int):
+    """(branch name, plan) for P(N1(n) = n1), derived for each side of n/2."""
+    if 2 * n1 == n:
+        return "end_balanced", _SeriesPlan(False, n1, n1, n1 - 1, 0)
+    if 2 * n1 < n:
+        return "end_below", _SeriesPlan(True, n1, n - n1, n1, n - 2 * n1 - 1)
+    return "end_above", _SeriesPlan(True, n - n1, n1, n - n1, 2 * n1 - n - 1)
+
+
+def reference_plan_conditional(n: int, n1: int, j: int, m: int):
+    """(branch name, plan) for P(N1(n) = n1 | N1(j) = m), 1 <= j < n,
+    feasible state off balance, derived for a start in deficit and a start
+    in surplus alike."""
+    if 2 * m < j:
+        # start in deficit: imbalance 2m - j < 0
+        if n1 < j - m:
+            # too few future ones to ever reach balance
+            return "deficit_no_return", _PurePlan(n - j, n1 - m, n1 - m, n - j - n1 + m)
+        if 2 * n1 < n:
+            corr = (n1 - m, n1 - j + m, n - j - n1 + m)
+            return "deficit_end_below", _SeriesPlan(
+                True, n1 - m, n - n1 - m, n1 + m - j, n - 2 * n1 - 1, n - j, corr
+            )
+        if 2 * n1 == n:
+            return "deficit_end_balanced", _SeriesPlan(
+                False, n1 - m, n1 - m, n - j - n1 + m, 0
+            )
+        return "deficit_end_above", _SeriesPlan(
+            True, n - n1 - m, n1 - m, n - j - n1 + m, 2 * n1 - n - 1
+        )
+    # start in surplus: imbalance 2m - j > 0
+    if 2 * n1 < n:
+        return "surplus_end_below", _SeriesPlan(
+            True, n1 + m - j, n - j - n1 + m, n1 - m, n - 2 * n1 - 1
+        )
+    if 2 * n1 == n:
+        return "surplus_end_balanced", _SeriesPlan(
+            False, n - j - n1 + m, n - j - n1 + m, n1 - m, 0
+        )
+    if n1 <= n - m:
+        corr = (n1 - m, n1 - j + m, n1 - m)
+        return "surplus_end_above", _SeriesPlan(
+            True, n - j - n1 + m, n1 + m - j, n - n1 - m, 2 * n1 - n - 1, n - j, corr
+        )
+    # too few future zeros to ever reach balance
+    return "surplus_no_return", _PurePlan(n - j, n1 - m, n - j - n1 + m, n1 - m)
+
+
 def walk_branch(n: int, n1: int, j: int, m: int) -> str:
     """Name of the closed-form branch that prices P(N1(n)=n1 | N1(j)=m)."""
     _validate_conditional_args(n, n1, j, m)
@@ -179,7 +235,7 @@ def walk_branch(n: int, n1: int, j: int, m: int) -> str:
         return "unconditional"
     if 2 * m == j:
         return "balanced_restart"
-    return _plan_conditional(n, n1, j, m).label
+    return reference_plan_conditional(n, n1, j, m)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +457,27 @@ def covariance_final_exact(design: DesignSpec, n: int, n1: int) -> np.ndarray:
 # Closed-form series, one fresh ballot coefficient per term.
 
 
+def _ballot_int(x: int, l: int) -> int:
+    """Ballot coefficient C(x, l) = (x - l)/(x + l) * binom(x + l, l) as an
+    exact integer.
+
+    C(x, l) counts lattice paths with ``x`` up-steps and ``l`` down-steps
+    that never return to their starting level; C(0, 0) = 1 by convention.
+    """
+    if l < 0 or x < 0:
+        raise ValueError(f"ballot coefficient needs nonnegative arguments, got ({x}, {l})")
+    if l > x:
+        raise ValueError(f"ballot coefficient undefined for l > x ({l} > {x})")
+    if l == 0:
+        return 1
+    if l == x:
+        return 0
+    num = (x - l) * math.comb(x + l, l)
+    if num % (x + l) != 0:
+        raise AssertionError(f"ballot numerator {num} is not divisible by {x + l}")
+    return num // (x + l)
+
+
 def reference_eval_series_float(plan, p: float) -> float:
     """Float value of a closed-form series plan, each term's ballot
     coefficient computed on its own by ``_ballot_int``."""
@@ -438,6 +515,28 @@ def reference_eval_series_float(plan, p: float) -> float:
 
 # ---------------------------------------------------------------------------
 # The chain one row at a time, and the exact DP keyed by (count, statistic).
+
+
+def _probability_row(design: DesignSpec, j: int, m: np.ndarray) -> np.ndarray:
+    """Vectorized assignment probabilities at steps ``j`` for counts ``m``,
+    broadcast against each other."""
+    if design.kind == COMPLETE:
+        return np.full(np.broadcast_shapes(np.shape(j), np.shape(m)), 0.5)
+    d = 2 * m - j
+    return np.where(d == 0, 0.5, np.where(d < 0, design.p, 1.0 - design.p))
+
+
+def reference_unconditional_draws(design: DesignSpec, n: int, seed: int, rows: int):
+    """``simulate_unconditional``'s (rows, n) draws with the assignment
+    probabilities of every step taken afresh."""
+    rng = np.random.default_rng(seed)
+    out = np.empty((rows, n), dtype=np.int8)
+    m = np.zeros(rows, dtype=np.int64)
+    for j in range(n):
+        t = rng.random(rows) < _probability_row(design, j, m)
+        out[:, j] = t
+        m += t
+    return out
 
 
 def reference_backward_log_table(design: DesignSpec, start: int, end: int, target: int):

@@ -339,6 +339,10 @@ class TestErrorPaths:
             "--assignments", str(seq), "--reps", "100", "--seed", "1",
         )
         assert code == 3
+        assert err == (
+            "infeasible: look (position 4, count 4) is unreachable "
+            "from count 0 at position 0 under bcd:1\n"
+        )
 
     @pytest.mark.parametrize(
         "bad, scores", [("nan", "simple-rank"), ("nan", "raw"), ("inf", "raw")]

@@ -9,7 +9,7 @@ from condrand import (
     assignment_probability,
     simulate_unconditional,
 )
-from oracles import enumerate_law, sequence_probability
+from oracles import enumerate_law, reference_unconditional_draws, sequence_probability
 
 
 class TestDesignSpec:
@@ -124,6 +124,19 @@ class TestSimulateUnconditional:
         freq = (batch.sum(axis=1) == 1).mean()
         se = np.sqrt((2 / 3) * (1 / 3) / draws)
         assert abs(freq - 2 / 3) <= 4 * se
+
+    @pytest.mark.parametrize(
+        "design",
+        [DesignSpec.bcd(0.75), DesignSpec.bcd(1.0), DesignSpec.bcd(0.5), DesignSpec.complete()],
+        ids=str,
+    )
+    @pytest.mark.parametrize("size", [None, 2500, 80_000])
+    def test_draws_are_the_step_by_step_bits(self, design, size):
+        got = simulate_unconditional(design, 30, rng=16, size=size)
+        if size is None:
+            got = got.assignments[None, :]
+        want = reference_unconditional_draws(design, 30, 16, size or 1)
+        assert got.tobytes() == want.tobytes()
 
     def test_single_draw_type(self):
         t = simulate_unconditional(DesignSpec.bcd(0.75), 12, rng=3)

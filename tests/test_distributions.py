@@ -12,12 +12,15 @@ from condrand import (
     pmf_table,
     unconditional_pmf,
 )
-from condrand.distributions import _ballot_int, _ballot_terms, backward_log_table
+from condrand.distributions import _ballot_terms, backward_log_table
 from oracles import (
+    _ballot_int,
     backward_exact_table,
     count_constraints_predicate,
     enumerate_law,
     reference_eval_series_float,
+    reference_plan_conditional,
+    reference_plan_unconditional,
     walk_branch,
 )
 
@@ -220,11 +223,10 @@ class TestConditionalPmf:
             conditional_pmf(BCD23, 5, 2, 3, 4)
 
 
-BRANCHES = (
-    "certain",
-    "impossible",
-    "unconditional",
-    "balanced_restart",
+# the branches of the reference plans, and the cases conditional_pmf
+# settles before it takes a plan
+UNCONDITIONAL_PLANS = ("end_below", "end_balanced", "end_above")
+CONDITIONAL_PLANS = (
     "deficit_no_return",
     "deficit_end_below",
     "deficit_end_balanced",
@@ -234,6 +236,32 @@ BRANCHES = (
     "surplus_end_above",
     "surplus_no_return",
 )
+BRANCHES = ("certain", "impossible", "unconditional", "balanced_restart") + CONDITIONAL_PLANS
+# a random bias, the fair coin, the permuted block of two, and complete
+DESIGN_DRAWS = st.one_of(
+    st.just(DesignSpec.complete()),
+    st.sampled_from((0.5, 1.0)).map(DesignSpec.bcd),
+    st.floats(0.5, 1.0).map(DesignSpec.bcd),
+)
+
+
+@st.composite
+def _count_in_plan(draw, label):
+    """(n, n1) at n <= 600 whose unconditional law takes the named plan."""
+    n = draw(st.integers(1, 600))
+    targets = [n1 for n1 in range(n + 1) if reference_plan_unconditional(n, n1)[0] == label]
+    assume(targets)
+    return n, draw(st.sampled_from(targets))
+
+
+def _laws(design, n, n1, j=None, m=None):
+    """The float values, as an array, and the exact values of the
+    unconditional law at (n, n1) and, given (j, m), the conditional one."""
+    calls = [(unconditional_pmf, (n, n1))]
+    if j is not None:
+        calls.append((conditional_pmf, (n, n1, j, m)))
+    floats = np.array([law(design, *args) for law, args in calls])
+    return floats, [law(design, *args, backend="exact") for law, args in calls]
 
 
 @st.composite
@@ -272,14 +300,7 @@ class TestWalkBranches:
 
     @pytest.mark.parametrize("label", BRANCHES)
     @settings(max_examples=10, deadline=None)
-    @given(
-        design=st.one_of(
-            st.just(DesignSpec.complete()),
-            st.sampled_from((0.5, 1.0)).map(DesignSpec.bcd),
-            st.floats(0.5, 1.0).map(DesignSpec.bcd),
-        ),
-        data=st.data(),
-    )
+    @given(design=DESIGN_DRAWS, data=st.data())
     def test_stepped_series_equals_per_term_oracle(self, label, design, data):
         n, n1, j, m = data.draw(_state_in_branch(label))
         assert walk_branch(n, n1, j, m) == label
@@ -288,6 +309,25 @@ class TestWalkBranches:
             mp.setattr(distributions, "_eval_series_float", reference_eval_series_float)
             want = [unconditional_pmf(design, n, n1), conditional_pmf(design, n, n1, j, m)]
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("label", UNCONDITIONAL_PLANS + CONDITIONAL_PLANS)
+    @settings(max_examples=10, deadline=None)
+    @given(design=DESIGN_DRAWS, data=st.data())
+    def test_mirrored_plans_equal_the_two_sided_reference(self, label, design, data):
+        if label in UNCONDITIONAL_PLANS:
+            state = data.draw(_count_in_plan(label))
+        else:
+            state = data.draw(_state_in_branch(label))
+        got_float, got_exact = _laws(design, *state)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distributions, "_plan_unconditional",
+                       lambda *a: reference_plan_unconditional(*a)[1])
+            mp.setattr(distributions, "_plan_conditional",
+                       lambda *a: reference_plan_conditional(*a)[1])
+            want_float, want_exact = _laws(design, *state)
+        assert got_float.tobytes() == want_float.tobytes()
+        assert all(isinstance(v, Fraction) for v in got_exact)
+        assert got_exact == want_exact
 
     def test_correction_branches_priced_correctly(self):
         # spot-check the two branches carrying the no-return correction term

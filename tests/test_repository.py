@@ -1,8 +1,9 @@
 """Checks on the repository's own files: the demos run, the package
 raises its numerical guards explicitly instead of with ``assert``, which
 ``python -O`` strips, importing it leaves ``multiprocessing`` unloaded,
-every public name has a caller outside the tests, every option of a
-public function is set by some caller, and each committed
+every public name and every top-level function or class of the package
+has a caller outside the tests, every option of a public function is
+set by some caller, and each committed
 ``BENCH_*.json`` summarises its own per-run values."""
 
 import ast
@@ -79,15 +80,20 @@ def test_every_export_has_a_caller_outside_the_tests():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+    defined = {
+        node.name
+        for path in SOURCES
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
     callers = [p for p in SOURCES if p != init]
     callers += sorted((ROOT / "bench").glob("*.py")) + DEMOS
     used = set().union(*map(_used_names, callers))
     readme = (ROOT / "README.md").read_text()
-    unused = sorted(
-        name for name in exported
-        if name not in used and not re.search(rf"\b{name}\b", readme)
-    )
-    assert exported and not unused, unused
+    # a public name may be used only by readers of the README
+    documented = {name for name in exported if re.search(rf"\b{name}\b", readme)}
+    unused = sorted((exported | defined) - used - documented)
+    assert exported and defined and not unused, unused
 
 
 # Options that no call sets but that stay, each with its reason.

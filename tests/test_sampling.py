@@ -499,6 +499,11 @@ class TestBlockedChainMatchesReference:
         with pytest.raises(InfeasibleError, match=f"count {segment[1]} at position 5"):
             ConditionalChain(DesignSpec.bcd(0.75)).table(*segment)
 
+    @pytest.mark.parametrize("segment", [(5, 2, 3, 1), (5, 2, 5, 3)])
+    def test_empty_or_reversed_segment_raises(self, segment):
+        with pytest.raises(ValueError, match=f"got positions 5 and {segment[2]}"):
+            ConditionalChain(DesignSpec.bcd(0.75)).table(*segment)
+
     def test_build_memory_is_the_two_tables(self):
         # the table and psi of n = 2000 take 61 MiB; the block passes add
         # temporaries of about BLOCK_ENTRIES entries, not of table size
