@@ -161,6 +161,12 @@ def _look_pair(text: str) -> tuple[int, int]:
     return j, m
 
 
+def _seed(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _boundaries_json(boundaries: dict) -> dict:
     """Boundary JSON with each infinite boundary, at a look that spends no
     alpha and so never stops the trial, written as null."""
@@ -334,7 +340,7 @@ _SHARED = {
     "--scores": dict(choices=(SIMPLE_RANK, "raw"), default=SIMPLE_RANK),
     "--reps": dict(type=int, default=None, help="draws per estimate (CONDRAND_REPS, else 2500)"),
     "--bootstrap": dict(type=int, default=100, help="completions of the unseen responses"),
-    "--seed": dict(type=int, default=None),
+    "--seed": dict(type=_seed, default=None),
     "--out": dict(default=None, help="output path (stdout by default)"),
 }
 

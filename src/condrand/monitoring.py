@@ -17,7 +17,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import special
 
 from .covariance import information_at_look
 from .design import DesignSpec
@@ -61,6 +60,8 @@ def spend(sf: SpendingFunction, t: float) -> float:
     if t == 0.0:
         return 0.0
     if sf.kind == OBRIEN_FLEMING:
+        from scipy import special
+
         z = float(special.ndtri(1.0 - sf.alpha / 2.0))
         return float(2.0 - 2.0 * special.ndtr(z / math.sqrt(t)))
     return float(sf.alpha * math.log1p((math.e - 1.0) * t))
@@ -113,6 +114,8 @@ def nonparametric_quantile(samples, level: float, method: str = "smooth") -> flo
     n = x.size
     if n == 1:
         return float(x[0])
+    from scipy import special
+
     a = (n + 1) * level
     b = (n + 1) * (1.0 - level)
     edges = special.betainc(a, b, np.arange(n + 1) / n)

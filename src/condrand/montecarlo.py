@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .design import DesignSpec, simulate_unconditional
 from .distributions import unconditional_pmf
@@ -137,11 +136,14 @@ def negative_binomial_quantile(successes: int, pi: float, level: float) -> int:
     if pi == 1.0:
         return int(successes)
     if pi >= _POISSON_LIMIT:
-        # scipy.stats takes about a second to import; only planning needs it
+        # scipy.stats takes about a second to import and scipy.special about
+        # a third of one, so each is imported only where it is evaluated
         from scipy import stats
 
         failures = stats.nbinom.ppf(level, successes, pi)
         return int(successes + failures)
+    from scipy import special
+
     lam = float(special.gammaincinv(successes, level))
     return math.ceil(lam / pi)
 
@@ -165,5 +167,7 @@ def mc_sample_size(p_c: float, rel_error: float = 0.1, confidence: float = 0.99)
         raise ValueError(f"relative error must be positive, got {rel_error}")
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    from scipy import special
+
     z = float(special.ndtri((1.0 + confidence) / 2.0))
     return math.ceil((z / rel_error) ** 2 * (1.0 - p_c) / p_c)

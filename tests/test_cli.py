@@ -44,7 +44,7 @@ CLI_SURFACE = {
         "--n1": (None, None, False, "int"),
         "--schedule": (None, None, False, None),
         "--count": (1, None, False, "int"),
-        "--seed": (None, None, False, "int"),
+        "--seed": (None, None, False, "_seed"),
         "--out": (None, None, False, None),
     },
     "pvalue": {
@@ -54,7 +54,7 @@ CLI_SURFACE = {
         "--scores": ("simple-rank", RANK_OR_RAW, False, None),
         "--method": ("direct", ("direct", "rejection"), False, None),
         "--reps": (None, None, False, "int"),
-        "--seed": (None, None, False, "int"),
+        "--seed": (None, None, False, "_seed"),
         "--exact": (False, None, False, None),
         "--stratified": (False, None, False, None),
         "--out": (None, None, False, None),
@@ -66,7 +66,7 @@ CLI_SURFACE = {
         "--alpha": (0.05, None, False, "float"),
         "--spending": ("obf", ("obf", "pocock"), False, None),
         "--reps": (None, None, False, "int"),
-        "--seed": (None, None, False, "int"),
+        "--seed": (None, None, False, "_seed"),
         "--quantile": ("smooth", ("smooth", "ecdf"), False, None),
         "--info": ("full", ("full", "interim"), False, None),
         "--bootstrap": (100, None, False, "int"),
@@ -79,13 +79,13 @@ CLI_SURFACE = {
         "--responses": (None, None, True, None),
         "--bootstrap": (100, None, False, "int"),
         "--mode": ("interim", ("interim", "full"), False, None),
-        "--seed": (None, None, False, "int"),
+        "--seed": (None, None, False, "_seed"),
         "--scores": ("simple-rank", RANK_OR_RAW, False, None),
         "--out": (None, None, False, None),
     },
     "tables": {
         "--which": (None, (1, 2, 3), True, "int"),
-        "--seed": (None, None, False, "int"),
+        "--seed": (None, None, False, "_seed"),
         "--reps": (None, None, False, "int"),
         "--runs": (None, None, False, "int"),
         "--n": (None, None, False, "int"),
@@ -449,6 +449,14 @@ class TestErrorPaths:
             main(["dist", "--design", "bcd:0.6", "--n", "4", "--given", given])
         assert exc.value.code == 2
         assert "expected J:M" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-5", "x", "1.5"])
+    def test_seed_must_be_a_non_negative_integer_exit_2(self, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--design", "bcd:0.75", "--n", "10", "--n1", "5", "--seed", seed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --seed: expected a non-negative integer, got {seed!r}" in err
 
     def test_reps_env_not_an_integer_exit_4(self, capsys, trial_files, monkeypatch):
         monkeypatch.setenv("CONDRAND_REPS", "abc")

@@ -1,10 +1,12 @@
 """Checks on the repository's own files: the demos run, the package
 raises its numerical guards explicitly instead of with ``assert``, which
-``python -O`` strips, importing it leaves ``multiprocessing`` unloaded,
-every public name and every top-level function or class of the package
-has a caller outside the tests, every option of a public function is
-set by some caller, and each committed
-``BENCH_*.json`` summarises its own per-run values."""
+``python -O`` strips, importing it leaves ``multiprocessing`` and every
+``scipy`` module unloaded, no module imports scipy at module level, each
+CLI command loads only the scipy modules it evaluates, every public name
+and every top-level function or class of the package has a caller
+outside the tests, every option of a public function is set by some
+caller, and each committed ``BENCH_*.json`` summarises its own per-run
+values."""
 
 import ast
 import json
@@ -51,15 +53,107 @@ def test_package_has_no_assert_statements():
     assert SOURCES and not found, found
 
 
-def test_import_leaves_multiprocessing_unloaded():
-    # the replicate workers import it on first use, so set-up does not pay for it
-    code = "import sys, condrand; print('multiprocessing' in sys.modules)"
+def test_import_leaves_multiprocessing_and_scipy_unloaded():
+    # each is imported where it is first used, so set-up does not pay for it
+    code = (
+        "import sys, condrand\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')))"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code], env=_env_with_src(), capture_output=True, text=True,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == ""
+
+
+def _outside_functions(node: ast.AST):
+    """The nodes that run when their module is imported."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+            yield from _outside_functions(child)
+
+
+def test_no_module_imports_scipy_at_module_level():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in _outside_functions(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+    ]
+    assert SOURCES and not found, found
+
+
+GOLDEN = ROOT / "tests" / "golden"
+LOOKS = (
+    "--schedule", str(GOLDEN / "schedule60.json"),
+    "--responses", str(GOLDEN / "responses60.csv"),
+)
+BCD = ("--design", "bcd:0.75")
+OBSERVED = (
+    "--responses", str(GOLDEN / "responses40.csv"),
+    "--assignments", str(GOLDEN / "assignments40.txt"),
+)
+# the 40 golden subjects as two strata, written by _write_strata
+STRATA = ("--responses", "{tmp}/strata.csv", "--assignments", "{tmp}/strata.txt")
+SEED = ("--seed", "1")
+NO_SCIPY: tuple[str, ...] = ()
+COMMAND_SCIPY_MODULES = {
+    "dist": (("dist", *BCD, "--n", "60"), NO_SCIPY),
+    "dist_exact": (("dist", *BCD, "--n", "24", "--backend", "exact"), NO_SCIPY),
+    "sample_schedule": (("sample", *BCD, "--schedule", LOOKS[1], *SEED), NO_SCIPY),
+    "pvalue_direct": (("pvalue", *BCD, *OBSERVED, "--reps", "200", *SEED), NO_SCIPY),
+    "pvalue_rejection": (
+        ("pvalue", *BCD, *OBSERVED, "--method", "rejection", "--reps", "200", *SEED), NO_SCIPY,
+    ),
+    "pvalue_exact": (("pvalue", *BCD, *OBSERVED, "--exact", *SEED), NO_SCIPY),
+    "pvalue_stratified": (
+        ("pvalue", *BCD, *STRATA, "--stratified", "--reps", "200", *SEED), NO_SCIPY,
+    ),
+    "info_interim": (("info", *BCD, *LOOKS, "--bootstrap", "3", *SEED), NO_SCIPY),
+    "info_full": (("info", *BCD, *LOOKS, "--mode", "full", *SEED), NO_SCIPY),
+    "tables_2": (("tables", "--which", "2", "--runs", "2", "--reps", "100", *SEED), NO_SCIPY),
+    "boundaries_pocock_ecdf": (
+        (
+            "boundaries", *BCD, *LOOKS, "--spending", "pocock", "--quantile", "ecdf",
+            "--reps", "200", *SEED,
+        ),
+        NO_SCIPY,
+    ),
+    "boundaries": (
+        ("boundaries", *BCD, *LOOKS, "--reps", "200", *SEED), ("scipy", "scipy.special"),
+    ),
+}
+
+
+def _write_strata(tmp_path: Path) -> None:
+    values = (GOLDEN / "responses40.csv").read_text().split()
+    seq = (GOLDEN / "assignments40.txt").read_text().strip()
+    (tmp_path / "strata.csv").write_text(
+        "".join(f"{v},{'A' if i < 24 else 'B'}\n" for i, v in enumerate(values))
+    )
+    (tmp_path / "strata.txt").write_text(f"{seq[:24]}\n{seq[24:]}\n")
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_SCIPY_MODULES))
+def test_command_loads_only_the_scipy_it_evaluates(name, tmp_path):
+    argv, loaded = COMMAND_SCIPY_MODULES[name]
+    _write_strata(tmp_path)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code = (
+        "import sys\n"
+        "from condrand.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, *(m for m in ('scipy', 'scipy.special', 'scipy.stats') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv, "--out", str(tmp_path / "out")],
+        env=_env_with_src(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", *loaded], done.stderr
 
 
 def _used_names(path: Path) -> set[str]:

@@ -1,16 +1,10 @@
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.stats import rankdata
-
-import condrand
 
 from condrand import (
     DesignSpec,
@@ -209,11 +203,3 @@ class TestStratified:
     def test_stratum_count_validated(self):
         with pytest.raises(ValueError):
             Stratum(centered_scores([1.0, 2.0]), 3, DesignSpec.complete())
-
-
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about a second at import; only the planning grid needs it
-    env = dict(os.environ, PYTHONPATH=str(Path(condrand.__file__).parents[1]))
-    code = "import sys, condrand; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
