@@ -23,7 +23,6 @@ from .design import (
     DesignSpec,
     TreatmentSequence,
     assignment_probability,
-    simulate_unconditional,
 )
 from .distributions import (
     conditional_pmf,
@@ -62,6 +61,7 @@ from .sampling import (
     MultilookSampler,
     sample_conditional,
     sample_multilook,
+    simulate_unconditional,
 )
 from .scores import (
     ScoreVector,

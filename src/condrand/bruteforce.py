@@ -28,9 +28,9 @@ def _integerize_scores(values) -> tuple[list[int], int]:
     rather than silently approximated.
     """
     fracs = []
-    for v in values:
-        f = Fraction(float(v)).limit_denominator(10**4)
-        if abs(f - Fraction(float(v))) > Fraction(1, 10**9):
+    for v in map(float, values):
+        f = Fraction(v).limit_denominator(10**4)
+        if abs(f - Fraction(v)) > Fraction(1, 10**9):
             raise ValueError(
                 f"score {v!r} is not representable on a small rational lattice"
             )
@@ -43,14 +43,9 @@ def _integerize_scores(values) -> tuple[list[int], int]:
     return [int(f * scale) for f in fracs], scale
 
 
-def exact_statistic_distribution(
-    design: DesignSpec, scores, n1: int
-) -> tuple[np.ndarray, list[Fraction]]:
-    """Exact conditional law of the linear statistic sum(scores[j] * T_j).
-
-    Returns the sorted support (floats) and matching probabilities given
-    N1(n) = n1.  Scores must sit on a small rational lattice.
-    """
+def _exact_law(design: DesignSpec, scores, n1: int) -> tuple[dict[int, int], int, int]:
+    """The conditional law of the statistic given N1(n) = n1, in integers:
+    (path weight by statistic times ``scale``, ``scale``, total weight)."""
     values = list(getattr(scores, "values", scores))
     n = len(values)
     if not 1 <= n <= MAX_DP:
@@ -60,7 +55,8 @@ def exact_statistic_distribution(
     ints, scale = _integerize_scores(values)
 
     # Integer path weights: multiply every step probability by a common
-    # denominator so states carry Python ints, not Fractions.
+    # denominator so states carry Python ints, not Fractions.  Complete
+    # randomization is the coin at p = 1/2, whose weights are all equal.
     p = design.exact_p()
     den = 2 * p.denominator
     w_half = den // 2
@@ -68,7 +64,7 @@ def exact_statistic_distribution(
     w_q = den - w_p
 
     def weights(j: int, m: int) -> tuple[int, int]:
-        if design.kind == "complete" or 2 * m == j:
+        if 2 * m == j:
             return w_half, w_half
         if 2 * m < j:
             return w_p, w_q
@@ -96,20 +92,25 @@ def exact_statistic_distribution(
         raise InfeasibleError(
             f"N1({n}) = {n1} has probability zero under {design.label()}"
         )
+    return dist, scale, total
+
+
+def exact_statistic_distribution(
+    design: DesignSpec, scores, n1: int
+) -> tuple[np.ndarray, list[Fraction]]:
+    """Exact conditional law of the linear statistic sum(scores[j] * T_j).
+
+    Returns the sorted support (floats) and matching probabilities given
+    N1(n) = n1.  Scores must sit on a small rational lattice.
+    """
+    dist, scale, total = _exact_law(design, scores, n1)
     support = sorted(dist)
-    probs = [Fraction(dist[s], total) for s in support]
-    return np.asarray([s / scale for s in support]), probs
+    return np.asarray([s / scale for s in support]), [Fraction(dist[s], total) for s in support]
 
 
 def exact_conditional_pvalue(design: DesignSpec, scores, n1: int, v_star: float) -> Fraction:
     """Exact P(V >= v* | N1(n) = n1) for the linear statistic of ``scores``."""
-    values = list(getattr(scores, "values", scores))
-    ints, scale = _integerize_scores(values)
+    dist, scale, total = _exact_law(design, scores, n1)
     # smallest lattice point >= v_star * scale; exact for on-lattice v_star
     threshold = math.ceil(float(v_star) * scale - 1e-9)
-    support, probs = exact_statistic_distribution(design, values, n1)
-    tail = Fraction(0)
-    for s, pr in zip(support, probs):
-        if round(s * scale) >= threshold:
-            tail += pr
-    return tail
+    return Fraction(sum(w for s, w in dist.items() if s >= threshold), total)

@@ -56,9 +56,12 @@ class CliInputError(Exception):
 def _default_reps() -> int:
     raw = os.environ.get("CONDRAND_REPS", "2500")
     try:
-        return int(raw)
+        reps = int(raw)
     except ValueError as exc:
         raise CliInputError(f"CONDRAND_REPS must be an integer, got {raw!r}") from exc
+    if reps < 1:
+        raise CliInputError(f"CONDRAND_REPS must be >= 1, got {reps}")
+    return reps
 
 
 def _write(path: str | None, result: str | dict) -> None:
@@ -161,9 +164,15 @@ def _look_pair(text: str) -> tuple[int, int]:
     return j, m
 
 
-def _seed(text: str) -> int:
+def _non_negative(text: str) -> int:
     if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _positive(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
 
@@ -338,9 +347,9 @@ _SHARED = {
         type=DesignSpec.parse, help="randomization procedure, 'bcd:<p>' or 'complete'"
     ),
     "--scores": dict(choices=(SIMPLE_RANK, "raw"), default=SIMPLE_RANK),
-    "--reps": dict(type=int, default=None, help="draws per estimate (CONDRAND_REPS, else 2500)"),
-    "--bootstrap": dict(type=int, default=100, help="completions of the unseen responses"),
-    "--seed": dict(type=_seed, default=None),
+    "--reps": dict(type=_positive, help="draws per estimate (CONDRAND_REPS, else 2500)"),
+    "--bootstrap": dict(type=_positive, default=100, help="completions of the unseen responses"),
+    "--seed": dict(type=_non_negative, default=None),
     "--out": dict(default=None, help="output path (stdout by default)"),
 }
 
@@ -375,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--n1", type=int, default=None)
     p.add_argument("--schedule", default=None, help="schedule JSON path")
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_non_negative, default=1)
 
     p = command(
         "pvalue", _cmd_pvalue, "conditional randomization test p-value", "--design", "--scores",
@@ -408,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("tables", _cmd_tables, "benchmark experiments", "--reps", "--seed", "--out")
     p.add_argument("--which", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("--runs", type=int, default=None, help="outer repetitions")
+    p.add_argument("--runs", type=_positive, default=None, help="outer repetitions")
     p.add_argument("--n", type=int, default=None, help="horizon for --which 3")
     p.add_argument("--full", action="store_true", help="paper-scale settings")
 

@@ -3,8 +3,9 @@
 Two procedures are supported: Efron's biased coin design, which assigns
 the under-represented treatment with probability ``p`` and tosses a fair
 coin at perfect balance, and complete randomization (a fair coin at every
-step).  Both are closed under the conditional machinery implemented in
-the rest of the package; other designs are intentionally not accepted.
+step, the coin at ``p = 1/2``).  This module defines the procedures and
+their assignment probabilities; :mod:`condrand.sampling` draws from them.
+Other designs are intentionally not accepted.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-
-from .streams import as_generator
 
 BCD = "bcd"
 COMPLETE = "complete"
@@ -112,11 +111,6 @@ class TreatmentSequence:
             raise ValueError(f"prefix length {upto} out of range")
         return int(self.assignments[:upto].sum())
 
-    def imbalances(self) -> np.ndarray:
-        """Running differences between group sizes, 2*N1(j) - j."""
-        j = np.arange(1, len(self) + 1)
-        return 2 * self.running_counts() - j
-
     @classmethod
     def from_string(cls, text: str) -> "TreatmentSequence":
         bits = text.strip()
@@ -146,8 +140,6 @@ def assignment_probability(design: DesignSpec, j: int, m_j: int) -> float:
         raise ValueError(f"step index must be nonnegative, got {j}")
     if not 0 <= m_j <= j:
         raise ValueError(f"count {m_j} out of range for step {j}")
-    if design.kind == COMPLETE:
-        return 0.5
     if 2 * m_j == j:
         return 0.5
     return design.p if 2 * m_j < j else 1.0 - design.p
@@ -156,41 +148,5 @@ def assignment_probability(design: DesignSpec, j: int, m_j: int) -> float:
 def _imbalance_probabilities(design: DesignSpec, end: int) -> np.ndarray:
     """Assignment probabilities at the imbalances d = 2m - j = -end..2 end,
     the one at d at index d + end."""
-    if design.kind == COMPLETE:
-        return np.full(3 * end + 1, 0.5)
     d = np.arange(-end, 2 * end + 1)
     return np.where(d == 0, 0.5, np.where(d < 0, design.p, 1.0 - design.p))
-
-
-def simulate_unconditional(
-    design: DesignSpec,
-    n: int,
-    rng: np.random.Generator | int | None = None,
-    size: int | None = None,
-):
-    """Draw assignment sequences from the unconditional reference set.
-
-    Args:
-        design: The randomization procedure.
-        n: Sequence length (>= 1).
-        rng: Generator or seed.
-        size: If None, return a single :class:`TreatmentSequence`;
-            otherwise return a ``(size, n)`` int8 array of sequences.
-
-    Each sequence t has probability
-    ``(1/2) * prod_j phi_{j+1}^{t_{j+1}} (1 - phi_{j+1})^{1 - t_{j+1}}``.
-    """
-    if n < 1:
-        raise ValueError(f"sequence length must be >= 1, got {n}")
-    rng = as_generator(rng)
-    rows = 1 if size is None else int(size)
-    out = np.empty((rows, n), dtype=np.int8)
-    m = np.zeros(rows, dtype=np.int64)
-    pr = _imbalance_probabilities(design, n)
-    for j in range(n):
-        t = rng.random(rows) < pr[n + 2 * m - j]
-        out[:, j] = t
-        m += t
-    if size is None:
-        return TreatmentSequence(out[0])
-    return out

@@ -17,11 +17,11 @@ import math
 
 import numpy as np
 
-from .bruteforce import MAX_DP, exact_conditional_pvalue, exact_statistic_distribution
-from .design import DesignSpec, simulate_unconditional
+from .bruteforce import MAX_DP, exact_statistic_distribution
+from .design import DesignSpec
 from .montecarlo import k_percentile
 from .monitoring import OBRIEN_FLEMING, SpendingFunction, estimate_boundaries
-from .sampling import LookSchedule, MultilookSampler
+from .sampling import LookSchedule, MultilookSampler, simulate_unconditional
 from .scores import centered_scores
 from .streams import map_replicates, substream
 
@@ -55,18 +55,13 @@ def sample_size_grid(n_c: int = 2500) -> list[dict]:
     return rows
 
 
-def _inclusive_tail_threshold(design, scores, n1: int, target: float) -> float:
-    """Smallest support value whose inclusive upper tail is at most target."""
+def _inclusive_tail_threshold(design, scores, n1: int, target: float) -> tuple[float, float]:
+    """Smallest support value whose inclusive upper tail, summed in floats
+    from the top, is at most target (the top value if none), and that
+    tail's exact probability."""
     support, probs = exact_statistic_distribution(design, scores, n1)
-    tail = 0.0
-    best = float(support[-1])
-    for s, pr in zip(reversed(support), reversed(probs)):
-        tail += float(pr)
-        if tail <= target:
-            best = float(s)
-        else:
-            break
-    return best
+    k = max(1, int((np.cumsum([float(pr) for pr in probs[::-1]]) <= target).sum()))
+    return float(support[-k]), float(sum(probs[-k:]))
 
 
 def tail_estimate_repeatability(
@@ -91,8 +86,7 @@ def tail_estimate_repeatability(
         scores = centered_scores(responses)
         sampler = MultilookSampler(design, LookSchedule.single(n, n1))
         if n <= MAX_DP:
-            v_star = _inclusive_tail_threshold(design, scores, n1, 0.1)
-            exact_tail = float(exact_conditional_pvalue(design, scores, n1, v_star))
+            v_star, exact_tail = _inclusive_tail_threshold(design, scores, n1, 0.1)
         else:
             calib = sampler.accumulate_statistics(substream(seed, r_idx, 1), 200_000, [scores])
             calib = np.sort(calib[:, 0])

@@ -3,10 +3,12 @@
 Two estimators target the same upper-tailed conditional p-value
 P(V >= v* | N1(n) = n1): a direct estimator that samples strictly from
 the conditional reference set, and a rejection estimator that samples
-unconditionally and keeps the sequences meeting the constraint.  The
-rejection route is retained as an independent cross-check; its cost is
-governed by a negative binomial law, which also powers the planning
-helpers.
+unconditionally and keeps the sequences meeting the constraint.  Both
+draw through the one walk of :mod:`condrand.sampling`, but the rejection
+route reads only the design's assignment probabilities, never the
+conditional chain's tables, so it stays an independent cross-check of
+them.  Its cost is governed by a negative binomial law, which also powers
+the planning helpers.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignSpec, simulate_unconditional
+from .design import DesignSpec
 from .distributions import unconditional_pmf
 from .errors import InfeasibleError, InsufficientAcceptancesError
-from .sampling import LookSchedule, MultilookSampler
-from .scores import ScoreVector, StratifiedData, statistic_batch
+from .sampling import LookSchedule, MultilookSampler, _unconditional_rows, _walk
+from .scores import ScoreVector, StratifiedData, Stratum, step_sums
 from .streams import as_generator
 
 DIRECT = "direct-conditional"
@@ -57,15 +59,12 @@ def estimate_pvalue_conditional(
     n_c: int,
     rng: np.random.Generator | int | None = None,
 ) -> PValueEstimate:
-    """Estimate P(V >= v* | N1(n) = n1) from ``n_c`` conditional draws."""
-    if n_c < 1:
-        raise ValueError(f"need at least one draw, got {n_c}")
+    """Estimate P(V >= v* | N1(n) = n1) from ``n_c`` conditional draws:
+    the stratified estimate over one stratum."""
     if len(scores) != n:
         raise ValueError(f"scores have length {len(scores)}, expected {n}")
-    sampler = MultilookSampler(design, LookSchedule.single(n, n1))
-    v = sampler.accumulate_statistics(rng, int(n_c), [scores])[:, 0]
-    hits = int((v >= v_star).sum())
-    return PValueEstimate.from_indicators(hits, int(n_c), DIRECT)
+    data = StratifiedData((Stratum(scores, n1, design),))
+    return estimate_pvalue_stratified(data, v_star, n_c, rng)
 
 
 def estimate_pvalue_rejection(
@@ -87,15 +86,15 @@ def estimate_pvalue_rejection(
         raise ValueError(f"need at least one attempt, got {attempts}")
     if len(scores) != n:
         raise ValueError(f"scores have length {len(scores)}, expected {n}")
-    batch = simulate_unconditional(design, n, rng, size=int(attempts))
-    accepted = batch.sum(axis=1) == n1
+    steps = _walk(_unconditional_rows(design, n), rng, int(attempts))
+    accepted = steps.sum(axis=0) == n1
     kept = int(accepted.sum())
     if kept == 0:
         raise InsufficientAcceptancesError(
             f"none of {attempts} unconditional draws hit N1({n}) = {n1}; "
             "the conditioning event may be rare or infeasible"
         )
-    v = statistic_batch(scores, batch[accepted])
+    v = step_sums([scores.values], steps[:, accepted])[:, 0]
     hits = int((v >= v_star).sum())
     return PValueEstimate.from_indicators(hits, kept, REJECTION)
 

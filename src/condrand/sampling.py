@@ -1,9 +1,11 @@
-"""Direct sampling from conditional reference sets.
+"""Direct sampling from the unconditional and the conditional reference sets.
 
-Sequences are generated one assignment at a time with transition
-probabilities that condition on the running count and on the next count
-constraint; by a Bayes/Markov argument this reproduces exactly the law of
-the procedure restricted to the constrained set, with no rejection step.
+Sequences are generated one assignment at a time by one walk.  For the
+unconditional set it reads the design's assignment probabilities; for a
+conditional set, transition probabilities that condition on the running
+count and on the next count constraint, which by a Bayes/Markov argument
+reproduces exactly the law of the procedure restricted to the
+constrained set, with no rejection step.
 A schedule of several interim constraints is handled segment by segment:
 within segment k only the next look's constraint enters the transition.
 """
@@ -161,6 +163,45 @@ class ConditionalChain:
         return psi
 
 
+def _walk(rows, rng: np.random.Generator | int | None, size: int) -> np.ndarray:
+    """An (n, size) bool matrix whose row j holds step j of every draw, given
+    ``rows[j][m]`` = P(T_{j+1} = 1 | N1(j) = m) for the n = len(rows) steps.
+    Every assignment the package draws comes from here.
+
+    Uniforms come in blocks of whole steps; ``rng.random((k, size))``
+    consumes the stream exactly as ``k`` calls of ``rng.random(size)``,
+    so the draws do not depend on the block length.
+    """
+    if size < 0:
+        raise ValueError(f"number of draws must be >= 0, got {size}")
+    rng = as_generator(rng)
+    n = len(rows)
+    steps = np.empty((n, size), dtype=bool)
+    m = np.zeros(size, dtype=np.intp)
+    prob = np.empty(size)
+    block = max(1, BLOCK_ENTRIES // max(size, 1))
+    for start in range(0, n, block):
+        uniforms = rng.random((min(block, n - start), size))
+        for row, u, step in zip(rows[start : start + block], uniforms, steps[start:]):
+            # counts never leave 0..j, so clipping skips a bounds check only
+            row.take(m, out=prob, mode="clip")
+            np.less(u, prob, out=step)
+            m += step
+    return steps
+
+
+def _sequences(steps: np.ndarray) -> np.ndarray:
+    """The (size, n) int8 sequences of a walk's (n, size) steps."""
+    return np.ascontiguousarray(steps.T).view(np.int8)
+
+
+def _unconditional_rows(design: DesignSpec, n: int) -> list[np.ndarray]:
+    """The walk's rows for the unconditional law: row j holds the design's
+    probabilities at the imbalances 2m - j for m = 0..j, a stride-2 view."""
+    pr = _imbalance_probabilities(design, n)
+    return [pr[n - j : n + j + 1 : 2] for j in range(n)]
+
+
 class MultilookSampler:
     """Draws sequences satisfying every constraint of a schedule.
 
@@ -194,7 +235,7 @@ class MultilookSampler:
 
     def draw_batch(self, rng: np.random.Generator | int | None, size: int) -> np.ndarray:
         """A (size, n) int8 matrix of independent constrained sequences."""
-        return np.ascontiguousarray(self._walk(rng, int(size)).T).view(np.int8)
+        return _sequences(_walk(self._rows, rng, int(size)))
 
     def draw(self, rng: np.random.Generator | int | None = None) -> TreatmentSequence:
         return TreatmentSequence(self.draw_batch(rng, 1)[0])
@@ -226,30 +267,7 @@ class MultilookSampler:
             if vals.size != r:
                 raise ValueError(f"score vector for look at {r} has length {vals.size}")
             weights.append(vals)
-        return step_sums(weights, self._walk(rng, int(size)))
-
-    def _walk(self, rng: np.random.Generator | int | None, size: int) -> np.ndarray:
-        """An (n, size) bool matrix whose row j holds step j of every draw.
-
-        Uniforms come in blocks of whole steps; ``rng.random((k, size))``
-        consumes the stream exactly as ``k`` calls of ``rng.random(size)``,
-        so the draws do not depend on the block length.
-        """
-        if size < 0:
-            raise ValueError(f"number of draws must be >= 0, got {size}")
-        rng = as_generator(rng)
-        steps = np.empty((self.n, size), dtype=bool)
-        m = np.zeros(size, dtype=np.intp)
-        prob = np.empty(size)
-        block = max(1, BLOCK_ENTRIES // max(size, 1))
-        for start in range(0, self.n, block):
-            uniforms = rng.random((min(block, self.n - start), size))
-            for row, u, step in zip(self._rows[start : start + block], uniforms, steps[start:]):
-                # counts never leave 0..j, so clipping skips a bounds check only
-                row.take(m, out=prob, mode="clip")
-                np.less(u, prob, out=step)
-                m += step
-        return steps
+        return step_sums(weights, _walk(self._rows, rng, int(size)))
 
 
 def sample_conditional(
@@ -264,10 +282,7 @@ def sample_conditional(
     Returns a :class:`TreatmentSequence` when ``size`` is None, else a
     (size, n) int8 matrix.
     """
-    sampler = MultilookSampler(design, LookSchedule.single(n, n1))
-    if size is None:
-        return sampler.draw(rng)
-    return sampler.draw_batch(rng, size)
+    return sample_multilook(design, LookSchedule.single(n, n1), rng, size)
 
 
 def sample_multilook(
@@ -278,6 +293,14 @@ def sample_multilook(
 ):
     """Draw from the reference set satisfying every look of ``schedule``."""
     sampler = MultilookSampler(design, schedule)
-    if size is None:
-        return sampler.draw(rng)
-    return sampler.draw_batch(rng, size)
+    return sampler.draw(rng) if size is None else sampler.draw_batch(rng, size)
+
+
+def simulate_unconditional(
+    design: DesignSpec, n: int, rng: np.random.Generator | int | None = None
+) -> TreatmentSequence:
+    """Draw one sequence from the unconditional reference set: the design's
+    own law, each step taken with its assignment probability."""
+    if n < 1:
+        raise ValueError(f"sequence length must be >= 1, got {n}")
+    return TreatmentSequence(_sequences(_walk(_unconditional_rows(design, n), rng, 1))[0])

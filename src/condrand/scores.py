@@ -165,13 +165,6 @@ def step_sums(weights, steps: np.ndarray) -> np.ndarray:
     return stats
 
 
-def statistic_batch(scores: ScoreVector, batch: np.ndarray) -> np.ndarray:
-    """V for every row of a (draws, n) assignment matrix."""
-    if batch.shape[1] != len(scores):
-        raise ValueError("assignment matrix width does not match scores")
-    return step_sums([scores.values], batch.T)[:, 0]
-
-
 def interim_statistic(responses, t, cut: int, kind: str = SIMPLE_RANK) -> float:
     """Statistic at an interim look: scores re-ranked over the first ``cut``
     responses, against the first ``cut`` assignments."""

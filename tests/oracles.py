@@ -33,6 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
+import condrand.sampling as sampling
 from condrand.bruteforce import MAX_DP, _integerize_scores, exact_statistic_distribution
 from condrand.design import COMPLETE, DesignSpec, assignment_probability
 from condrand.distributions import (
@@ -526,8 +527,15 @@ def _probability_row(design: DesignSpec, j: int, m: np.ndarray) -> np.ndarray:
     return np.where(d == 0, 0.5, np.where(d < 0, design.p, 1.0 - design.p))
 
 
+def unconditional_batch(design: DesignSpec, n: int, rng, size: int) -> np.ndarray:
+    """A (size, n) int8 batch of unconditional draws from the package's
+    own walk, as the rejection estimator draws them."""
+    rows = sampling._unconditional_rows(design, n)
+    return sampling._sequences(sampling._walk(rows, rng, size))
+
+
 def reference_unconditional_draws(design: DesignSpec, n: int, seed: int, rows: int):
-    """``simulate_unconditional``'s (rows, n) draws with the assignment
+    """The unconditional walk's (rows, n) draws with the assignment
     probabilities of every step taken afresh."""
     rng = np.random.default_rng(seed)
     out = np.empty((rows, n), dtype=np.int8)

@@ -30,7 +30,7 @@ from condrand import (
     unconditional_pmf,
 )
 from condrand.experiments import monitored_trial_type_i_error, tail_estimate_repeatability
-from condrand.scores import statistic_batch
+from condrand.scores import step_sums
 from condrand.streams import substream
 from oracles import (
     covariance_final_exact,
@@ -174,7 +174,8 @@ def test_criterion_05_estimator_consistency():
         p = float(rng.choice([0.5, 0.6, 2 / 3, 0.75]))
         design = DesignSpec.bcd(p)
         scores = centered_scores(rng.standard_normal(n))
-        support = np.sort(statistic_batch(scores, sample_conditional(design, n, n1, rng, 200)))
+        batch = sample_conditional(design, n, n1, rng, 200)
+        support = np.sort(step_sums([scores.values], batch.T)[:, 0])
         v_star = float(support[int(0.8 * support.size)])
         exact = float(exact_conditional_pvalue(design, scores, n1, v_star))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import condrand.bruteforce as bruteforce
 from condrand import (
     DesignSpec,
     InfeasibleError,
@@ -13,6 +14,8 @@ from condrand import (
     exact_statistic_distribution,
     linear_rank_statistic,
 )
+from condrand.bruteforce import MAX_DP
+from condrand.experiments import TAIL_ROWS, tail_estimate_repeatability
 from oracles import (
     count_constraints_predicate,
     enumerate_law,
@@ -167,6 +170,37 @@ class TestPerCountDPMatchesReference:
             support, probs = exact_statistic_distribution(design, scores, n1)
             want_support, want_probs = reference_statistic_distribution(design, scores, n1)
             assert support.tobytes() == want_support.tobytes() and probs == want_probs
+
+
+class TestOneLawPerQuestion:
+    @settings(max_examples=60, deadline=None)
+    @given(dp_cases(), st.integers(0, 2**32 - 1))
+    def test_pvalue_is_the_reference_tail(self, case, seed):
+        design, scores, n1 = case
+        try:
+            support, probs = reference_statistic_distribution(design, scores, n1)
+        except InfeasibleError:
+            return
+        # thresholds on the support, halfway between its points and beyond
+        # its ends, so that none is within rounding of a support point
+        rng = np.random.default_rng(seed)
+        between = (support[1:] + support[:-1]) / 2
+        for v_star in (*rng.choice(support, 3), *rng.choice(between, min(3, between.size)),
+                       support[0] - 0.25, support[-1] + 0.25):
+            want = sum((pr for s, pr in zip(support, probs) if s >= v_star), start=Fraction(0))
+            assert exact_conditional_pvalue(design, scores, n1, v_star) == want
+
+    def test_repeatability_study_runs_one_dp_per_exact_row(self, monkeypatch):
+        # the threshold and the exact tail of a row come from one law
+        calls = []
+        integerize = bruteforce._integerize_scores
+        monkeypatch.setattr(
+            bruteforce, "_integerize_scores", lambda v: calls.append(1) or integerize(v)
+        )
+        out = tail_estimate_repeatability(rows=TAIL_ROWS, runs=1, n_c=10, seed=3)
+        exact_rows = sum(n <= MAX_DP for n, _ in TAIL_ROWS)
+        assert exact_rows == 4 and len(calls) == exact_rows
+        assert all((r["exact"] is None) == (r["n"] > MAX_DP) for r in out)
 
 
 class TestExactCovariance:

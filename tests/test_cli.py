@@ -43,8 +43,8 @@ CLI_SURFACE = {
         "--n": (None, None, False, "int"),
         "--n1": (None, None, False, "int"),
         "--schedule": (None, None, False, None),
-        "--count": (1, None, False, "int"),
-        "--seed": (None, None, False, "_seed"),
+        "--count": (1, None, False, "_non_negative"),
+        "--seed": (None, None, False, "_non_negative"),
         "--out": (None, None, False, None),
     },
     "pvalue": {
@@ -53,8 +53,8 @@ CLI_SURFACE = {
         "--assignments": (None, None, True, None),
         "--scores": ("simple-rank", RANK_OR_RAW, False, None),
         "--method": ("direct", ("direct", "rejection"), False, None),
-        "--reps": (None, None, False, "int"),
-        "--seed": (None, None, False, "_seed"),
+        "--reps": (None, None, False, "_positive"),
+        "--seed": (None, None, False, "_non_negative"),
         "--exact": (False, None, False, None),
         "--stratified": (False, None, False, None),
         "--out": (None, None, False, None),
@@ -65,11 +65,11 @@ CLI_SURFACE = {
         "--responses": (None, None, True, None),
         "--alpha": (0.05, None, False, "float"),
         "--spending": ("obf", ("obf", "pocock"), False, None),
-        "--reps": (None, None, False, "int"),
-        "--seed": (None, None, False, "_seed"),
+        "--reps": (None, None, False, "_positive"),
+        "--seed": (None, None, False, "_non_negative"),
         "--quantile": ("smooth", ("smooth", "ecdf"), False, None),
         "--info": ("full", ("full", "interim"), False, None),
-        "--bootstrap": (100, None, False, "int"),
+        "--bootstrap": (100, None, False, "_positive"),
         "--scores": ("simple-rank", RANK_OR_RAW, False, None),
         "--out": (None, None, False, None),
     },
@@ -77,17 +77,17 @@ CLI_SURFACE = {
         "--design": (None, None, False, "parse"),
         "--schedule": (None, None, True, None),
         "--responses": (None, None, True, None),
-        "--bootstrap": (100, None, False, "int"),
+        "--bootstrap": (100, None, False, "_positive"),
         "--mode": ("interim", ("interim", "full"), False, None),
-        "--seed": (None, None, False, "_seed"),
+        "--seed": (None, None, False, "_non_negative"),
         "--scores": ("simple-rank", RANK_OR_RAW, False, None),
         "--out": (None, None, False, None),
     },
     "tables": {
         "--which": (None, (1, 2, 3), True, "int"),
-        "--seed": (None, None, False, "_seed"),
-        "--reps": (None, None, False, "int"),
-        "--runs": (None, None, False, "int"),
+        "--seed": (None, None, False, "_non_negative"),
+        "--reps": (None, None, False, "_positive"),
+        "--runs": (None, None, False, "_positive"),
         "--n": (None, None, False, "int"),
         "--full": (False, None, False, None),
         "--out": (None, None, False, None),
@@ -360,6 +360,18 @@ class TestErrorPaths:
         assert code == 2
         assert out == "" and "finite" in err
 
+    def test_off_lattice_exact_scores_print_the_plain_float_exit_2(self, capsys):
+        golden = Path(__file__).parent / "golden"
+        code, out, err = run_cli(
+            capsys, "pvalue", "--design", "bcd:0.75", "--exact", "--scores", "raw",
+            "--responses", str(golden / "responses40.csv"),
+            "--assignments", str(golden / "assignments40.txt"),
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: score -0.24745599999999995 is not representable on a small rational lattice\n"
+        )
+
     def test_stratified_exact_exit_2(self, capsys, tmp_path):
         resp = tmp_path / "strat.csv"
         resp.write_text("0.1,A\n0.5,A\n0.3,B\n0.9,B\n")
@@ -386,7 +398,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "which, flag",
-        [("1", ["--n", "5"]), ("1", ["--runs", "3"]), ("1", ["--runs", "0"]), ("1", ["--full"]),
+        [("1", ["--n", "5"]), ("1", ["--runs", "3"]), ("1", ["--full"]),
          ("2", ["--n", "50"]), ("2", ["--n", "0"])],
     )
     def test_flag_the_study_ignores_exit_2(self, capsys, monkeypatch, which, flag):
@@ -396,36 +408,56 @@ class TestErrorPaths:
         assert code == 2
         assert out == "" and f"{flag[0]} does not apply to --which {which}" in err
 
-    def test_zero_runs_repeatability_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(experiments, "MultilookSampler", _never_called)
-        code, out, err = run_cli(
-            capsys, "tables", "--which", "2", "--runs", "0", "--reps", "100", "--seed", "1"
-        )
-        assert code == 2
-        assert out == "" and "runs must be >= 1, got 0" in err
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["tables", "--which", "2", "--runs", "2"], "--reps", "0"),
+            (["tables", "--which", "1"], "--reps", "0"),
+            (["tables", "--which", "2"], "--runs", "0"),
+            (["tables", "--which", "3", "--n", "70"], "--runs", "0"),
+            (["tables", "--which", "1"], "--runs", "0"),
+            (["info", "--schedule", "s.json", "--responses", "r.csv"], "--bootstrap", "-2"),
+            (["boundaries", "--schedule", "s.json", "--responses", "r.csv"], "--bootstrap", "0"),
+            (["pvalue", "--design", "complete", "--responses", "r", "--assignments", "a"],
+             "--reps", "x"),
+            (["sample", "--design", "bcd:0.75", "--n", "10", "--n1", "5"], "--count", "-1"),
+        ],
+    )
+    def test_count_flags_name_themselves_exit_2(self, capsys, monkeypatch, argv, flag, value):
+        # each once reached a library check whose message does not name the flag
+        monkeypatch.setattr(experiments, "sample_size_grid", _never_called)
+        monkeypatch.setattr(experiments, "tail_estimate_repeatability", _never_called)
+        monkeypatch.setattr(experiments, "monitored_trial_type_i_error", _never_called)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, value, "--seed", "1"])
+        assert exc.value.code == 2
+        kind = "non-negative" if flag == "--count" else "positive"
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a {kind} integer, got {value!r}" in err
 
-    def test_zero_runs_monitored_trial_exit_2(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "study, kwargs, message",
+        [
+            ("tail_estimate_repeatability", {"runs": 0, "n_c": 100}, "runs must be >= 1, got 0"),
+            ("tail_estimate_repeatability", {"runs": 2, "n_c": 0}, "n_c must be >= 1, got 0"),
+            ("monitored_trial_type_i_error", {"n": 70, "look_positions": (50, 60, 70),
+             "replications": 0}, "replications must be >= 1, got 0"),
+        ],
+    )
+    def test_studies_check_counts_before_any_work(self, monkeypatch, study, kwargs, message):
+        # the CLI's flag types refuse these counts first; the studies still do
+        monkeypatch.setattr(experiments, "MultilookSampler", _never_called)
         monkeypatch.setattr(experiments, "estimate_boundaries", _never_called)
-        code, out, err = run_cli(
-            capsys, "tables", "--which", "3", "--n", "70", "--runs", "0", "--seed", "1"
-        )
-        assert code == 2
-        assert out == "" and "replications must be >= 1, got 0" in err
+        with pytest.raises(ValueError, match=message):
+            getattr(experiments, study)(**kwargs)
 
-    def test_zero_draws_repeatability_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(experiments, "MultilookSampler", _never_called)
+    def test_zero_sample_count_prints_the_header_only(self, capsys):
         code, out, err = run_cli(
-            capsys, "tables", "--which", "2", "--runs", "2", "--reps", "0", "--seed", "1"
+            capsys, "sample", "--design", "bcd:0.75", "--n", "10", "--n1", "5", "--count", "0",
+            "--seed", "1",
         )
-        assert code == 2
-        assert out == "" and "n_c must be >= 1, got 0" in err
-
-    def test_negative_sample_count_exit_2(self, capsys):
-        code, out, err = run_cli(
-            capsys, "sample", "--design", "bcd:0.75", "--n", "10", "--n1", "5", "--count", "-1"
-        )
-        assert code == 2
-        assert out == "" and "number of draws must be >= 0, got -1" in err
+        assert code == 0 and err == ""
+        assert out == "# design=bcd:0.75 schedule=10:5 seed=1\n\n"
 
     def test_one_run_repeatability_has_zero_sd(self, capsys):
         with warnings.catch_warnings(record=True) as caught:
@@ -467,6 +499,16 @@ class TestErrorPaths:
         )
         assert code == 4
         assert err == "error: CONDRAND_REPS must be an integer, got 'abc'\n"
+
+    def test_reps_env_below_one_exit_4(self, capsys, trial_files, monkeypatch):
+        monkeypatch.setenv("CONDRAND_REPS", "0")
+        code, out, err = run_cli(
+            capsys, "pvalue", "--design", "bcd:0.6",
+            "--responses", str(trial_files["responses"]),
+            "--assignments", str(trial_files["assignments"]),
+        )
+        assert code == 4
+        assert out == "" and err == "error: CONDRAND_REPS must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("command", ["sample", "boundaries", "info"])
     @pytest.mark.parametrize("design", [{"p": 0.7}, {"kind": "bcd"}, 3, {"kind": 3}])

@@ -18,7 +18,7 @@ from condrand import (
 )
 from condrand.bruteforce import exact_statistic_distribution
 from condrand.monitoring import _conservative_boundary
-from condrand.sampling import MultilookSampler
+import condrand.sampling as sampling
 from oracles import conservative_boundary_reference, exact_statistic_quantile
 
 OBF = SpendingFunction("obf", 0.05)
@@ -171,7 +171,7 @@ class TestEstimateBoundaries:
         design, responses = self._setup()
         schedule = LookSchedule.from_pairs([(4, 2), (8, 4), (12, 6)])
         walks = []
-        monkeypatch.setattr(MultilookSampler, "_walk", lambda *args: walks.append(args))
+        monkeypatch.setattr(sampling, "_walk", lambda *args: walks.append(args))
         with pytest.raises(ValueError, match=f"{len(fractions)} information fractions for 3 looks"):
             estimate_boundaries(
                 design, schedule, responses, OBF, 2000, rng=6, info_fractions=fractions

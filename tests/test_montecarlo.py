@@ -20,10 +20,11 @@ from condrand import (
     linear_rank_statistic,
     mc_sample_size,
     negative_binomial_quantile,
+    simulate_unconditional,
     stratified_statistic,
     unconditional_pmf,
 )
-from condrand.design import simulate_unconditional
+from oracles import unconditional_batch
 
 BCD23 = DesignSpec.bcd(2 / 3)
 
@@ -153,7 +154,7 @@ class TestTiedDrawsCount:
                 est = estimate_pvalue_rejection(
                     self.DESIGN, self.N, n1, scores, v_star, 2000, rng=seed
                 )
-                draws = simulate_unconditional(self.DESIGN, self.N, seed, size=2000)
+                draws = unconditional_batch(self.DESIGN, self.N, seed, 2000)
                 draws = draws[draws.sum(axis=1) == n1]
             want = self._expected_hits([draws], [observed], [scores.values])
             assert round(est.estimate * est.n_effective) == want, seed

@@ -2,11 +2,11 @@
 raises its numerical guards explicitly instead of with ``assert``, which
 ``python -O`` strips, importing it leaves ``multiprocessing`` and every
 ``scipy`` module unloaded, no module imports scipy at module level, each
-CLI command loads only the scipy modules it evaluates, every public name
-and every top-level function or class of the package has a caller
-outside the tests, every option of a public function is set by some
-caller, and each committed ``BENCH_*.json`` summarises its own per-run
-values."""
+CLI command loads only the scipy modules it evaluates, every public name,
+every top-level function or class and every public method of the package
+has a caller outside the tests, every option of a public function is set
+by some caller, and each committed ``BENCH_*.json`` summarises its own
+per-run values."""
 
 import ast
 import json
@@ -179,6 +179,15 @@ def test_every_export_has_a_caller_outside_the_tests():
         for path in SOURCES
         for node in ast.parse(path.read_text()).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    # public methods and properties of the package's classes
+    defined |= {
+        fn.name
+        for path in SOURCES
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef)
+        for fn in node.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
     }
     callers = [p for p in SOURCES if p != init]
     callers += sorted((ROOT / "bench").glob("*.py")) + DEMOS

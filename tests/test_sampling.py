@@ -14,10 +14,10 @@ from condrand import (
     MultilookSampler,
     sample_conditional,
     sample_multilook,
+    simulate_unconditional,
 )
 import condrand.distributions as distributions
 import condrand.sampling as sampling
-from condrand.design import simulate_unconditional
 from condrand.experiments import tail_estimate_repeatability
 from condrand.sampling import ConditionalChain
 from condrand.scores import (
@@ -26,7 +26,7 @@ from condrand.scores import (
     ScoreVector,
     centered_scores,
     linear_rank_statistic,
-    statistic_batch,
+    step_sums,
     sums_exactly,
 )
 from oracles import (
@@ -129,6 +129,11 @@ class TestSamplers:
     def test_single_constraint_batch(self):
         batch = sample_conditional(BCD23, 6, 3, rng=11, size=100_000)
         assert (batch.sum(axis=1) == 3).all()
+
+    def test_negative_draw_count_raises(self):
+        sampler = MultilookSampler(BCD23, LookSchedule.single(10, 5))
+        with pytest.raises(ValueError, match="number of draws must be >= 0, got -1"):
+            sampler.draw_batch(1, -1)
 
     def test_single_draw_type(self):
         seq = sample_conditional(BCD23, 9, 4, rng=13)
@@ -359,7 +364,7 @@ class TestOneSummationRule:
         want = reference_accumulate_statistics(sampler, np.random.default_rng(seed), size, [sv])
         assert walked.tobytes() == want.tobytes()
         batch = sampler.draw_batch(np.random.default_rng(seed), size)
-        assert statistic_batch(sv, batch).tobytes() == walked[:, 0].tobytes()
+        assert step_sums([sv.values], batch.T)[:, 0].tobytes() == walked[:, 0].tobytes()
         rows = np.array([linear_rank_statistic(sv, row) for row in batch])
         assert rows.tobytes() == walked[:, 0].tobytes()
 

@@ -18,7 +18,7 @@ from condrand import (
     stratified_statistic,
 )
 import condrand.scores as scores_module
-from condrand.scores import _midranks, statistic_batch
+from condrand.scores import _midranks, step_sums
 
 
 class TestCenteredScores:
@@ -118,7 +118,7 @@ class TestLinearRankStatistic:
         assert linear_rank_statistic(sv, TreatmentSequence.from_string("001")) == 1.0
 
 
-class TestStatisticBatch:
+class TestStepSums:
     @pytest.mark.parametrize("kind", ["simple-rank", "raw", "halves"])
     def test_chunks_give_the_single_product_bits(self, kind):
         rng = np.random.default_rng(12)
@@ -128,7 +128,7 @@ class TestStatisticBatch:
         else:
             sv = centered_scores(np.round(rng.standard_normal(37), 1), kind)
         with mock.patch.object(scores_module, "BLOCK_ENTRIES", 37 * 100 + 5):
-            got = statistic_batch(sv, batch)
+            got = step_sums([sv.values], batch.T)[:, 0]
         # the oracle adds the steps in order, as reference_accumulate_statistics
         want = np.zeros(len(batch))
         for j in range(batch.shape[1]):
@@ -142,7 +142,7 @@ class TestStatisticBatch:
         sv = centered_scores(rng.standard_normal(100))
         tracemalloc.start()
         try:
-            statistic_batch(sv, batch)
+            step_sums([sv.values], batch.T)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
