@@ -192,6 +192,15 @@ def projected_final_count(design: DesignSpec, schedule: LookSchedule, look: int,
     )
 
 
+def _check_info_options(mode: str, bootstrap: int, resamples: bool) -> None:
+    """Refuse an unknown information mode, and in interim mode a bootstrap
+    without replicates when ``resamples``, before any work."""
+    if mode not in ("interim", "full"):
+        raise ValueError(f"mode must be 'interim' or 'full', got {mode!r}")
+    if mode == "interim" and resamples and bootstrap < 1:
+        raise ValueError(f"need at least one replicate, got {bootstrap}")
+
+
 def information_at_look(
     design: DesignSpec,
     schedule: LookSchedule,
@@ -221,8 +230,8 @@ def information_at_look(
         _chain: Chain whose segment blocks to reuse and extend, as in
             :func:`covariance_multilook`.
     """
-    if mode not in ("interim", "full"):
-        raise ValueError(f"mode must be 'interim' or 'full', got {mode!r}")
+    # only a look before the last resamples the unseen responses
+    _check_info_options(mode, bootstrap, look < len(schedule))
     prefix = schedule.prefix(look)
     horizon = schedule.horizon
     r_l = prefix.horizon

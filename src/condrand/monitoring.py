@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .covariance import information_at_look
+from .covariance import _check_info_options, information_at_look
 from .design import DesignSpec
 from .errors import UnderSampleError
 from .sampling import LookSchedule, MultilookSampler
@@ -90,6 +90,11 @@ def incremental_alpha(sf: SpendingFunction, fractions) -> list[float]:
     return out
 
 
+def _check_quantile_method(method: str) -> None:
+    if method not in ("smooth", "ecdf"):
+        raise ValueError(f"method must be 'smooth' or 'ecdf', got {method!r}")
+
+
 def nonparametric_quantile(samples, level: float, method: str = "smooth") -> float:
     """Quantile estimate from a sample.
 
@@ -103,14 +108,13 @@ def nonparametric_quantile(samples, level: float, method: str = "smooth") -> flo
         raise ValueError("need a nonempty sample")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
+    _check_quantile_method(method)
     if method == "ecdf":
         k = max(int(np.ceil(x.size * level)) - 1, 0)
         # with ties, step up until the strict upper tail is small enough
         while k < x.size - 1 and (x > x[k]).sum() > (1.0 - level) * x.size:
             k += 1
         return float(x[k])
-    if method != "smooth":
-        raise ValueError(f"method must be 'smooth' or 'ecdf', got {method!r}")
     n = x.size
     if n == 1:
         return float(x[0])
@@ -150,10 +154,10 @@ def _conservative_boundary(values: np.ndarray, level: float, method: str) -> flo
     """Quantile estimate raised, if ties demand it, to the smallest sample
     value whose strict upper tail fits inside ``1 - level``: the ``ecdf``
     quantile."""
-    return max(
-        nonparametric_quantile(values, level, method),
-        nonparametric_quantile(values, level, "ecdf"),
-    )
+    ecdf = nonparametric_quantile(values, level, "ecdf")
+    if method == "ecdf":
+        return ecdf
+    return max(nonparametric_quantile(values, level, method), ecdf)
 
 
 def estimate_boundaries(
@@ -186,6 +190,7 @@ def estimate_boundaries(
     """
     if n_c < 1:
         raise ValueError(f"need at least one sequence per stage, got {n_c}")
+    _check_quantile_method(quantile_method)
     rng = as_generator(rng)
     x = np.asarray(responses, dtype=float)
     looks = schedule.looks
@@ -193,8 +198,12 @@ def estimate_boundaries(
         raise ValueError(
             f"need {looks[-1].position} responses, got {x.size}"
         )
-    if info_fractions is not None and len(info_fractions) != len(looks):
+    if info_fractions is None:
+        _check_info_options(info_mode, bootstrap, len(looks) > 1)
+    elif len(info_fractions) != len(looks):
         raise ValueError(f"got {len(info_fractions)} information fractions for {len(looks)} looks")
+    # ranking first refuses an unknown score kind before any table is built
+    prefix_scores = [centered_scores(x[: l.position], score_kind) for l in looks]
     # one chain serves the covariance blocks and every stage
     sampler = MultilookSampler(design, schedule)
     if info_fractions is None:
@@ -208,7 +217,6 @@ def estimate_boundaries(
     info_fractions = [float(t) for t in info_fractions]
     alphas = incremental_alpha(spending, info_fractions)
 
-    prefix_scores = [centered_scores(x[: l.position], score_kind) for l in looks]
     bounds: list[float] = []
     used: list[int] = []
     generated: list[int] = []

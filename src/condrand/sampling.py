@@ -101,49 +101,16 @@ class LookSchedule:
         return {"looks": [{"r": l.position, "n1": l.count} for l in self.looks]}
 
 
-def _fill_segment_chain(
-    design: DesignSpec, start: int, start_count: int, end: int, end_count: int, psi: np.ndarray
-) -> None:
-    """Set ``psi[j - start, m]`` to P(T_{j+1} = 1 | N1(j) = m, N1(end) =
-    end_count) for start <= j < end, a block of rows at a time.  A block
-    computes only the counts from the first that can reach ``end_count``
-    in its first row up to ``end_count``; the rest of a zeroed ``psi``
-    stays 0."""
-    if not 0 <= start_count <= start:
-        raise InfeasibleError(f"count {start_count} at position {start} is outside 0..{start}")
-    table = backward_log_table(design, start, end, end_count)
-    if table[0, start_count] == _NEG_INF:
-        raise InfeasibleError(
-            f"look (position {end}, count {end_count}) is unreachable "
-            f"from count {start_count} at position {start} under {design.label()}"
-        )
-    pr = _imbalance_probabilities(design, end)
-    rows = max(1, BLOCK_ENTRIES // (end + 1))
-    for lo in range(start, end, rows):
-        hi = min(lo + rows, end)
-        a, b = lo - start, hi - start
-        c0, c1 = max(0, end_count - (end - lo)), min(hi, end_count + 1)
-        cur, up = table[a:b, c0:c1], table[a + 1 : b + 1, c0 + 1 : c1 + 1]
-        with np.errstate(invalid="ignore"):
-            ratio = np.where(cur > _NEG_INF, np.exp(up - cur), 0.0)
-        # P(T_{j+1} = 1 | N1(j) = m) is pr[end + 2m - j]: a read-only view of pr
-        view = (b - a, c1 - c0), (-pr.itemsize, 2 * pr.itemsize)
-        box = np.lib.stride_tricks.as_strided(pr[end + 2 * c0 - lo :], *view, writeable=False)
-        block = box * ratio
-        if block.max(initial=0.0) > 1.0 + 1e-9:
-            raise AssertionError("transition probability exceeds 1")
-        np.clip(block, 0.0, 1.0, out=psi[a:b, c0:c1])
-
-
 class ConditionalChain:
     """The design's chain conditioned on look counts, one segment at a time.
 
     ``table(start, start_count, end, end_count)`` is the segment's
     transition table psi[j - start, m] = P(T_{j+1} = 1 | N1(j) = m,
     N1(end) = end_count), of shape (end - start, end + 2).  It is built on
-    first use and then read by every sampler and covariance that holds
-    this chain.  ``blocks`` keeps each segment's conditional covariance
-    block under the same key, filled by :mod:`condrand.covariance`.
+    first use, in the segment's backward log table itself, and then read
+    by every sampler and covariance that holds this chain.  ``blocks``
+    keeps each segment's conditional covariance block under the same key,
+    filled by :mod:`condrand.covariance`.
     """
 
     def __init__(self, design: DesignSpec):
@@ -153,13 +120,41 @@ class ConditionalChain:
 
     def table(self, start: int, start_count: int, end: int, end_count: int) -> np.ndarray:
         key = (start, start_count, end, end_count)
-        psi = self._tables.get(key)
-        if psi is None:
-            if not 0 <= start < end:
-                raise ValueError(f"need 0 <= start < end, got positions {start} and {end}")
-            psi = np.zeros((end - start, end + 2))
-            _fill_segment_chain(self.design, *key, psi)
-            self._tables[key] = psi
+        if key in self._tables:
+            return self._tables[key]
+        if not 0 <= start < end:
+            raise ValueError(f"need 0 <= start < end, got positions {start} and {end}")
+        if not 0 <= start_count <= start:
+            raise InfeasibleError(f"count {start_count} at position {start} is outside 0..{start}")
+        table = backward_log_table(self.design, start, end, end_count)
+        if table[0, start_count] == _NEG_INF:
+            raise InfeasibleError(
+                f"look (position {end}, count {end_count}) is unreachable "
+                f"from count {start_count} at position {start} under {self.design.label()}"
+            )
+        # Rows turn from log probabilities into psi a block at a time, from
+        # the top: the block of rows a..b-1 reads log rows a..b, and row b
+        # stays a log row until its own block.  A block computes only the
+        # counts from the first that can reach ``end_count`` in its first
+        # row up to ``end_count``, and writes 0 over the rest of its rows.
+        pr = _imbalance_probabilities(self.design, end)
+        rows = max(1, BLOCK_ENTRIES // (end + 1))
+        for lo in range(start, end, rows):
+            hi = min(lo + rows, end)
+            a, b = lo - start, hi - start
+            c0, c1 = max(0, end_count - (end - lo)), min(hi, end_count + 1)
+            cur, up = table[a:b, c0:c1], table[a + 1 : b + 1, c0 + 1 : c1 + 1]
+            with np.errstate(invalid="ignore"):
+                ratio = np.where(cur > _NEG_INF, np.exp(up - cur), 0.0)
+            # P(T_{j+1} = 1 | N1(j) = m) is pr[end + 2m - j]: a read-only view of pr
+            view = (b - a, c1 - c0), (-pr.itemsize, 2 * pr.itemsize)
+            box = np.lib.stride_tricks.as_strided(pr[end + 2 * c0 - lo :], *view, writeable=False)
+            block = box * ratio
+            if block.max(initial=0.0) > 1.0 + 1e-9:
+                raise AssertionError("transition probability exceeds 1")
+            table[a:b, :c0] = table[a:b, c1:] = 0.0
+            np.clip(block, 0.0, 1.0, out=table[a:b, c0:c1])
+        psi = self._tables[key] = table[:-1]
         return psi
 
 

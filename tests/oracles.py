@@ -636,6 +636,39 @@ def reference_statistic_distribution(design: DesignSpec, scores, n1: int):
     return np.asarray([s / scale for s in support]), probs
 
 
+def lattice_statistic_distribution(design: DesignSpec, scores, n1: int):
+    """The conditional law of the statistic given N1(n) = n1 by a float DP
+    over (count, 2 * statistic), for scores that are halves.
+
+    Each step moves the mass with the design's unconditional assignment
+    probabilities; only the end conditions on N1(n) = n1, so the law does
+    not lean on the conditional chain.  Returns the support points of
+    positive mass and their probabilities, as floats.
+    """
+    values = np.asarray(getattr(scores, "values", scores), dtype=float)
+    steps = np.rint(2 * values).astype(np.int64)
+    if not (steps == 2 * values).all():
+        raise ValueError("the lattice DP needs scores that are halves")
+    low, width = int(steps[steps < 0].sum()), int(np.abs(steps).sum()) + 1
+    # mass[m, 2s - low]: count m and statistic s after the steps so far
+    mass = np.zeros((n1 + 1, width))
+    mass[0, -low] = 1.0
+    counts = np.arange(n1 + 1)
+    for j, a in enumerate(steps):
+        p1 = _probability_row(design, j, counts)[:, None]
+        moved = mass[:-1] * p1[:-1]
+        mass *= 1.0 - p1
+        if a >= 0:
+            mass[1:, a:] += moved[:, : width - a]
+        else:
+            mass[1:, :a] += moved[:, -a:]
+    law = mass[n1]
+    if law.sum() == 0.0:
+        raise InfeasibleError(f"N1({values.size}) = {n1} has probability zero under {design.label()}")
+    (support,) = np.nonzero(law)
+    return (support + low) / 2, law[support] / law.sum()
+
+
 # ---------------------------------------------------------------------------
 # The conservative boundary by a walk over the distinct sample values.
 

@@ -16,11 +16,13 @@ from condrand import (
 )
 from condrand.bruteforce import MAX_DP
 from condrand.experiments import TAIL_ROWS, tail_estimate_repeatability
+from condrand.streams import substream
 from oracles import (
     count_constraints_predicate,
     enumerate_law,
     exact_covariance,
     exact_statistic_quantile,
+    lattice_statistic_distribution,
     oracle_sequence_law,
     reference_statistic_distribution,
 )
@@ -201,6 +203,54 @@ class TestOneLawPerQuestion:
         exact_rows = sum(n <= MAX_DP for n, _ in TAIL_ROWS)
         assert exact_rows == 4 and len(calls) == exact_rows
         assert all((r["exact"] is None) == (r["n"] > MAX_DP) for r in out)
+
+
+def _tail_row_scores(r_idx: int, n: int):
+    """The scores of a default repeatability row, drawn as the study draws them."""
+    return centered_scores(substream(2012, r_idx, 0).standard_normal(n))
+
+
+class TestLatticeOracle:
+    @pytest.mark.parametrize(
+        "design", [DesignSpec.bcd(0.5), BCD23, DesignSpec.bcd(1.0), DesignSpec.complete()]
+    )
+    @pytest.mark.parametrize("n1", [0, 5, 6, 12])
+    def test_small_laws_are_the_exact_dp(self, design, n1):
+        scores = centered_scores(np.array([3.0, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8]))
+        try:
+            want_support, want_probs = exact_statistic_distribution(design, scores, n1)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                lattice_statistic_distribution(design, scores, n1)
+            return
+        support, probs = lattice_statistic_distribution(design, scores, n1)
+        assert support.tobytes() == want_support.tobytes()
+        assert np.abs(probs - [float(pr) for pr in want_probs]).max() <= 1e-12
+
+    def test_exact_rows_are_the_exact_dp(self):
+        design = DesignSpec.bcd(0.6)
+        rows = [(r_idx, n, n1) for r_idx, (n, n1) in enumerate(TAIL_ROWS) if n <= MAX_DP]
+        assert len(rows) == 4
+        for r_idx, n, n1 in rows:
+            scores = _tail_row_scores(r_idx, n)
+            want_support, want_probs = exact_statistic_distribution(design, scores, n1)
+            support, probs = lattice_statistic_distribution(design, scores, n1)
+            assert support.tobytes() == want_support.tobytes()
+            assert np.abs(probs - [float(pr) for pr in want_probs]).max() <= 1e-12
+
+    def test_repeatability_means_sit_on_the_lattice_tails(self):
+        # the n = 100 rows have no exact DP; the lattice gives their tails
+        # (0.100082 and 0.100554), against which each mean is z = 0.77, 0.70
+        rows = tail_estimate_repeatability()
+        assert [(r["n"], r["n1"]) for r in rows] == list(TAIL_ROWS)
+        assert any(r["exact"] is None for r in rows)
+        for r_idx, row in enumerate(rows):
+            scores = _tail_row_scores(r_idx, row["n"])
+            support, probs = lattice_statistic_distribution(DesignSpec.bcd(0.6), scores, row["n1"])
+            tail = probs[support >= row["v_star"]].sum()
+            if row["exact"] is not None:
+                assert tail == pytest.approx(row["exact"], abs=1e-12)
+            assert abs(row["mean"] - tail) <= 4 * row["sd"] / np.sqrt(row["runs"]), row
 
 
 class TestExactCovariance:

@@ -324,6 +324,27 @@ class TestInformationAtLook:
         information_at_look(BCD23, schedule, x, 1, mode="full")
         assert len(built) == 2
 
+    def test_bootstrap_checked_before_any_table(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("built a table before checking the bootstrap")
+
+        monkeypatch.setattr(sampling, "backward_log_table", never)
+        monkeypatch.setattr(covariance, "_block_moments_float", never)
+        schedule = LookSchedule.from_pairs([(10, 5), (20, 10), (40, 20)])
+        x = np.random.default_rng(14).standard_normal(20)
+        for bootstrap in (0, -2):
+            with pytest.raises(ValueError, match=f"need at least one replicate, got {bootstrap}"):
+                information_at_look(BCD23, schedule, x, 2, bootstrap=bootstrap, rng=3)
+        with pytest.raises(ValueError, match="mode must be 'interim' or 'full', got 'bogus'"):
+            information_at_look(BCD23, schedule, x, 2, mode="bogus")
+
+    def test_last_look_reads_no_bootstrap(self):
+        # the last look's fraction is 1 without resampling the unseen responses
+        schedule = LookSchedule.from_pairs([(6, 3), (12, 7)])
+        x = np.random.default_rng(9).standard_normal(12)
+        frac = information_at_look(BCD23, schedule, x, 2, bootstrap=0)
+        assert frac.t == 1.0
+
 
 class TestBlockMoments:
     @settings(max_examples=60, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from condrand import (
 )
 from condrand.bruteforce import exact_statistic_distribution
 from condrand.monitoring import _conservative_boundary
+import condrand.covariance as covariance
+import condrand.monitoring as monitoring
 import condrand.sampling as sampling
 from oracles import conservative_boundary_reference, exact_statistic_quantile
 
@@ -112,6 +115,17 @@ class TestConservativeBoundary:
         want = conservative_boundary_reference(values, level, method)
         assert type(got) is type(want) and got == want
 
+    def test_ecdf_sorts_the_sample_once(self, monkeypatch):
+        # under "ecdf" the estimate is the ecdf quantile the rule raises it to
+        methods = []
+        real = monitoring.nonparametric_quantile
+        monkeypatch.setattr(
+            monitoring, "nonparametric_quantile", lambda *args: methods.append(args[2]) or real(*args)
+        )
+        values = np.repeat(np.arange(20.0), 3)
+        assert _conservative_boundary(values, 0.9, "ecdf") == real(values, 0.9, "ecdf")
+        assert methods == ["ecdf"]
+
 
 class TestSequentialDecision:
     def test_first_crossing_wins(self):
@@ -177,6 +191,45 @@ class TestEstimateBoundaries:
                 design, schedule, responses, OBF, 2000, rng=6, info_fractions=fractions
             )
         assert walks == []
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"quantile_method": "bogus"}, "method must be 'smooth' or 'ecdf', got 'bogus'"),
+            ({"score_kind": "bogus"}, "unknown score kind 'bogus'"),
+            ({"info_mode": "bogus"}, "mode must be 'interim' or 'full', got 'bogus'"),
+            ({"info_mode": "interim", "bootstrap": 0}, "need at least one replicate, got 0"),
+        ],
+    )
+    def test_options_checked_before_any_table(self, options, message, monkeypatch):
+        # before the checks, each of these was refused only after the chain
+        # and the covariance blocks of the information fractions were built
+        design, responses = self._setup()
+        schedule = LookSchedule.from_pairs([(4, 2), (8, 4), (12, 6)])
+
+        def never(*args, **kwargs):
+            raise AssertionError("built a table before checking the options")
+
+        monkeypatch.setattr(sampling, "backward_log_table", never)
+        monkeypatch.setattr(covariance, "_block_moments_float", never)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            estimate_boundaries(design, schedule, responses, OBF, 2000, rng=6, **options)
+
+    @pytest.mark.parametrize(
+        "pairs, options",
+        [
+            # info_mode and bootstrap are read only to compute the fractions,
+            ([(6, 3), (12, 6)], {"info_fractions": [0.5, 1.0], "info_mode": "bogus", "bootstrap": 0}),
+            # and the bootstrap only to resample the responses after an interim look
+            ([(6, 3), (12, 6)], {"info_mode": "full", "bootstrap": 0}),
+            ([(12, 6)], {"info_mode": "interim", "bootstrap": 0}),
+        ],
+    )
+    def test_unread_information_options_pass(self, pairs, options):
+        design, responses = self._setup()
+        schedule = LookSchedule.from_pairs(pairs)
+        result = estimate_boundaries(design, schedule, responses, OBF, 2000, rng=6, **options)
+        assert len(result.d) == len(pairs)
 
     def test_under_sample_error(self):
         design, responses = self._setup()

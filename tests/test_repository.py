@@ -4,11 +4,12 @@ raises its numerical guards explicitly instead of with ``assert``, which
 ``scipy`` module unloaded, no module imports scipy at module level, each
 CLI command loads only the scipy modules it evaluates, every public name,
 every top-level function or class and every public method of the package
-has a caller outside the tests, every option of a public function is set
-by some caller, and each committed ``BENCH_*.json`` summarises its own
-per-run values."""
+has a caller outside the tests, the bench tracer finds every name it
+wraps but its one known absentee, every option of a public function is set by some caller, and
+each committed ``BENCH_*.json`` summarises its own per-run values."""
 
 import ast
+import importlib.util
 import json
 import math
 import os
@@ -197,6 +198,31 @@ def test_every_export_has_a_caller_outside_the_tests():
     documented = {name for name in exported if re.search(rf"\b{name}\b", readme)}
     unused = sorted((exported | defined) - used - documented)
     assert exported and defined and not unused, unused
+
+
+def _load_tracing():
+    """The bench tracer, loaded by path as the bench loads it."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tracer_finds_its_names():
+    # a name the tracer cannot find reads 0 in the bench's per-layer metrics
+    tracing = _load_tracing()
+    absent = {path for path, _, _ in tracing.TARGETS if tracing._resolve(path) is None}
+    # the one known absentee: covariance reaches the table only through the chain
+    assert absent == {"condrand.covariance.backward_log_table"}
+    # the bench recounts retained shares through the monitoring module's
+    # sampler, and counts walk steps from the sampler's horizon
+    from condrand import DesignSpec, LookSchedule
+    from condrand.monitoring import MultilookSampler
+
+    assert isinstance(MultilookSampler, type)
+    sampler = MultilookSampler(DesignSpec.bcd(0.75), LookSchedule.single(10, 5))
+    out = sampler.accumulate_statistics(1, 3, [np.zeros(10)])
+    assert tracing._walk_steps((sampler, 1, 3), {}, out) == 3 * 10 == 3 * sampler.n
 
 
 # Options that no call sets but that stay, each with its reason.
