@@ -12,7 +12,6 @@ from .bruteforce import (
     exact_statistic_distribution,
 )
 from .covariance import (
-    ConditionalCovariance,
     InformationFraction,
     covariance_final,
     covariance_multilook,

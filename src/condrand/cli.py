@@ -230,6 +230,8 @@ def _estimate_json(est, seed: int) -> dict:
 
 
 def _cmd_pvalue(args) -> dict:
+    if args.exact and args.method == "rejection":
+        raise ValueError("--exact computes the exact p-value; it does not take --method rejection")
     design = args.design
     values, labels = read_responses(args.responses)
     sequences = read_assignments(args.assignments)

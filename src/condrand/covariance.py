@@ -18,7 +18,7 @@ the observed ones when the trial is still in progress.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,26 +26,8 @@ from .design import DesignSpec
 from .distributions import conditional_pmf
 from .errors import DegenerateScoresError, InfeasibleError
 from .sampling import ConditionalChain, Look, LookSchedule
-from .scores import SIMPLE_RANK, ScoreVector, _centered, centered_scores
+from .scores import SIMPLE_RANK, _centered, centered_scores
 from .streams import as_generator
-
-
-@dataclass(frozen=True)
-class ConditionalCovariance:
-    """Covariance of the assignment vector given one or many look counts."""
-
-    sigma: np.ndarray = field(repr=False)
-    conditioning: LookSchedule
-
-    @property
-    def n(self) -> int:
-        return self.sigma.shape[0]
-
-    def quadratic_form(self, scores: ScoreVector | np.ndarray) -> float:
-        a = np.asarray(getattr(scores, "values", scores), dtype=float)
-        if a.size != self.n:
-            raise ValueError(f"scores have length {a.size}, expected {self.n}")
-        return float(a @ self.sigma @ a)
 
 
 @dataclass(frozen=True)
@@ -65,31 +47,27 @@ class InformationFraction:
 def _block_moments_float(chain: ConditionalChain, r0: int, m0: int, r1: int, m1: int):
     """Conditional means and cross moments of T within one segment.
 
-    Row a of ``g`` is the forward sweep started by T_a = 1: the law of the
-    count before step b jointly with that event.  All open sweeps advance
-    together, and each entry of ``lam`` keeps its own full-width dot
+    One pass over the steps.  Row b of ``rho`` is the law of the count
+    before step b; row a of ``g`` is the forward sweep started by T_a = 1:
+    the law of the count before step b jointly with that event.  At step b
+    the open sweeps give their cross moments with T_b and advance through
+    psi[b] together; then the chain step rho[b] * psi[b] opens sweep b and
+    gives rho[b + 1].  Each entry of ``lam`` keeps its own full-width dot
     product: the stacked (b, 1, w) @ (w, 1) matmul hands every 1 x 1 item
     to the same BLAS dot as ``ndarray.dot``, so the result equals a sweep
     per pair bit for bit; a matrix-vector product would sum in another
-    order.  The updates touch only the counts m0 + b can still reach on
-    the way to m1; outside that band psi is 0 or the sweeps hold no mass,
-    so the full-width updates would leave those columns as they are.
+    order.  The sweep updates touch only the counts m0 + b can still reach
+    on the way to m1; outside that band psi is 0 or the sweeps hold no
+    mass, so the full-width updates would leave those columns as they are.
     """
     psi = chain.table(r0, m0, r1, m1)
     s, width = psi.shape
-    rho = np.zeros((s + 1, width))
+    rho = np.zeros((s, width))
     rho[0, m0] = 1.0
-    for idx in range(s):
-        move = rho[idx] * psi[idx]
-        nxt = rho[idx] - move
-        nxt[1:] += move[:-1]
-        rho[idx + 1] = nxt
-    theta = np.einsum("im,im->i", rho[:s], psi)
     lam = np.zeros((s, s))
     g = np.zeros((s, width))
     move = np.empty((s, min(m1 - m0, s - (m1 - m0)) + 1))
-    for b in range(1, s):
-        g[b - 1, 1:] = (rho[b - 1] * psi[b - 1])[:-1]
+    for b in range(s):
         row = psi[b]
         np.matmul(g[:b, None, :], row[:, None], out=lam[:b, b, None, None])
         lo, hi = max(m0, m1 - (s - b)), min(m0 + b, m1) + 1
@@ -97,12 +75,18 @@ def _block_moments_float(chain: ConditionalChain, r0: int, m0: int, r1: int, m1:
         np.multiply(g[:b, lo:hi], row[lo:hi], out=band)
         g[:b, lo:hi] -= band
         g[:b, lo + 1 : hi + 1] += band
+        step = rho[b] * row
+        g[b, 1:] = step[:-1]
+        if b + 1 < s:
+            np.subtract(rho[b], step, out=rho[b + 1])
+            rho[b + 1, 1:] += step[:-1]
+    theta = np.einsum("im,im->i", rho, psi)
     return theta, lam
 
 
 def covariance_multilook(
     design: DesignSpec, schedule: LookSchedule, *, _chain: ConditionalChain | None = None
-) -> ConditionalCovariance:
+) -> np.ndarray:
     """Covariance of the first r_L assignments given every look count.
 
     The matrix is block diagonal with one block per segment.  ``_chain``,
@@ -122,10 +106,10 @@ def covariance_multilook(
     for segment in schedule.segments():
         r0, _, r1, _ = segment
         sigma[r0:r1, r0:r1] = chain.blocks[segment]
-    return ConditionalCovariance(sigma, schedule)
+    return sigma
 
 
-def covariance_final(design: DesignSpec, n: int, n1: int) -> ConditionalCovariance:
+def covariance_final(design: DesignSpec, n: int, n1: int) -> np.ndarray:
     """Covariance of the full assignment vector given the final count."""
     return covariance_multilook(design, LookSchedule.single(n, n1))
 
@@ -151,13 +135,15 @@ def interpolate_scores(
     rng: np.random.Generator | int | None,
     replicates: int,
     kind: str = SIMPLE_RANK,
-) -> list[ScoreVector]:
+) -> np.ndarray:
     """Complete a partially observed response vector ``replicates`` times.
 
     Each completion keeps the observed prefix, fills the remaining
     ``n - len(observed)`` entries by resampling the observed values with
     replacement, and re-ranks the full vector; the completions are ranked
     and centered together, row by row, as :func:`centered_scores` would.
+    Returns the (replicates, n) scores; only the observed values are
+    checked, as every completion is drawn from them.
     """
     x = np.asarray(observed, dtype=float)
     if x.ndim != 1 or x.size == 0:
@@ -166,14 +152,15 @@ def interpolate_scores(
         raise ValueError(f"{x.size} observed responses exceed horizon {n}")
     if replicates < 1:
         raise ValueError(f"need at least one replicate, got {replicates}")
+    observed_scores = centered_scores(x, kind).values
     if x.size == n:
-        return [centered_scores(x, kind)] * replicates
+        return np.tile(observed_scores, (replicates, 1))
     rng = as_generator(rng)
     full = np.empty((replicates, n))
     full[:, : x.size] = x
     for row in full:
         row[x.size :] = rng.choice(x, size=n - x.size, replace=True)
-    return [ScoreVector(a, kind) for a in _centered(full, kind)]
+    return _centered(full, kind)
 
 
 def projected_final_count(design: DesignSpec, schedule: LookSchedule, look: int, horizon: int) -> int:
@@ -240,11 +227,11 @@ def information_at_look(
         raise ValueError(f"need at least {r_l} responses for look {look}")
     if mode == "full" and x.size < horizon:
         raise ValueError(f"full mode needs {horizon} responses, got {x.size}")
-    scores_l = centered_scores(x[:r_l], kind)
+    scores_l = centered_scores(x[:r_l], kind).values
     chain = ConditionalChain(design) if _chain is None else _chain
     sigma_l = covariance_multilook(design, prefix, _chain=chain)
+    num = float(scores_l @ sigma_l @ scores_l)
     if r_l == horizon:
-        num = sigma_l.quadratic_form(scores_l)
         if num <= 0.0:
             raise DegenerateScoresError("interim-statistic variance is zero")
         return InformationFraction(1.0, look, num, num)
@@ -257,9 +244,8 @@ def information_at_look(
     sigma_n = covariance_multilook(design, den_schedule, _chain=chain)
 
     if mode == "full":
-        den_scores = [centered_scores(x[:horizon], kind)]
+        den_scores = centered_scores(x[:horizon], kind).values[None]
     else:
         den_scores = interpolate_scores(x[:r_l], horizon, rng, bootstrap, kind)
-    num = sigma_l.quadratic_form(scores_l)
-    den = float(np.mean([sigma_n.quadratic_form(sv) for sv in den_scores]))
+    den = float(np.mean([a @ sigma_n @ a for a in den_scores]))
     return _ratio(num, den, look)

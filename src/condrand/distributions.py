@@ -156,7 +156,11 @@ def _eval_series_float(plan: _SeriesPlan, p: float) -> float:
     main = _NEG_INF
     if logs:
         top = max(logs)
-        main = top + math.log(sum(math.exp(v - top) for v in logs))
+        # left to right from 0.0: the builtin sum compensates since Python 3.12
+        total = 0.0
+        for v in logs:
+            total += math.exp(v - top)
+        main = top + math.log(total)
         if plan.halved:
             main += math.log(0.5)
     if plan.correction is not None:

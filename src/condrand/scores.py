@@ -208,15 +208,14 @@ class StratifiedData:
 
 
 def stratified_statistic(data: StratifiedData, sequences) -> float:
-    """Sum of per-stratum linear rank statistics."""
+    """Sum of per-stratum linear rank statistics, added in stratum order
+    from 0.0 (the builtin sum compensates since Python 3.12)."""
     sequences = list(sequences)
     if len(sequences) != len(data):
         raise ValueError(
             f"got {len(sequences)} sequences for {len(data)} strata"
         )
-    return float(
-        sum(
-            linear_rank_statistic(s.scores, t)
-            for s, t in zip(data.strata, sequences)
-        )
-    )
+    total = 0.0
+    for s, t in zip(data.strata, sequences):
+        total += linear_rank_statistic(s.scores, t)
+    return total

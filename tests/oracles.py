@@ -22,7 +22,11 @@ can hold the package to them.  None of them is fast.  In order:
   ``(count, statistic)`` pairs, against which the package's block passes
   and per-count DP are held bit for bit;
 * a stage's conservative boundary by a walk over the distinct sample
-  values.
+  values;
+* the builtin float ``sum`` of Python 3.12 and later;
+* the monitored pipeline: the joint law of the look statistics given
+  every look count, the staged boundaries it implies and the attained
+  level of any boundary vector.
 """
 
 from __future__ import annotations
@@ -500,7 +504,10 @@ def reference_eval_series_float(plan, p: float) -> float:
     main = _NEG_INF
     if logs:
         top = max(logs)
-        main = top + math.log(sum(math.exp(v - top) for v in logs))
+        total = 0.0
+        for v in logs:
+            total += math.exp(v - top)
+        main = top + math.log(total)
         if plan.halved:
             main += math.log(0.5)
     if plan.correction is not None:
@@ -588,16 +595,10 @@ def reference_segment_chain(design: DesignSpec, r0: int, m0: int, r1: int, m1: i
     return psi
 
 
-def reference_statistic_distribution(design: DesignSpec, scores, n1: int):
-    """``exact_statistic_distribution`` with one dict over ``(m, s)`` pairs
-    and the step weights looked up for every pair."""
-    values = list(getattr(scores, "values", scores))
-    n = len(values)
-    if not 1 <= n <= MAX_DP:
-        raise ValueError(f"exact DP supports 1 <= n <= {MAX_DP}, got {n}")
-    if not 0 <= n1 <= n:
-        raise ValueError(f"count {n1} out of range for horizon {n}")
-    ints, scale = _integerize_scores(values)
+def _step_weights(design: DesignSpec):
+    """The design's step probabilities as integer weights over one
+    denominator: ``weights(j, m)`` gives those of T = 1 and T = 0 at step
+    ``j`` from count ``m``."""
     p = design.exact_p()
     den = 2 * p.denominator
     w_half = den // 2
@@ -611,6 +612,20 @@ def reference_statistic_distribution(design: DesignSpec, scores, n1: int):
             return w_p, w_q
         return w_q, w_p
 
+    return weights
+
+
+def reference_statistic_distribution(design: DesignSpec, scores, n1: int):
+    """``exact_statistic_distribution`` with one dict over ``(m, s)`` pairs
+    and the step weights looked up for every pair."""
+    values = list(getattr(scores, "values", scores))
+    n = len(values)
+    if not 1 <= n <= MAX_DP:
+        raise ValueError(f"exact DP supports 1 <= n <= {MAX_DP}, got {n}")
+    if not 0 <= n1 <= n:
+        raise ValueError(f"count {n1} out of range for horizon {n}")
+    ints, scale = _integerize_scores(values)
+    weights = _step_weights(design)
     states: dict[tuple[int, int], int] = {(0, 0): 1}
     for j in range(n):
         step: dict[tuple[int, int], int] = {}
@@ -685,3 +700,101 @@ def conservative_boundary_reference(values: np.ndarray, level: float, method: st
         if v >= d and (values > v).sum() <= budget:
             return float(v)
     return float(values.max())
+
+
+# ---------------------------------------------------------------------------
+# The builtin float sum of Python 3.12 and later.
+
+
+def compensated_sum(values, start=0):
+    """``sum`` as Python 3.12 computes it for floats: Neumaier's
+    compensated summation, whose result can differ in the last bits from
+    the left-to-right sum of earlier versions.  Patched over a module's
+    ``sum``, it shows whether that module's floats depend on the version.
+    """
+    total, c = float(start), 0.0
+    for x in values:
+        x = float(x)
+        t = total + x
+        if abs(total) >= abs(x):
+            c += (total - t) + x
+        else:
+            c += (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+# ---------------------------------------------------------------------------
+# The monitored pipeline: the joint law of the look statistics, the staged
+# boundaries and the attained level of any boundary vector.
+
+
+def monitored_joint_law(design: DesignSpec, schedule: LookSchedule, prefix_scores):
+    """The joint law of the look statistics (S_1, ..., S_L) given every look
+    count, by a DP over (count, scaled partial statistics).
+
+    ``prefix_scores[l]`` scores the first r_l subjects and must lie on a
+    small rational lattice.  Each step moves the mass with the design's
+    integer path weights (p, q and 1/2 over a common denominator), kept as
+    Python ints: 4^24 times the number of paths overflows int64.  A state
+    that misses a look count is dropped there, so the law does not lean on
+    the conditional chain.  Returns an (K, L) array of the support points,
+    exact when each lattice's scale is a power of two, and their K integer
+    weights.
+    """
+    lattices = [_integerize_scores(getattr(a, "values", a)) for a in prefix_scores]
+    ints = [a for a, _ in lattices]
+    weights = _step_weights(design)
+    looks = {look.position: look.count for look in schedule.looks}
+    states: dict[tuple[int, ...], int] = {(0,) * (len(ints) + 1): 1}
+    for j in range(schedule.horizon):
+        step: dict[tuple[int, ...], int] = {}
+        for key, w in states.items():
+            w1, w0 = weights(j, key[0])
+            if w0:
+                step[key] = step.get(key, 0) + w * w0
+            if w1:
+                up = (key[0] + 1,) + tuple(
+                    s + a[j] if j < len(a) else s for s, a in zip(key[1:], ints)
+                )
+                step[up] = step.get(up, 0) + w * w1
+        states = step
+        if j + 1 in looks:
+            states = {k: w for k, w in states.items() if k[0] == looks[j + 1]}
+    if not states:
+        raise InfeasibleError(f"the schedule has probability zero under {design.label()}")
+    keys = np.array(list(states), dtype=float)[:, 1:]
+    return keys / [scale for _, scale in lattices], list(states.values())
+
+
+def _weighted_upper_tail(values: np.ndarray, weights: list[int], v: float) -> int:
+    return sum((w for x, w in zip(values, weights) if x > v), start=0)
+
+
+def exact_staged_boundaries(values: np.ndarray, weights: list[int], alphas) -> list[float]:
+    """The staged boundaries of an exact joint law under the estimator's
+    rule: at look l, among the sequences inside every earlier boundary,
+    the smallest support value of S_l whose strict upper tail weighs at
+    most alpha_l of theirs; infinite where alpha_l is 0."""
+    inside = np.ones(len(weights), dtype=bool)
+    bounds: list[float] = []
+    for l, alpha_l in enumerate(alphas):
+        if alpha_l <= 0.0:
+            bounds.append(math.inf)
+            continue
+        col = values[inside, l]
+        kept = [w for w, keep in zip(weights, inside) if keep]
+        budget = Fraction(alpha_l) * sum(kept)
+        d = next(
+            float(v) for v in np.unique(col) if _weighted_upper_tail(col, kept, v) <= budget
+        )
+        bounds.append(d)
+        inside &= values[:, l] <= d
+    return bounds
+
+
+def exact_attained_level(values: np.ndarray, weights: list[int], bounds) -> Fraction:
+    """The probability that some look statistic strictly exceeds its
+    boundary, under an exact joint law."""
+    crossed = (values > np.asarray(bounds, dtype=float)).any(axis=1)
+    return Fraction(sum((w for w, c in zip(weights, crossed) if c), start=0), sum(weights))

@@ -298,7 +298,7 @@ def test_criterion_09_covariance_oracle_and_psd():
                 want = exact_covariance(law, [(n, n1)])
                 got = covariance_final_exact(design, n, n1)
                 assert (got == want).all(), (design.label(), n, n1)
-                got = covariance_final(design, n, n1).sigma
+                got = covariance_final(design, n, n1)
                 worst = max(worst, np.abs(got - want.astype(float)).max())
                 checked += 1
             mid, k = n // 2, n // 4
@@ -313,15 +313,15 @@ def test_criterion_09_covariance_oracle_and_psd():
                 want = exact_covariance(law, pairs)
                 got = covariance_multilook_exact(design, sched)
                 assert (got == want).all(), (design.label(), pairs)
-                got = covariance_multilook(design, sched).sigma
+                got = covariance_multilook(design, sched)
                 worst = max(worst, np.abs(got - want.astype(float)).max())
                 checked += 1
     for n, n1 in ((50, 25), (50, 21)):
-        sigma = covariance_final(DesignSpec.bcd(0.7), n, n1).sigma
+        sigma = covariance_final(DesignSpec.bcd(0.7), n, n1)
         assert np.linalg.eigvalsh(sigma).min() >= -1e-8
     sigma = covariance_multilook(
         DesignSpec.bcd(0.75), LookSchedule.from_pairs([(25, 13), (50, 26)])
-    ).sigma
+    )
     assert np.linalg.eigvalsh(sigma).min() >= -1e-8
     assert worst <= 1e-12, worst
     print(

@@ -384,6 +384,18 @@ class TestErrorPaths:
         assert code == 2
         assert out == "" and "--stratified" in err
 
+    def test_exact_with_rejection_exit_2(self, capsys):
+        golden = Path(__file__).parent / "golden"
+        code, out, err = run_cli(
+            capsys, "pvalue", "--design", "bcd:0.75", "--exact", "--method", "rejection",
+            "--responses", str(golden / "responses40.csv"),
+            "--assignments", str(golden / "assignments40.txt"), "--seed", "1",
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: --exact computes the exact p-value; it does not take --method rejection\n"
+        )
+
     def test_zero_horizon_tables_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "tables", "--which", "3", "--n", "0", "--seed", "1")
         assert code == 2

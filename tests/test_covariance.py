@@ -111,16 +111,16 @@ class TestCrossMomentSingle:
 class TestCovarianceFinal:
     def test_two_subject_matrix(self):
         cov = covariance_final(BCD23, 2, 1)
-        assert cov.sigma == pytest.approx(np.array([[0.25, -0.25], [-0.25, 0.25]]))
+        assert cov == pytest.approx(np.array([[0.25, -0.25], [-0.25, 0.25]]))
 
     def test_rows_sum_to_zero(self):
         for design in (BCD23, DesignSpec.complete()):
             cov = covariance_final(design, 9, 4)
-            assert np.abs(cov.sigma.sum(axis=1)).max() < 1e-9
+            assert np.abs(cov.sum(axis=1)).max() < 1e-9
 
     def test_diagonal_bounded(self):
         cov = covariance_final(DesignSpec.bcd(0.8), 12, 5)
-        diag = np.diag(cov.sigma)
+        diag = np.diag(cov)
         assert (diag >= 0).all() and (diag <= 0.25 + 1e-12).all()
 
     def test_exact_equals_enumeration(self):
@@ -132,11 +132,11 @@ class TestCovarianceFinal:
                 want = exact_covariance(law, [(n, n1)])
                 got = covariance_final_exact(design, n, n1)
                 assert (got == want).all(), (design.label(), n, n1)
-                got = covariance_final(design, n, n1).sigma
+                got = covariance_final(design, n, n1)
                 assert np.abs(got - want.astype(float)).max() < 1e-12, (design.label(), n, n1)
 
     def test_float_tracks_exact(self):
-        got = covariance_final(BCD23, 8, 3).sigma
+        got = covariance_final(BCD23, 8, 3)
         want = covariance_final_exact(BCD23, 8, 3).astype(float)
         assert np.abs(got - want).max() < 1e-12
 
@@ -146,14 +146,14 @@ class TestCovarianceFinal:
         cov = covariance_final(design, n, n1)
         thetas = [theta_single(design, n, n1, i) for i in range(1, n + 1)]
         for i in range(n):
-            assert cov.sigma[i, i] == pytest.approx(thetas[i] * (1 - thetas[i]), abs=1e-12)
+            assert cov[i, i] == pytest.approx(thetas[i] * (1 - thetas[i]), abs=1e-12)
         for i, j in ((0, 1), (2, 5), (1, 6)):
             lam = cross_moment_single(design, n, n1, i + 1, j + 1)
-            assert cov.sigma[i, j] == pytest.approx(lam - thetas[i] * thetas[j], abs=1e-12)
+            assert cov[i, j] == pytest.approx(lam - thetas[i] * thetas[j], abs=1e-12)
 
     def test_positive_semidefinite(self):
         cov = covariance_final(DesignSpec.bcd(0.7), 30, 13)
-        assert np.linalg.eigvalsh(cov.sigma).min() >= -1e-8
+        assert np.linalg.eigvalsh(cov).min() >= -1e-8
 
 
 class TestCovarianceMultilook:
@@ -161,11 +161,11 @@ class TestCovarianceMultilook:
 
     def test_cross_block_entries_vanish(self):
         cov = covariance_multilook(BCD23, self.SCHEDULE)
-        assert cov.sigma[:2, 2:] == pytest.approx(np.zeros((2, 2)))
+        assert cov[:2, 2:] == pytest.approx(np.zeros((2, 2)))
 
     def test_single_look_equals_final(self):
-        a = covariance_multilook(BCD23, LookSchedule.single(6, 3)).sigma
-        b = covariance_final(BCD23, 6, 3).sigma
+        a = covariance_multilook(BCD23, LookSchedule.single(6, 3))
+        b = covariance_final(BCD23, 6, 3)
         assert a == pytest.approx(b)
 
     def test_exact_equals_enumeration(self):
@@ -174,7 +174,7 @@ class TestCovarianceMultilook:
             want = exact_covariance(law, [(2, 1), (4, 2)])
             got = covariance_multilook_exact(design, self.SCHEDULE)
             assert (got == want).all(), design.label()
-            got = covariance_multilook(design, self.SCHEDULE).sigma
+            got = covariance_multilook(design, self.SCHEDULE)
             assert np.abs(got - want.astype(float)).max() < 1e-12, design.label()
 
     def test_three_look_enumeration(self):
@@ -183,23 +183,23 @@ class TestCovarianceMultilook:
         law = enumerate_law(design, 8)
         want = exact_covariance(law, [(3, 1), (5, 3), (8, 4)])
         assert (covariance_multilook_exact(design, schedule) == want).all()
-        got = covariance_multilook(design, schedule).sigma
+        got = covariance_multilook(design, schedule)
         assert np.abs(got - want.astype(float)).max() < 1e-12
 
     def test_prefix_is_top_left_corner(self):
-        prefix = covariance_multilook(BCD23, self.SCHEDULE.prefix(1)).sigma
-        full = covariance_multilook(BCD23, self.SCHEDULE).sigma
+        prefix = covariance_multilook(BCD23, self.SCHEDULE.prefix(1))
+        full = covariance_multilook(BCD23, self.SCHEDULE)
         assert np.array_equal(prefix, full[:2, :2])
 
     def test_block_rows_sum_to_zero(self):
         cov = covariance_multilook(DesignSpec.bcd(0.75), LookSchedule.from_pairs([(5, 3), (11, 6)]))
-        assert np.abs(cov.sigma.sum(axis=1)).max() < 1e-9
+        assert np.abs(cov.sum(axis=1)).max() < 1e-9
 
 
 class TestInformationFraction:
     def test_final_look_is_one(self):
-        sv = centered_scores([1.0, 3.0, 2.0, 4.0])
-        q = covariance_final(BCD23, 4, 2).quadratic_form(sv)
+        a = centered_scores([1.0, 3.0, 2.0, 4.0]).values
+        q = float(a @ covariance_final(BCD23, 4, 2) @ a)
         assert _ratio(q, q, None).t == 1.0
 
     def test_matches_oracle_ratio(self):
@@ -213,16 +213,17 @@ class TestInformationFraction:
         want = (scores2.values @ sig2[:2, :2] @ scores2.values) / (
             scores4.values @ sig4 @ scores4.values
         )
+        a2, a4 = scores2.values, scores4.values
         got = _ratio(
-            covariance_multilook(design, schedule.prefix(1)).quadratic_form(scores2),
-            covariance_multilook(design, schedule).quadratic_form(scores4),
+            float(a2 @ covariance_multilook(design, schedule.prefix(1)) @ a2),
+            float(a4 @ covariance_multilook(design, schedule) @ a4),
             None,
         )
         assert got.t == pytest.approx(want, abs=1e-12)
 
     def test_degenerate_scores_raise(self):
-        sv = centered_scores([2.0, 2.0, 2.0, 2.0])
-        q = covariance_final(BCD23, 4, 2).quadratic_form(sv)
+        a = centered_scores([2.0, 2.0, 2.0, 2.0]).values
+        q = float(a @ covariance_final(BCD23, 4, 2) @ a)
         with pytest.raises(DegenerateScoresError):
             _ratio(q, q, None)
 
@@ -231,15 +232,14 @@ class TestInterpolateScores:
     def test_complete_data_returned_unchanged(self):
         x = [0.3, 1.2, 0.7]
         out = interpolate_scores(x, 3, rng=1, replicates=5)
-        assert len(out) == 5
-        assert np.allclose(out[0].values, centered_scores(x).values)
+        assert out.shape == (5, 3)
+        assert (out == centered_scores(x).values).all()
 
     def test_fills_from_observed_values(self):
         x = np.array([1.0, 2.0, 4.0])
         rng = np.random.default_rng(2)
         out = interpolate_scores(x, 8, rng, replicates=3)
-        for sv in out:
-            assert len(sv) == 8
+        assert out.shape == (3, 8)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -263,8 +263,8 @@ class TestInterpolateScores:
                 for _ in range(30)
             ]
             got = interpolate_scores(x, n, np.random.default_rng(k), 30, kind)
-            assert [sv.kind for sv in got] == [kind] * 30
-            assert [sv.values.tobytes() for sv in got] == [sv.values.tobytes() for sv in want]
+            assert got.shape == (30, n)
+            assert [a.tobytes() for a in got] == [sv.values.tobytes() for sv in want]
 
 
 class TestInformationAtLook:

@@ -1,5 +1,7 @@
+import functools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,11 +20,21 @@ from condrand import (
     spend,
 )
 from condrand.bruteforce import exact_statistic_distribution
+from condrand.experiments import monitored_trial_type_i_error
 from condrand.monitoring import _conservative_boundary
 import condrand.covariance as covariance
+import condrand.experiments as experiments
 import condrand.monitoring as monitoring
 import condrand.sampling as sampling
-from oracles import conservative_boundary_reference, exact_statistic_quantile
+from oracles import (
+    conservative_boundary_reference,
+    enumerate_law,
+    exact_attained_level,
+    exact_staged_boundaries,
+    exact_statistic_quantile,
+    monitored_joint_law,
+    oracle_sequence_law,
+)
 
 OBF = SpendingFunction("obf", 0.05)
 
@@ -280,3 +292,103 @@ class TestEstimateBoundaries:
         scores = centered_scores(responses)
         support, _ = exact_statistic_distribution(design, scores, 6)
         assert abs(smooth.d[0] - ecdf.d[0]) <= np.diff(support).max() + 1e-9
+
+
+def _lattice_responses(seed, positions):
+    """Integer responses whose every look prefix has an integer mean, so
+    that centered raw scores are integers and every sum of them is exact."""
+    x = np.random.default_rng(seed).integers(0, 10, positions[-1]).astype(float)
+    for r in positions:
+        x[r - 1] -= x[:r].sum() % r
+    return x
+
+
+PIPELINE_DESIGN = DesignSpec.bcd(0.75)
+PIPELINE_SCHEDULES = {
+    "2 looks": LookSchedule.from_pairs([(12, 5), (20, 10)]),
+    "3 looks": LookSchedule.from_pairs([(16, 9), (20, 10), (24, 12)]),
+}
+
+
+@functools.cache
+def _pipeline_case(name, kind):
+    schedule = PIPELINE_SCHEDULES[name]
+    positions = [look.position for look in schedule.looks]
+    x = _lattice_responses(len(positions), positions)
+    scores = [centered_scores(x[:r], kind) for r in positions]
+    values, weights = monitored_joint_law(PIPELINE_DESIGN, schedule, scores)
+    return schedule, x, values, weights
+
+
+class TestMonitoredPipelineOracle:
+    """The staged boundaries, their attained level and the decision rule
+    against the exact joint law of the look statistics, at n <= 24."""
+
+    N_C = 20000
+    CASES = [(name, kind) for name in PIPELINE_SCHEDULES for kind in ("simple-rank", "raw")]
+
+    @pytest.mark.parametrize("design", [DesignSpec.bcd(2 / 3), DesignSpec.complete()])
+    def test_joint_law_matches_enumeration(self, design):
+        pairs = [(3, 1), (6, 3), (9, 5)]
+        x = _lattice_responses(3, [r for r, _ in pairs])
+        scores = [centered_scores(x[:r]) for r, _ in pairs]
+        want: dict[tuple, Fraction] = {}
+        for t, pr in oracle_sequence_law(enumerate_law(design, 9), pairs).items():
+            key = tuple(
+                float(sum(Fraction(float(a)) * b for a, b in zip(sv.values, t))) for sv in scores
+            )
+            want[key] = want.get(key, Fraction(0)) + pr
+        values, weights = monitored_joint_law(design, LookSchedule.from_pairs(pairs), scores)
+        got = {tuple(v): Fraction(w, sum(weights)) for v, w in zip(values.tolist(), weights)}
+        assert got == {k: pr for k, pr in want.items() if pr}
+
+    @pytest.mark.parametrize("name, kind", CASES)
+    def test_boundaries_within_one_support_step_and_level(self, name, kind):
+        schedule, x, values, weights = _pipeline_case(name, kind)
+        fractions = [look.position / schedule.horizon for look in schedule.looks]
+        got = estimate_boundaries(
+            PIPELINE_DESIGN, schedule, x, OBF, self.N_C, np.random.default_rng(len(fractions)),
+            info_fractions=fractions, score_kind=kind,
+        )
+        want = exact_staged_boundaries(values, weights, got.incremental_alpha)
+        assert exact_attained_level(values, weights, want) <= OBF.alpha + 1e-12
+        for l, (d, e) in enumerate(zip(got.d, want)):
+            support = np.unique(values[:, l])
+            i = int(np.searchsorted(support, e))
+            assert support[i] == e
+            assert support[max(i - 1, 0)] <= d <= support[min(i + 1, support.size - 1)], (l, d, e)
+        se = math.sqrt(OBF.alpha * (1.0 - OBF.alpha) / self.N_C)
+        assert exact_attained_level(values, weights, got.d) <= OBF.alpha + 4 * se
+
+    @pytest.mark.parametrize("name, kind", CASES)
+    def test_decision_agrees_on_every_support_point(self, name, kind):
+        schedule, _, values, weights = _pipeline_case(name, kind)
+        fractions = [look.position / schedule.horizon for look in schedule.looks]
+        bounds = exact_staged_boundaries(values, weights, incremental_alpha(OBF, fractions))
+        crossed = values > np.asarray(bounds)
+        for row, cross in zip(values, crossed):
+            decision = sequential_decision(row, bounds)
+            first = int(np.argmax(cross)) + 1 if cross.any() else None
+            assert (decision.rejected, decision.look) == (bool(cross.any()), first)
+
+    def test_type_i_error_study_matches_the_exact_level(self, monkeypatch):
+        # the study's boundaries come from interim information fractions,
+        # so the covariance path runs; its expected alpha_hat is exactly
+        # the attained level of the boundaries it returns
+        seen = []
+        real = experiments.estimate_boundaries
+
+        def recording(design, schedule, responses, *args, **kwargs):
+            seen.append((design, schedule, np.array(responses)))
+            return real(design, schedule, responses, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "estimate_boundaries", recording)
+        out = monitored_trial_type_i_error(
+            n=24, look_positions=(16, 20, 24), n_c=2500, replications=200, seed=2012
+        )
+        ((design, schedule, x),) = seen
+        scores = [centered_scores(x[: look.position]) for look in schedule.looks]
+        values, weights = monitored_joint_law(design, schedule, scores)
+        level = float(exact_attained_level(values, weights, out["boundaries"]["d"]))
+        tolerance = 4 * out["alpha_hat_sd"] / math.sqrt(out["replications"])
+        assert abs(out["alpha_hat"] - level) <= tolerance, (out["alpha_hat"], level)

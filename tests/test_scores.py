@@ -19,6 +19,7 @@ from condrand import (
 )
 import condrand.scores as scores_module
 from condrand.scores import _midranks, step_sums
+from oracles import compensated_sum
 
 
 class TestCenteredScores:
@@ -199,6 +200,20 @@ class TestStratified:
     def test_mismatched_counts_rejected(self):
         with pytest.raises(ValueError):
             stratified_statistic(self._data(), [np.array([0, 1, 0])])
+
+    def test_strata_add_in_order_under_a_compensated_sum(self, monkeypatch):
+        # Python 3.12's builtin sum would give -0.5 here, not the 0.0 of
+        # adding 1e16, -0.5 and -1e16 left to right
+        d = DesignSpec.complete()
+        strata = [
+            Stratum(centered_scores(x, "raw"), 1, d)
+            for x in ([1e16, -1e16], [1.0, 2.0], [-1e16, 1e16])
+        ]
+        t = [np.array([1, 0])] * 3
+        parts = [linear_rank_statistic(s.scores, ti) for s, ti in zip(strata, t)]
+        assert parts == [1e16, -0.5, -1e16] and compensated_sum(parts) == -0.5
+        monkeypatch.setattr(scores_module, "sum", compensated_sum, raising=False)
+        assert stratified_statistic(StratifiedData(strata), t) == 0.0
 
     def test_stratum_count_validated(self):
         with pytest.raises(ValueError):
