@@ -33,6 +33,7 @@ from .errors import (
     DegenerateScoresError,
     InfeasibleError,
     InsufficientAcceptancesError,
+    NumericalError,
     UnderSampleError,
 )
 from .montecarlo import (

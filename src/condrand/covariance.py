@@ -18,6 +18,7 @@ the observed ones when the trial is still in progress.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,21 @@ def _block_moments_float(chain: ConditionalChain, r0: int, m0: int, r1: int, m1:
     return theta, lam
 
 
+# Blocks kept across calls, so that analyses of different trials whose look
+# counts repeat skip the sweep: at most MEMO_BYTES of them, least recently
+# used out first.  A larger block is never kept.
+MEMO_BYTES = 4 << 20
+_memo: OrderedDict[tuple, np.ndarray] = OrderedDict()
+
+
+def _remember(key: tuple, block: np.ndarray) -> None:
+    block.flags.writeable = False
+    if block.nbytes <= MEMO_BYTES:
+        _memo[key] = block
+        while sum(b.nbytes for b in _memo.values()) > MEMO_BYTES:
+            _memo.popitem(last=False)
+
+
 def covariance_multilook(
     design: DesignSpec, schedule: LookSchedule, *, _chain: ConditionalChain | None = None
 ) -> np.ndarray:
@@ -92,14 +108,21 @@ def covariance_multilook(
     The matrix is block diagonal with one block per segment.  ``_chain``,
     a chain of the same design, supplies the segment tables and keeps the
     blocks; a caller that passes one chain to several calls builds each
-    segment once.
+    segment once.  A block the chain lacks comes from the process-wide
+    memo when a call before swept it, under the chain's own design.
     """
     chain = ConditionalChain(design) if _chain is None else _chain
     for segment in schedule.segments():
         if segment not in chain.blocks:
-            theta, lam = _block_moments_float(chain, *segment)
-            block = lam + lam.T - np.outer(theta, theta)
-            np.fill_diagonal(block, theta * (1.0 - theta))
+            key = (chain.design, segment)
+            block = _memo.pop(key, None)
+            if block is None:
+                theta, lam = _block_moments_float(chain, *segment)
+                block = lam + lam.T - np.outer(theta, theta)
+                np.fill_diagonal(block, theta * (1.0 - theta))
+                _remember(key, block)
+            else:
+                _memo[key] = block  # now the most recently used
             chain.blocks[segment] = block
     # allocated after the sweeps, so that it does not add to their peak
     sigma = np.zeros((schedule.horizon,) * 2)

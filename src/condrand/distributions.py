@@ -30,6 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .design import COMPLETE, DesignSpec, _imbalance_probabilities
+from .errors import NumericalError
 
 __all__ = [
     "unconditional_pmf",
@@ -66,7 +67,7 @@ def _ballot_terms(x: int, l_max: int):
         num = (x - l) * b
         c, rem = divmod(num, x + l)
         if rem:
-            raise AssertionError(f"ballot numerator {num} is not divisible by {x + l}")
+            raise NumericalError(f"ballot numerator {num} is not divisible by {x + l}")
         yield l, c
 
 
@@ -137,7 +138,7 @@ def _correction_value(trials: int, corr: tuple[int, int, int]) -> int:
     if 0 <= k2 <= trials:
         d -= math.comb(trials, k2)
     if d < 0:
-        raise AssertionError(f"negative no-return path count {d}")
+        raise NumericalError(f"negative no-return path count {d}")
     return d
 
 

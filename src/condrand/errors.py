@@ -26,3 +26,8 @@ class UnderSampleError(CondrandError, RuntimeError):
 
 class DegenerateScoresError(CondrandError, ValueError):
     """A score vector produced a zero variance quadratic form."""
+
+
+class NumericalError(CondrandError):
+    """A numerical guard failed: a probability or an exact count came out
+    where the mathematics does not allow it."""

@@ -20,7 +20,7 @@ import numpy as np
 
 from .design import DesignSpec, TreatmentSequence, _imbalance_probabilities
 from .distributions import BLOCK_ENTRIES, backward_log_table
-from .errors import InfeasibleError
+from .errors import InfeasibleError, NumericalError
 from .scores import step_sums
 from .streams import as_generator
 
@@ -151,7 +151,7 @@ class ConditionalChain:
             box = np.lib.stride_tricks.as_strided(pr[end + 2 * c0 - lo :], *view, writeable=False)
             block = box * ratio
             if block.max(initial=0.0) > 1.0 + 1e-9:
-                raise AssertionError("transition probability exceeds 1")
+                raise NumericalError("transition probability exceeds 1")
             table[a:b, :c0] = table[a:b, c1:] = 0.0
             np.clip(block, 0.0, 1.0, out=table[a:b, c0:c1])
         psi = self._tables[key] = table[:-1]

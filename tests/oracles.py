@@ -26,11 +26,15 @@ can hold the package to them.  None of them is fast.  In order:
 * the builtin float ``sum`` of Python 3.12 and later;
 * the monitored pipeline: the joint law of the look statistics given
   every look count, the staged boundaries it implies and the attained
-  level of any boundary vector.
+  level of any boundary vector;
+* the stratified statistic's law, as the convolution of its strata's;
+* the interim information fraction's bootstrap denominator, averaged
+  over every completion of the unseen responses.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,6 +43,7 @@ import numpy as np
 
 import condrand.sampling as sampling
 from condrand.bruteforce import MAX_DP, _integerize_scores, exact_statistic_distribution
+from condrand.covariance import projected_final_count
 from condrand.design import COMPLETE, DesignSpec, assignment_probability
 from condrand.distributions import (
     _NEG_INF,
@@ -798,3 +803,66 @@ def exact_attained_level(values: np.ndarray, weights: list[int], bounds) -> Frac
     boundary, under an exact joint law."""
     crossed = (values > np.asarray(bounds, dtype=float)).any(axis=1)
     return Fraction(sum((w for w, c in zip(weights, crossed) if c), start=0), sum(weights))
+
+
+# ---------------------------------------------------------------------------
+# The stratified statistic's law.
+
+
+def stratified_statistic_distribution(data):
+    """The law of the stratified statistic given every stratum's count: the
+    convolution of each stratum's ``reference_statistic_distribution``.
+    Returns the sorted support points and their probabilities (Fractions).
+    """
+    law = {0.0: Fraction(1)}
+    for stratum in data.strata:
+        support, probs = reference_statistic_distribution(
+            stratum.design, stratum.scores, stratum.n1
+        )
+        step: dict[float, Fraction] = {}
+        for v, w in law.items():
+            for s, p in zip(support, probs):
+                step[v + float(s)] = step.get(v + float(s), 0) + w * p
+        law = step
+    support = sorted(law)
+    return np.asarray(support), [law[v] for v in support]
+
+
+# ---------------------------------------------------------------------------
+# The interim information fraction's bootstrap denominator.
+
+
+def _reference_centered(x: np.ndarray, kind: str) -> np.ndarray:
+    """Centered midranks (ties share the mean of their ranks) or centered
+    raw values along the last axis, by counting pairs."""
+    if kind == "raw":
+        return x - x.mean(axis=-1, keepdims=True)
+    below = (x[..., :, None] > x[..., None, :]).sum(axis=-1)
+    ties = (x[..., :, None] == x[..., None, :]).sum(axis=-1)
+    return below + (ties + 1) / 2 - (x.shape[-1] + 1) / 2
+
+
+def exact_interim_denominator(
+    design: DesignSpec, schedule: LookSchedule, responses, look: int, kind: str
+):
+    """Mean and standard deviation of a . Sigma a over every ordered
+    completion of the responses seen through ``look``.
+
+    Each of the n - r unseen responses is one of the r seen ones, so the
+    r^(n - r) completions are equally likely, as the bootstrap draws them.
+    a scores a completion; Sigma is the exact covariance given the look
+    counts through ``look`` and the final count that
+    ``projected_final_count`` gives.  The enumeration is complete; only the
+    float sums round.
+    """
+    r = schedule.looks[look - 1].position
+    n = schedule.horizon
+    final = projected_final_count(design, schedule, look, n)
+    looks = [(l.position, l.count) for l in schedule.looks[:look]] + [(n, final)]
+    sigma = covariance_multilook_exact(design, LookSchedule.from_pairs(looks)).astype(float)
+    seen = np.asarray(responses, dtype=float)[:r]
+    fill = np.array(list(itertools.product(range(r), repeat=n - r)), dtype=int).reshape(-1, n - r)
+    full = np.concatenate([np.broadcast_to(seen, (len(fill), r)), seen[fill]], axis=1)
+    scores = _reference_centered(full, kind)
+    forms = np.einsum("ki,ij,kj->k", scores, sigma, scores)
+    return float(forms.mean()), float(forms.std())

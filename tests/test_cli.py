@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -8,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import condrand.distributions as distributions
+import condrand.sampling as sampling
 from condrand import experiments
 from condrand.cli import build_parser, main
 
@@ -344,6 +349,22 @@ class TestErrorPaths:
             "from count 0 at position 0 under bcd:1\n"
         )
 
+    def test_transition_guard_exit_3(self, capsys, monkeypatch):
+        # doubled assignment probabilities push transitions above 1
+        real = sampling._imbalance_probabilities
+        monkeypatch.setattr(sampling, "_imbalance_probabilities", lambda *a: 2.0 * real(*a))
+        code, out, err = run_cli(
+            capsys, "sample", "--design", "bcd:0.75", "--n", "20", "--n1", "10", "--seed", "1",
+        )
+        assert (code, out, err) == (3, "", "error: transition probability exceeds 1\n")
+
+    def test_ballot_guard_exit_3(self, capsys, monkeypatch):
+        # a remainder where the ballot numerator divides exactly
+        monkeypatch.setattr(distributions, "divmod", lambda a, b: (a // b, 1), raising=False)
+        code, out, err = run_cli(capsys, "dist", "--design", "bcd:0.75", "--n", "20")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ballot numerator ")
+
     @pytest.mark.parametrize(
         "bad, scores", [("nan", "simple-rank"), ("nan", "raw"), ("inf", "raw")]
     )
@@ -621,3 +642,17 @@ class TestMalformedInputFuzz:
                 json.loads((tmp / "out.json").read_text(), parse_constant=_reject_constant)
             else:
                 assert code in (2, 3, 4)
+
+
+def test_module_runs_the_command_line(capsys):
+    argv = ["dist", "--design", "bcd:0.75", "--n", "20"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out.encode()
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "condrand", *argv], env=env, capture_output=True, timeout=60
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == want

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from oracles import (
     cross_moment_single,
     enumerate_law,
     exact_covariance,
+    exact_interim_denominator,
     oracle_sequence_law,
     reference_segment_chain,
     theta_single,
@@ -324,7 +326,7 @@ class TestInformationAtLook:
         information_at_look(BCD23, schedule, x, 1, mode="full")
         assert len(built) == 2
 
-    def test_bootstrap_checked_before_any_table(self, monkeypatch):
+    def test_bootstrap_checked_before_any_table(self, monkeypatch, empty_memo):
         def never(*args, **kwargs):
             raise AssertionError("built a table before checking the bootstrap")
 
@@ -403,7 +405,7 @@ class TestBlockMoments:
         want = np.array(list(map(row.dot, g)))
         assert lam[:, 7].tobytes() == want.tobytes()
 
-    def test_sweep_memory_holds_a_band_wide_move(self):
+    def test_sweep_memory_holds_a_band_wide_move(self, empty_memo):
         # psi, rho, g and lam are (about) 1000 x 1002 each; the update
         # buffer is only as wide as the reachable band, here 501 counts
         n, n1 = 1000, 500
@@ -438,7 +440,7 @@ class TestBlockSharing:
             400, np.random.default_rng(seed), info_mode="interim", bootstrap=20, **kwargs,
         )
 
-    def test_each_segment_built_once(self, monkeypatch):
+    def test_each_segment_built_once(self, monkeypatch, empty_memo):
         calls = []
         inner = covariance._block_moments_float
 
@@ -480,3 +482,101 @@ class TestBlockSharing:
             400, rng, info_fractions=fractions,
         )
         assert self.boundaries(8) == separate
+
+    def test_repeated_estimate_makes_no_sweep(self, monkeypatch, empty_memo):
+        first = self.boundaries(8)
+        calls = []
+        inner = covariance._block_moments_float
+        monkeypatch.setattr(
+            covariance, "_block_moments_float", lambda *a: calls.append(a) or inner(*a)
+        )
+        assert self.boundaries(8) == first
+        assert calls == []
+
+
+class TestBlockMemo:
+    DESIGN = DesignSpec.bcd(0.75)
+
+    def segments(self, memo):
+        return [segment for _, segment in memo]
+
+    def test_evicts_least_recently_used_by_bytes(self, monkeypatch, empty_memo):
+        # blocks of 10, 12, 14 and 19 steps take 800, 1152, 1568 and 2888 bytes
+        monkeypatch.setattr(covariance, "MEMO_BYTES", 3000)
+        covariance_final(self.DESIGN, 10, 5)
+        covariance_final(self.DESIGN, 12, 6)
+        covariance_final(self.DESIGN, 10, 5)  # a hit: the 10-step block is now the newest
+        covariance_final(self.DESIGN, 14, 7)  # 3520 bytes: the 12-step block goes
+        assert self.segments(empty_memo) == [(0, 0, 10, 5), (0, 0, 14, 7)]
+        covariance_final(self.DESIGN, 19, 9)  # 5256 bytes: both older blocks go
+        assert self.segments(empty_memo) == [(0, 0, 19, 9)]
+
+    def test_block_above_the_budget_is_never_kept(self, monkeypatch, empty_memo):
+        # at the default budget, the first horizon never kept is 725
+        assert 724**2 * 8 <= covariance.MEMO_BYTES == 4 << 20 < 725**2 * 8
+        monkeypatch.setattr(covariance, "MEMO_BYTES", 3000)
+        covariance_final(self.DESIGN, 10, 5)
+        calls = []
+        inner = covariance._block_moments_float
+        monkeypatch.setattr(
+            covariance, "_block_moments_float", lambda *a: calls.append(a) or inner(*a)
+        )
+        for _ in range(2):
+            covariance_final(self.DESIGN, 20, 10)  # 3200 bytes
+        assert self.segments(empty_memo) == [(0, 0, 10, 5)]
+        assert len(calls) == 2
+
+    def test_memo_blocks_are_read_only(self, empty_memo):
+        covariance_final(self.DESIGN, 12, 6)
+        block = empty_memo[self.DESIGN, (0, 0, 12, 6)]
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 1.0
+
+    def test_block_from_the_memo_equals_a_fresh_sweep(self, empty_memo):
+        schedule = LookSchedule.from_pairs([(250, 126), (300, 148), (350, 174)])
+        cold = covariance_multilook(self.DESIGN, schedule)
+        warm = covariance_multilook(self.DESIGN, schedule)
+        assert warm.tobytes() == cold.tobytes()
+        for r0, m0, r1, m1 in schedule.segments():
+            theta, lam = _block_moments_float(ConditionalChain(self.DESIGN), r0, m0, r1, m1)
+            want = lam + lam.T - np.outer(theta, theta)
+            np.fill_diagonal(want, theta * (1.0 - theta))
+            assert warm[r0:r1, r0:r1].tobytes() == want.tobytes()
+
+    def test_blocks_are_kept_under_the_chains_design(self, empty_memo):
+        other = DesignSpec.bcd(0.6)
+        covariance_final(other, 12, 6)
+        covariance_final(self.DESIGN, 12, 6)
+        chain = ConditionalChain(self.DESIGN)
+        covariance_multilook(other, LookSchedule.single(14, 7), _chain=chain)
+        assert list(empty_memo) == [
+            (other, (0, 0, 12, 6)), (self.DESIGN, (0, 0, 12, 6)), (self.DESIGN, (0, 0, 14, 7)),
+        ]
+        assert not np.array_equal(
+            empty_memo[other, (0, 0, 12, 6)], empty_memo[self.DESIGN, (0, 0, 12, 6)]
+        )
+
+
+class TestInterimDenominatorOracle:
+    """The bootstrap denominator against its mean over every completion."""
+
+    DESIGN = DesignSpec.bcd(0.75)
+    B = 400
+
+    @pytest.mark.parametrize("kind", ["simple-rank", "raw"])
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_against_every_completion(self, n, kind, empty_memo):
+        schedule = LookSchedule.from_pairs([(3, 1), (6, 3), (n, n // 2)])
+        x = np.random.default_rng(40 + n).standard_normal(n)
+        mean, sd = exact_interim_denominator(self.DESIGN, schedule, x, 2, kind)
+        # the first call sweeps into an empty memo, the second reads it
+        cold, warm = (
+            information_at_look(self.DESIGN, schedule, x, 2, bootstrap=self.B, rng=n, kind=kind)
+            for _ in range(2)
+        )
+        assert empty_memo and warm == cold
+        assert abs(cold.denominator - mean) <= 4 * sd / math.sqrt(self.B)
+        a = [Fraction(v) for v in centered_scores(x[:6], kind).values]
+        sigma = covariance_multilook_exact(self.DESIGN, schedule.prefix(2))
+        num = sum(a[i] * sigma[i, j] * a[j] for i in range(6) for j in range(6))
+        assert cold.numerator == pytest.approx(float(num), rel=1e-12)

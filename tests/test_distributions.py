@@ -12,7 +12,8 @@ from condrand import (
     pmf_table,
     unconditional_pmf,
 )
-from condrand.distributions import _ballot_terms, backward_log_table
+from condrand.distributions import _ballot_terms, _correction_value, backward_log_table
+from condrand.errors import NumericalError
 from oracles import (
     _ballot_int,
     backward_exact_table,
@@ -60,6 +61,17 @@ class TestBallotTerms:
             full = [(l, c) for l in range(x + 1) if (c := _ballot_int(x, l)) > 0]
             for l_max in {-1, 0, x // 3, x - 1, x}:
                 assert list(_ballot_terms(x, l_max)) == [t for t in full if t[0] <= l_max]
+
+    def test_remainder_raises(self, monkeypatch):
+        # the guard is an error, not an assert that python -O strips
+        monkeypatch.setattr(distributions, "divmod", lambda a, b: (a // b, 1), raising=False)
+        with pytest.raises(NumericalError, match="ballot numerator 8 is not divisible by 4"):
+            list(_ballot_terms(3, 1))
+
+    def test_negative_no_return_count_raises(self):
+        # binom(10, 1) - binom(10, 5) counts no paths
+        with pytest.raises(NumericalError, match="negative no-return path count -242"):
+            _correction_value(10, (1, 5, 0))
 
     def test_l_max_above_x_raises(self):
         for x, l_max in ((0, 1), (3, 4), (10, 20)):

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import condrand.covariance as covariance
 import condrand.distributions as distributions
 import condrand.scores as scores
 from condrand.cli import main
@@ -75,6 +76,23 @@ def test_output_holds_under_a_compensated_sum(name, tmp_path, monkeypatch):
     out = tmp_path / f"{name}.out"
     assert run_case(name, out) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_output_holds_with_the_memo_cold_and_warm(tmp_path, monkeypatch, empty_memo):
+    # a warm run takes every covariance block from the memo, sweeping none
+    sweeps = []
+    inner = covariance._block_moments_float
+    monkeypatch.setattr(
+        covariance, "_block_moments_float", lambda *a: sweeps.append(a) or inner(*a)
+    )
+    for name in ("info", "boundaries_interim", "boundaries_full_raw", "tables_3"):
+        empty_memo.clear()
+        for warm in (False, True):
+            sweeps.clear()
+            out = tmp_path / f"{name}-{warm}.out"
+            assert run_case(name, out) == 0
+            assert out.read_bytes() == (GOLDEN / f"{name}.out").read_bytes(), (name, warm)
+            assert bool(sweeps) != warm, (name, warm)
 
 
 if __name__ == "__main__":

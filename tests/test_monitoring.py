@@ -213,7 +213,7 @@ class TestEstimateBoundaries:
             ({"info_mode": "interim", "bootstrap": 0}, "need at least one replicate, got 0"),
         ],
     )
-    def test_options_checked_before_any_table(self, options, message, monkeypatch):
+    def test_options_checked_before_any_table(self, options, message, monkeypatch, empty_memo):
         # before the checks, each of these was refused only after the chain
         # and the covariance blocks of the information fractions were built
         design, responses = self._setup()

@@ -24,9 +24,28 @@ from condrand import (
     stratified_statistic,
     unconditional_pmf,
 )
-from oracles import unconditional_batch
+from oracles import (
+    reference_statistic_distribution,
+    stratified_statistic_distribution,
+    unconditional_batch,
+)
 
 BCD23 = DesignSpec.bcd(2 / 3)
+
+
+def exact_tail_near(support, probs, level):
+    """A threshold between two support points and its exact upper tail,
+    the first such tail at or below ``level``; no statistic ties it."""
+    tail = sum(probs)
+    for lo, hi, p in zip(support, support[1:], probs):
+        tail -= p
+        if tail <= level:
+            return (lo + hi) / 2, float(tail)
+    raise ValueError(f"no upper tail at or below {level}")
+
+
+def within_four_standard_errors(est, exact: float) -> bool:
+    return abs(est.estimate - exact) <= 4 * math.sqrt(exact * (1 - exact) / est.n_effective)
 
 
 class TestConditionalEstimator:
@@ -75,6 +94,18 @@ class TestRejectionEstimator:
         combined = math.hypot(direct.standard_error, rej.standard_error)
         assert abs(direct.estimate - rej.estimate) <= 3 * combined
 
+    @pytest.mark.parametrize(
+        "p, n, n1",
+        [(2 / 3, 10, 5), (2 / 3, 11, 4), (3 / 4, 12, 6), (3 / 4, 9, 5)],
+    )
+    def test_biased_coin_against_exact_law(self, p, n, n1):
+        design = DesignSpec.bcd(p)
+        scores = centered_scores(np.random.default_rng(n).standard_normal(n))
+        v_star, exact = exact_tail_near(*reference_statistic_distribution(design, scores, n1), 0.2)
+        est = estimate_pvalue_rejection(design, n, n1, scores, v_star, 40_000, rng=n1)
+        assert est.n_effective > 2000
+        assert within_four_standard_errors(est, exact)
+
     def test_impossible_count_raises(self):
         scores = centered_scores(np.arange(4.0))
         with pytest.raises(InsufficientAcceptancesError):
@@ -104,6 +135,19 @@ class TestStratifiedEstimator:
         est = estimate_pvalue_stratified(data, v_star, 20_000, rng=22)
         assert 0.0 < est.estimate <= 1.0
         assert est.n_effective == 20_000
+
+    @pytest.mark.parametrize("level", [0.05, 0.3])
+    def test_against_convolved_exact_laws(self, level):
+        rng = np.random.default_rng(23)
+        data = StratifiedData(
+            (
+                Stratum(centered_scores(rng.standard_normal(8)), 4, DesignSpec.bcd(0.6)),
+                Stratum(centered_scores(rng.standard_normal(6)), 2, DesignSpec.complete()),
+            )
+        )
+        v_star, exact = exact_tail_near(*stratified_statistic_distribution(data), level)
+        est = estimate_pvalue_stratified(data, v_star, 20_000, rng=24)
+        assert within_four_standard_errors(est, exact)
 
 
 class TestTiedDrawsCount:
