@@ -49,6 +49,17 @@ CASES = {
     "dist_table": ("dist", "--design", "bcd:0.75", "--n", "500"),
     "dist_given": ("dist", "--design", "bcd:0.75", "--n", "350", "--given", "250:126"),
     "dist_exact": ("dist", "--design", "bcd:0.75", "--n", "24", "--backend", "exact"),
+    "dist_exact_given": (
+        "dist", "--design", "bcd:0.75", "--n", "24", "--given", "10:4", "--backend", "exact",
+    ),
+    "dist_exact_target": (
+        "dist", "--design", "bcd:0.6", "--n", "40", "--given", "15:6", "--target", "20",
+        "--backend", "exact",
+    ),
+    "pvalue_exact": (
+        "pvalue", "--design", "bcd:0.75", "--responses", str(GOLDEN / "responses40.csv"),
+        "--assignments", str(GOLDEN / "assignments40.txt"), "--exact", *SEED,
+    ),
     "tables_1": ("tables", "--which", "1", "--reps", "2500", *SEED),
     "tables_3": (
         "tables", "--which", "3", "--n", "70", "--runs", "3", "--reps", "200", *SEED,
