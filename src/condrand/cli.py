@@ -188,15 +188,13 @@ def _boundaries_json(boundaries: dict) -> dict:
 
 
 def _cmd_dist(args) -> str:
-    design, n = args.design, args.n
-    if args.given:
-        j, m = args.given
-        targets = [args.target] if args.target is not None else range(n + 1)
-        rows = [(n1, conditional_pmf(design, n, n1, j, m, args.backend)) for n1 in targets]
-    elif args.target is not None:
-        rows = [(args.target, unconditional_pmf(design, n, args.target, args.backend))]
+    design, n, n1 = args.design, args.n, args.target
+    if n1 is None:
+        rows = enumerate(pmf_table(design, n, args.backend, given=args.given))
+    elif args.given:
+        rows = [(n1, conditional_pmf(design, n, n1, *args.given, args.backend))]
     else:
-        rows = enumerate(pmf_table(design, n, args.backend))
+        rows = [(n1, unconditional_pmf(design, n, n1, args.backend))]
     return "n1,probability\n" + "".join(f"{n1},{float(pr):.17g}\n" for n1, pr in rows)
 
 

@@ -5,11 +5,12 @@ imbalance, so both the unconditional law of N1(n) and the law of N1(n)
 conditional on an interim count N1(j) have closed forms built from
 ballot coefficients.  Every probability is available from two backends:
 
-* ``"float"``: log-scale evaluation with exact integer combinatorics,
-  tested to horizon 2000, where each log-probability is within 1e-12 of
-  the rational value;
-* ``"exact"``: arbitrary-precision rational arithmetic, intended for
-  verification and small-sample exact work (horizons up to a few dozen).
+* ``"float"``: the closed forms, evaluated on the log scale with exact
+  integer combinatorics, tested to horizon 2000, where each
+  log-probability is within 1e-12 of the rational value;
+* ``"exact"``: rationals from the integer DP of :mod:`condrand.bruteforce`,
+  which prices a whole count law per call, intended for verification and
+  small-sample exact work (horizons up to a few dozen).
 
 The coin treats the two arms alike, so P(N1(n) = n1 | N1(j) = m) =
 P(N1(n) = n - n1 | N1(j) = j - m).  Every law is therefore priced from
@@ -25,10 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
+from .bruteforce import exact_count_law
 from .design import COMPLETE, DesignSpec, _imbalance_probabilities
 from .errors import NumericalError
 
@@ -125,7 +126,7 @@ def _plan_conditional(n: int, n1: int, j: int, m: int):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation backends.
+# Float evaluation of the plans.
 
 
 def _correction_value(trials: int, corr: tuple[int, int, int]) -> int:
@@ -175,19 +176,6 @@ def _eval_series_float(plan: _SeriesPlan, p: float) -> float:
     return math.exp(plan.p_exp * math.log(p) + main)
 
 
-def _eval_series_exact(plan: _SeriesPlan, p: Fraction) -> Fraction:
-    q = 1 - p
-    total = Fraction(0)
-    for l, c in _ballot_terms(plan.x, plan.l_max):
-        total += c * q ** (plan.q_base + l)
-    if plan.halved:
-        total /= 2
-    if plan.correction is not None:
-        d = _correction_value(plan.trials, plan.correction)
-        total += d * q ** plan.correction[2]
-    return p**plan.p_exp * total
-
-
 def _eval_pure_float(plan: _PurePlan, p: float) -> float:
     q = 1.0 - p
     if q == 0.0 and plan.q_exp > 0:
@@ -198,22 +186,7 @@ def _eval_pure_float(plan: _PurePlan, p: float) -> float:
     return math.exp(log_val)
 
 
-def _eval_pure_exact(plan: _PurePlan, p: Fraction) -> Fraction:
-    q = 1 - p
-    return math.comb(plan.trials, plan.ones) * p**plan.p_exp * q**plan.q_exp
-
-
-def _eval_plan(plan, p, exact: bool):
-    if isinstance(plan, _SeriesPlan):
-        return _eval_series_exact(plan, p) if exact else _eval_series_float(plan, p)
-    return _eval_pure_exact(plan, p) if exact else _eval_pure_float(plan, p)
-
-
-def _complete_pmf(trials: int, ones: int, exact: bool):
-    if ones < 0 or ones > trials:
-        return Fraction(0) if exact else 0.0
-    if exact:
-        return Fraction(math.comb(trials, ones), 2**trials)
+def _complete_pmf(trials: int, ones: int) -> float:
     return math.exp(math.log(math.comb(trials, ones)) - trials * math.log(2.0))
 
 
@@ -241,10 +214,11 @@ def unconditional_pmf(design: DesignSpec, n: int, n1: int, backend: str = "float
         raise ValueError(f"horizon must be >= 1, got {n}")
     if not 0 <= n1 <= n:
         raise ValueError(f"count {n1} out of range for horizon {n}")
+    if exact:
+        return exact_count_law(design, n)[n1]
     if design.kind == COMPLETE:
-        return _complete_pmf(n, n1, exact)
-    p = design.exact_p() if exact else design.p
-    return _eval_plan(_plan_unconditional(n, n1), p, exact)
+        return _complete_pmf(n, n1)
+    return _eval_series_float(_plan_unconditional(n, n1), design.p)
 
 
 def _validate_conditional_args(n: int, n1: int, j: int, m: int) -> None:
@@ -268,40 +242,40 @@ def conditional_pmf(
     """
     exact = _validate_backend(backend)
     _validate_conditional_args(n, n1, j, m)
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
+    if exact:
+        return exact_count_law(design, n, j, m)[n1]
     if j == n:
-        return one if n1 == m else zero
+        return 1.0 if n1 == m else 0.0
     if m > n1 or n - j < n1 - m:
-        return zero
-    if j == 0:
-        return unconditional_pmf(design, n, n1, backend)
+        return 0.0
     if design.kind == COMPLETE:
-        return _complete_pmf(n - j, n1 - m, exact)
+        return _complete_pmf(n - j, n1 - m)
     if 2 * m == j:
-        # balanced interim state: the walk restarts afresh
-        return unconditional_pmf(design, n - j, n1 - m, backend)
-    p = design.exact_p() if exact else design.p
-    value = _eval_plan(_plan_conditional(n, n1, j, m), p, exact)
-    if not exact:
-        value = min(value, 1.0)
-    return value
+        # balanced interim state, j = 0 among them: the walk restarts afresh
+        return unconditional_pmf(design, n - j, n1 - m)
+    plan = _plan_conditional(n, n1, j, m)
+    evaluate = _eval_series_float if isinstance(plan, _SeriesPlan) else _eval_pure_float
+    return min(evaluate(plan, design.p), 1.0)
 
 
-def pmf_table(design: DesignSpec, n: int, backend: str = "float"):
-    """The full vector of P(N1(n) = n1) for n1 = 0..n.
+def pmf_table(design: DesignSpec, n: int, backend: str = "float", *, given=None):
+    """The full vector of P(N1(n) = n1) for n1 = 0..n, or, given
+    ``(j, m)``, of P(N1(n) = n1 | N1(j) = m).
 
-    The law is symmetric, P(N1(n) = n1) = P(N1(n) = n - n1), and both
-    counts are priced by the same plan, so the upper half is mirrored.
+    The exact backend prices the whole law in one DP and returns a list
+    of Fractions.  The float backend returns an array; the unconditional
+    law is symmetric, P(N1(n) = n1) = P(N1(n) = n - n1), and both counts
+    are priced by the same plan, so its upper half is mirrored.
     """
     exact = _validate_backend(backend)
-    if n < 1:
-        raise ValueError(f"horizon must be >= 1, got {n}")
-    half = [unconditional_pmf(design, n, n1, backend) for n1 in range(n // 2 + 1)]
-    values = half + half[(n - 1) // 2 :: -1]
+    j, m = (0, 0) if given is None else given
+    _validate_conditional_args(n, 0, j, m)
     if exact:
-        return values
-    return np.asarray(values)
+        return exact_count_law(design, n, j, m)
+    if given is not None:
+        return np.asarray([conditional_pmf(design, n, n1, j, m) for n1 in range(n + 1)])
+    half = [unconditional_pmf(design, n, n1) for n1 in range(n // 2 + 1)]
+    return np.asarray(half + half[(n - 1) // 2 :: -1])
 
 
 # ---------------------------------------------------------------------------

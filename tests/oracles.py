@@ -11,6 +11,8 @@ can hold the package to them.  None of them is fast.  In order:
 * the closed-form plans derived on both sides of balance, each with the
   name of its branch, against which the package's mirrored plans are
   held bit for bit;
+* the package's own closed-form plans priced in rational arithmetic,
+  against which both its float closed forms and its exact DP are held;
 * the chain's transitions, one state at a time from the closed forms;
 * its moments, one entry at a time as sums over the closed forms;
 * the chain in rational arithmetic;
@@ -41,12 +43,14 @@ from fractions import Fraction
 
 import numpy as np
 
+import condrand.distributions as distributions
 import condrand.sampling as sampling
 from condrand.bruteforce import MAX_DP, _integerize_scores, exact_statistic_distribution
 from condrand.covariance import projected_final_count
 from condrand.design import COMPLETE, DesignSpec, assignment_probability
 from condrand.distributions import (
     _NEG_INF,
+    _ballot_terms,
     _correction_value,
     _PurePlan,
     _SeriesPlan,
@@ -246,6 +250,41 @@ def walk_branch(n: int, n1: int, j: int, m: int) -> str:
     if 2 * m == j:
         return "balanced_restart"
     return reference_plan_conditional(n, n1, j, m)[0]
+
+
+def _eval_plan_exact(plan, p: Fraction) -> Fraction:
+    """Rational value of a closed-form plan at bias ``p``."""
+    q = 1 - p
+    if isinstance(plan, _PurePlan):
+        return math.comb(plan.trials, plan.ones) * p**plan.p_exp * q**plan.q_exp
+    total = Fraction(0)
+    for l, c in _ballot_terms(plan.x, plan.l_max):
+        total += c * q ** (plan.q_base + l)
+    if plan.halved:
+        total /= 2
+    if plan.correction is not None:
+        d = _correction_value(plan.trials, plan.correction)
+        total += d * q ** plan.correction[2]
+    return p**plan.p_exp * total
+
+
+def closed_form_exact(design: DesignSpec, n: int, n1: int, j: int = 0, m: int = 0) -> Fraction:
+    """P(N1(n) = n1 | N1(j) = m) in rationals, from the package's own
+    plans, looked up on its module so that a patched plan is priced too,
+    and with ``conditional_pmf``'s conventions."""
+    _validate_conditional_args(n, n1, j, m)
+    if j == n:
+        return Fraction(int(n1 == m))
+    if m > n1 or n - j < n1 - m:
+        return Fraction(0)
+    if design.kind == COMPLETE:
+        return Fraction(math.comb(n - j, n1 - m), 2 ** (n - j))
+    if 2 * m == j:
+        # a balanced start, j = 0 among them, restarts the unconditional law
+        plan = distributions._plan_unconditional(n - j, n1 - m)
+    else:
+        plan = distributions._plan_conditional(n, n1, j, m)
+    return _eval_plan_exact(plan, design.exact_p())
 
 
 # ---------------------------------------------------------------------------

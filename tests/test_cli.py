@@ -165,6 +165,28 @@ class TestDist:
         assert code == 2
         assert out == "" and f"horizon must be >= 1, got {n}" in err
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (("--target", "9"), "count 9 out of range for horizon 5"),
+            (("--target", "9", "--given", "2:1"), "target count 9 out of range for horizon 5"),
+            (("--given", "7:3"), "step 7 out of range for horizon 5"),
+            (("--given", "7:3", "--target", "2"), "step 7 out of range for horizon 5"),
+            (("--given", "2:3"), "interim count 3 out of range for step 2"),
+            (("--given", "2:3", "--target", "2"), "interim count 3 out of range for step 2"),
+        ],
+    )
+    def test_bad_counts_exit_2_alike_under_both_backends(self, capsys, extra, message):
+        errors = []
+        for backend in ("float", "exact"):
+            code, out, err = run_cli(
+                capsys, "dist", "--design", "bcd:0.75", "--n", "5", *extra, "--backend", backend
+            )
+            assert code == 2 and out == "", backend
+            errors.append(err)
+        assert errors[0] == errors[1]
+        assert errors[0].strip().splitlines()[-1] == f"error: {message}"
+
 
 class TestSampleAndPvalue:
     def test_round_trip(self, capsys, tmp_path, trial_files):

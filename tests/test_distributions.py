@@ -12,11 +12,13 @@ from condrand import (
     pmf_table,
     unconditional_pmf,
 )
+from condrand.bruteforce import exact_count_law
 from condrand.distributions import _ballot_terms, _correction_value, backward_log_table
 from condrand.errors import NumericalError
 from oracles import (
     _ballot_int,
     backward_exact_table,
+    closed_form_exact,
     count_constraints_predicate,
     enumerate_law,
     reference_eval_series_float,
@@ -98,7 +100,7 @@ class TestUnconditionalPmf:
         table = pmf_table(design, n)
         assert abs(table.sum() - 1.0) < 1e-12
         for n1 in (1000, 995, 960, 900):
-            exact = unconditional_pmf(design, n, n1, "exact")
+            exact = closed_form_exact(design, n, n1)
             want = math.log(exact.numerator) - math.log(exact.denominator)
             assert abs(math.log(table[n1]) - want) < 1e-12, n1
             # the backward recursion drifts further, up to 1.3e-11 here at
@@ -267,13 +269,14 @@ def _count_in_plan(draw, label):
 
 
 def _laws(design, n, n1, j=None, m=None):
-    """The float values, as an array, and the exact values of the
-    unconditional law at (n, n1) and, given (j, m), the conditional one."""
-    calls = [(unconditional_pmf, (n, n1))]
+    """The float values, as an array, and the rational closed-form values
+    of the unconditional law at (n, n1) and, given (j, m), the conditional
+    one."""
+    floats, exact = [unconditional_pmf(design, n, n1)], [closed_form_exact(design, n, n1)]
     if j is not None:
-        calls.append((conditional_pmf, (n, n1, j, m)))
-    floats = np.array([law(design, *args) for law, args in calls])
-    return floats, [law(design, *args, backend="exact") for law, args in calls]
+        floats.append(conditional_pmf(design, n, n1, j, m))
+        exact.append(closed_form_exact(design, n, n1, j, m))
+    return np.array(floats), exact
 
 
 @st.composite
@@ -363,6 +366,41 @@ class TestWalkBranches:
                     assert conditional_pmf(design, n, n1, j, m, "exact") == want
                     checked += 1
         assert checked > 20
+
+
+class TestExactEngine:
+    """The exact backend is the integer DP; the rational closed forms
+    check it."""
+
+    @pytest.mark.parametrize("design", DESIGNS + [DesignSpec.complete()], ids=str)
+    def test_dp_equals_closed_forms_on_every_state(self, design):
+        for n in (1, 2, 7, 12, 24, 40):
+            for j in range(n + 1):
+                for m in range(j + 1):
+                    law = exact_count_law(design, n, j, m)
+                    assert len(law) == n + 1
+                    for n1, value in enumerate(law):
+                        assert value == closed_form_exact(design, n, n1, j, m), (n, n1, j, m)
+
+    @pytest.mark.parametrize("design", DESIGNS + [DesignSpec.complete()], ids=str)
+    def test_dp_equals_closed_forms_at_horizon_300(self, design):
+        assert exact_count_law(design, 300)[143] == closed_form_exact(design, 300, 143)
+        law = exact_count_law(design, 300, 101, 47)
+        assert law[151] == closed_form_exact(design, 300, 151, 101, 47)
+
+    @pytest.mark.parametrize("design", [DesignSpec.bcd(0.6), DesignSpec.bcd(1.0)], ids=str)
+    def test_given_table_equals_per_target_values(self, design):
+        n = 24
+        for j, m in ((0, 0), (10, 4), (10, 5), (13, 9), (24, 11)):
+            table = pmf_table(design, n, given=(j, m))
+            per_target = np.array([conditional_pmf(design, n, n1, j, m) for n1 in range(n + 1)])
+            assert table.tobytes() == per_target.tobytes(), (j, m)
+            exact = [conditional_pmf(design, n, n1, j, m, "exact") for n1 in range(n + 1)]
+            assert pmf_table(design, n, "exact", given=(j, m)) == exact, (j, m)
+
+    def test_count_law_refuses_a_bad_state(self):
+        with pytest.raises(ValueError, match="need 0 <= m <= j <= n"):
+            exact_count_law(BCD23, 5, 6, 1)
 
 
 class TestBackwardTables:

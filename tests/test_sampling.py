@@ -504,9 +504,12 @@ class TestBlockedChainMatchesReference:
         with pytest.raises(InfeasibleError, match=f"count {segment[1]} at position 5"):
             ConditionalChain(DesignSpec.bcd(0.75)).table(*segment)
 
-    @pytest.mark.parametrize("segment", [(5, 2, 3, 1), (5, 2, 5, 3)])
+    @pytest.mark.parametrize("segment", [(5, 2, 3, 1), (5, 2, 5, 2), (5, 2, 5, 3)])
     def test_empty_or_reversed_segment_raises(self, segment):
-        with pytest.raises(ValueError, match=f"got positions 5 and {segment[2]}"):
+        # checked before any array is sized, so a reversed segment is not
+        # NumPy's "negative dimensions" error
+        message = f"need 0 <= start < end, got positions 5 and {segment[2]}$"
+        with pytest.raises(ValueError, match=message):
             ConditionalChain(DesignSpec.bcd(0.75)).table(*segment)
 
     def test_build_memory_is_one_table(self):
