@@ -27,7 +27,7 @@ from .design import DesignSpec
 from .distributions import conditional_pmf
 from .errors import DegenerateScoresError, InfeasibleError
 from .sampling import ConditionalChain, Look, LookSchedule
-from .scores import SIMPLE_RANK, _centered, centered_scores
+from .scores import SIMPLE_RANK, ScoreVector, _centered, _counted_midranks, centered_scores
 from .streams import as_generator
 
 
@@ -161,12 +161,11 @@ def interpolate_scores(
 ) -> np.ndarray:
     """Complete a partially observed response vector ``replicates`` times.
 
-    Each completion keeps the observed prefix, fills the remaining
-    ``n - len(observed)`` entries by resampling the observed values with
-    replacement, and re-ranks the full vector; the completions are ranked
-    and centered together, row by row, as :func:`centered_scores` would.
-    Returns the (replicates, n) scores; only the observed values are
-    checked, as every completion is drawn from them.
+    Each completion keeps the observed prefix and fills the other places
+    with observed values drawn with replacement, in one ``integers`` call
+    that draws what one ``choice`` call per row would.  Returns the
+    (replicates, n) scores, each row with the bits of :func:`centered_scores`;
+    a NaN response, or an infinite one under raw scores, raises.
     """
     x = np.asarray(observed, dtype=float)
     if x.ndim != 1 or x.size == 0:
@@ -175,15 +174,16 @@ def interpolate_scores(
         raise ValueError(f"{x.size} observed responses exceed horizon {n}")
     if replicates < 1:
         raise ValueError(f"need at least one replicate, got {replicates}")
-    observed_scores = centered_scores(x, kind).values
-    if x.size == n:
-        return np.tile(observed_scores, (replicates, 1))
-    rng = as_generator(rng)
-    full = np.empty((replicates, n))
-    full[:, : x.size] = x
-    for row in full:
-        row[x.size :] = rng.choice(x, size=n - x.size, replace=True)
-    return _centered(full, kind)
+    full = np.tile(np.arange(n), (replicates, 1))  # which observed response fills each place
+    full[:, x.size :] = as_generator(rng).integers(0, x.size, (replicates, n - x.size))
+    if kind == SIMPLE_RANK:  # each place holds an observed value: rank by counting codes
+        values, codes = np.unique(x, return_inverse=True)
+        full = _counted_midranks(values, np.take(codes, full, out=full))
+    else:
+        full = x[full]
+    scores = _centered(full)
+    ScoreVector(scores[0], kind)  # refuses a bad kind or response: each row holds them all
+    return scores
 
 
 def projected_final_count(design: DesignSpec, schedule: LookSchedule, look: int, horizon: int) -> int:

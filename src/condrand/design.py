@@ -72,8 +72,9 @@ class DesignSpec:
         return {"kind": BCD, "p": self.p}
 
     def exact_p(self) -> Fraction:
-        """The bias as an exact rational (small denominators recovered)."""
-        return Fraction(self.p).limit_denominator(10**6)
+        """The bias as an exact rational, a small one (2/3) only if the same float."""
+        small = Fraction(self.p).limit_denominator(10**6)
+        return small if float(small) == self.p else Fraction(self.p)
 
     def label(self) -> str:
         return COMPLETE if self.kind == COMPLETE else f"bcd:{self.p:g}"

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy.stats import rankdata
 
 from condrand import (
     DegenerateScoresError,
@@ -23,6 +24,7 @@ from condrand.covariance import _block_moments_float, _ratio, projected_final_co
 from condrand.errors import InfeasibleError
 from condrand.monitoring import SpendingFunction, estimate_boundaries
 from condrand.sampling import ConditionalChain, MultilookSampler
+from condrand.scores import _midranks
 from oracles import (
     count_constraints_predicate,
     covariance_final_exact,
@@ -267,6 +269,73 @@ class TestInterpolateScores:
             got = interpolate_scores(x, n, np.random.default_rng(k), 30, kind)
             assert got.shape == (30, n)
             assert [a.tobytes() for a in got] == [sv.values.tobytes() for sv in want]
+
+    @settings(deadline=None)
+    @given(
+        xs=st.one_of(
+            st.lists(st.integers(-2, 2).map(lambda k: k / 2), min_size=1, max_size=30),
+            st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30),
+        ),
+        unseen=st.integers(0, 25),
+        replicates=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["simple-rank", "raw"]),
+    )
+    @example(xs=[0.5], unseen=3, replicates=1, seed=0, kind="simple-rank")  # r = 1, B = 1
+    @example(xs=[1.0, 1.0, 0.0], unseen=0, replicates=4, seed=1, kind="simple-rank")  # r = n
+    @example(xs=[-0.0, 0.0, 2.0], unseen=5, replicates=3, seed=2, kind="raw")
+    def test_equals_one_choice_per_row_and_leaves_the_same_stream(
+        self, xs, unseen, replicates, seed, kind
+    ):
+        x = np.array(xs)
+        n = x.size + unseen
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [
+            centered_scores(np.concatenate([x, want_rng.choice(x, size=unseen)]), kind).values
+            for _ in range(replicates)
+        ]
+        got = interpolate_scores(x, n, got_rng, replicates, kind)
+        assert got.shape == (replicates, n)
+        assert got.tobytes() == np.array(want).tobytes()
+        assert got_rng.random() == want_rng.random()
+        assert got_rng.integers(0, 7) == want_rng.integers(0, 7)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("kind", ["simple-rank", "raw"])
+    def test_nan_response_raises(self, kind, n):
+        with pytest.raises(ValueError, match="finite"):
+            interpolate_scores([1.0, np.nan, 2.0], n, rng=1, replicates=4, kind=kind)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_infinite_response_ranks_but_has_no_raw_score(self, n):
+        x = [1.0, np.inf, -np.inf]
+        with pytest.raises(ValueError, match="finite"):
+            interpolate_scores(x, n, rng=1, replicates=4, kind="raw")
+        got = interpolate_scores(x, n, np.random.default_rng(5), 4)
+        rng = np.random.default_rng(5)
+        want = [centered_scores(np.concatenate([x, rng.choice(x, n - 3)])).values for _ in range(4)]
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+class TestCountedMidranks:
+    """The counting rule that ranks the bootstrap completions ranks every
+    response array too."""
+
+    @settings(deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 12)),
+        data=st.data(),
+    )
+    def test_equal_rankdata_along_the_last_axis(self, shape, data):
+        size = math.prod(shape)
+        values = st.one_of(st.integers(-2, 2).map(lambda k: k / 2), st.just(np.nan), st.floats(-9, 9))
+        x = np.array(data.draw(st.lists(values, min_size=size, max_size=size))).reshape(shape)
+        got = _midranks(x)
+        want = rankdata(x, method="average", axis=-1)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert (np.isnan(got) == np.isnan(x).any(axis=-1, keepdims=True)).all()
+        rows = x.reshape(-1, shape[-1])
+        assert got.tobytes() == np.array([_midranks(row) for row in rows]).tobytes()
 
 
 class TestInformationAtLook:

@@ -8,6 +8,7 @@ from condrand import (
     TreatmentSequence,
     assignment_probability,
     simulate_unconditional,
+    unconditional_pmf,
 )
 from oracles import (
     enumerate_law,
@@ -38,6 +39,14 @@ class TestDesignSpec:
     def test_exact_p_recovers_small_rationals(self):
         assert DesignSpec.bcd(2 / 3).exact_p() == Fraction(2, 3)
         assert DesignSpec.bcd(0.6).exact_p() == Fraction(3, 5)
+        assert DesignSpec.bcd(0.75).exact_p() == Fraction(3, 4)
+
+    def test_exact_p_keeps_a_bias_no_small_rational_equals(self):
+        # the nearest small rational, 577/810, is another float
+        design = DesignSpec.bcd(0.7123456789)
+        assert design.exact_p() == Fraction(0.7123456789)
+        value = unconditional_pmf(design, 10, 5)
+        assert abs(float(unconditional_pmf(design, 10, 5, "exact")) - value) <= np.spacing(value)
 
 
 class TestTreatmentSequence:
