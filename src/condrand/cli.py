@@ -293,7 +293,8 @@ def _cmd_info(args) -> dict:
     for look in range(1, len(schedule) + 1):
         frac = information_at_look(
             design, schedule, values, look, mode=args.mode, bootstrap=args.bootstrap,
-            rng=substream(args.seed, look), kind=args.scores, _chain=chain,
+            rng=None if args.seed is None else substream(args.seed, look),
+            kind=args.scores, _chain=chain,
         )
         per_look.append(asdict(frac))
     return {"per_look": per_look, "seed": args.seed, "mode": args.mode}
@@ -429,7 +430,8 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "reps") and args.reps is None:
             args.reps = _default_reps()
-        if hasattr(args, "seed") and args.seed is None:
+        # full-mode information draws nothing, so an unseeded run prints null
+        if hasattr(args, "seed") and args.seed is None and getattr(args, "mode", "") != "full":
             args.seed = int(np.random.SeedSequence().entropy % (2**63))
         _write(args.out, args.func(args))
         return EXIT_OK

@@ -158,29 +158,38 @@ class ConditionalChain:
         return psi
 
 
-def _walk(rows, rng: np.random.Generator | int | None, size: int) -> np.ndarray:
+def _walk_buffers(n: int, size: int) -> tuple[np.ndarray, ...]:
+    """Fresh (steps, m, prob, uniforms) for :func:`_walk`: (n, size) steps,
+    ``size`` counts and probabilities, and a block of whole steps' uniforms."""
+    if size < 0:
+        raise ValueError(f"number of draws must be >= 0, got {size}")
+    block = min(n, max(1, BLOCK_ENTRIES // max(size, 1)))
+    return (np.empty((n, size), dtype=bool), np.empty(size, dtype=np.intp),
+            np.empty(size), np.empty((block, size)))
+
+
+def _walk(rows, rng: np.random.Generator | int | None, size: int, *, _buffers=()) -> np.ndarray:
     """An (n, size) bool matrix whose row j holds step j of every draw, given
     ``rows[j][m]`` = P(T_{j+1} = 1 | N1(j) = m) for the n = len(rows) steps.
     Every assignment the package draws comes from here.
 
-    Uniforms come in blocks of whole steps; ``rng.random((k, size))``
-    consumes the stream exactly as ``k`` calls of ``rng.random(size)``,
-    so the draws do not depend on the block length.
+    Uniforms come in blocks of whole steps; ``rng.random(out=u)`` for a
+    (k, size) ``u`` consumes the stream exactly as ``k`` calls of
+    ``rng.random(size)``, so the draws do not depend on the block length.
+    ``_buffers``, from :func:`_walk_buffers` for the same (n, size), are
+    written over instead of allocated, and the steps returned are its
+    first; without them every array is fresh.
     """
-    if size < 0:
-        raise ValueError(f"number of draws must be >= 0, got {size}")
+    steps, m, prob, uniforms = _buffers or _walk_buffers(len(rows), size)
     rng = as_generator(rng)
-    n = len(rows)
-    steps = np.empty((n, size), dtype=bool)
-    m = np.zeros(size, dtype=np.intp)
-    prob = np.empty(size)
-    block = max(1, BLOCK_ENTRIES // max(size, 1))
+    n, block = len(rows), max(1, len(uniforms))
+    m.fill(0)
     for start in range(0, n, block):
-        uniforms = rng.random((min(block, n - start), size))
-        for row, u, step in zip(rows[start : start + block], uniforms, steps[start:]):
+        u = rng.random(out=uniforms[: n - start])
+        for row, u_j, step in zip(rows[start : start + block], u, steps[start:]):
             # counts never leave 0..j, so clipping skips a bounds check only
             row.take(m, out=prob, mode="clip")
-            np.less(u, prob, out=step)
+            np.less(u_j, prob, out=step)
             m += step
     return steps
 
@@ -212,6 +221,7 @@ class MultilookSampler:
         self.chain = ConditionalChain(design)
         # row j of the walk is a view into its segment's table
         self._rows = [row for seg in schedule.segments() for row in self.chain.table(*seg)]
+        self._work = ()  # accumulate_statistics' buffers, kept for the next call
 
     def prefix(self, through_look: int) -> "MultilookSampler":
         """This sampler cut to the first ``through_look`` looks; it shares
@@ -220,6 +230,7 @@ class MultilookSampler:
         out.schedule = self.schedule.prefix(through_look)
         out.n = out.schedule.horizon
         out._rows = self._rows[: out.n]
+        out._work = ()
         return out
 
     def transition(self, j: int, m: int) -> float:
@@ -243,6 +254,10 @@ class MultilookSampler:
     ) -> np.ndarray:
         """Statistics at each look for ``size`` draws, without storing sequences.
 
+        The walk's buffers stay with the sampler, which writes over them on
+        the next call of the same size, so a replicate loop touches no fresh
+        pages.  They are never returned; do not share a sampler between threads.
+
         Args:
             score_vectors: One centered score array per look, the l-th
                 covering the first r_l positions.
@@ -262,7 +277,14 @@ class MultilookSampler:
             if vals.size != r:
                 raise ValueError(f"score vector for look at {r} has length {vals.size}")
             weights.append(vals)
-        return step_sums(weights, _walk(self._rows, rng, int(size)))
+        size = int(size)
+        if not self._work or self._work[0].shape != (self.n, size):
+            self._work = _walk_buffers(self.n, size)
+        steps = _walk(self._rows, rng, size, _buffers=self._work)
+        # the walk is done with its uniforms, so step_sums' float32 steps take their bytes
+        uniforms = self._work[3]
+        block = uniforms.reshape(-1).view(np.float32).reshape(2 * len(uniforms), size)
+        return step_sums(weights, steps, _block=block)
 
 
 def sample_conditional(

@@ -131,7 +131,7 @@ def sums_exactly(values: np.ndarray, dtype) -> bool:
     return bool((twice == np.rint(twice)).all()) and float(np.abs(twice).sum()) < limit
 
 
-def step_sums(weights, steps: np.ndarray) -> np.ndarray:
+def step_sums(weights, steps: np.ndarray, *, _block=None) -> np.ndarray:
     """The (size, L) statistics of an (n, size) 0/1 step matrix, one column
     per draw, under 1-D score arrays ``weights`` that each cover a prefix.
 
@@ -139,20 +139,23 @@ def step_sums(weights, steps: np.ndarray) -> np.ndarray:
     same float whether observed or drawn: entry (k, l) equals bit for bit
     the step-order sum of ``weights[l][j] * steps[j, k]``.  When every
     vector's sums are exact in float32 (:func:`sums_exactly`; midranks are
-    up to n of about 5800) all are one float32 contraction, in any order;
-    otherwise each is a float64 ``einsum`` over the steps outermost.
-    Neither calls BLAS.
+    up to n of about 5800) all are one float32 contraction, in any order,
+    over blocks of steps copied into the (rows, size) float32 ``_block``
+    (fresh when omitted); otherwise each is a float64 ``einsum`` over the
+    steps outermost.  Neither calls BLAS, and the result is always fresh.
     """
     n, size = steps.shape
     if all(sums_exactly(w, np.float32) for w in weights):
-        # steps become float32 a block at a time to keep memory small
         padded = np.zeros((len(weights), n), dtype=np.float32)
         for l, w in enumerate(weights):
             padded[l, : w.size] = w
         stats = np.zeros((size, len(weights)), dtype=np.float32)
-        block = max(1, 2 * BLOCK_ENTRIES // max(size, 1))
+        if _block is None:
+            _block = np.empty((min(n, max(1, 2 * BLOCK_ENTRIES // max(size, 1))), size), np.float32)
+        block = max(1, len(_block))
         for lo in range(0, n, block):
-            part = steps[lo : lo + block].astype(np.float32)
+            part = _block[: n - lo]
+            np.copyto(part, steps[lo : lo + block])
             stats += np.einsum("lj,jk->kl", padded[:, lo : lo + block], part)
         return stats.astype(float)
     # einsum keeps the steps outermost only over C-ordered rows of two or

@@ -301,6 +301,19 @@ class TestBoundariesAndInfo:
         assert payload["per_look"][-1]["t"] == 1.0
         assert 0.0 < payload["per_look"][0]["t"] < 1.0
 
+    def test_unseeded_full_mode_info_prints_null_seed(self, capsys, trial_files):
+        # full mode draws nothing, so two runs without --seed are the same bytes
+        argv = [
+            "info", "--design", "bcd:0.6667", "--schedule", str(trial_files["schedule"]),
+            "--responses", str(trial_files["responses"]),
+        ]
+        first, second = (run_cli(capsys, *argv, "--mode", "full") for _ in range(2))
+        assert first == second and first[0] == 0
+        assert json.loads(first[1])["seed"] is None
+        assert json.loads(run_cli(capsys, *argv, "--mode", "full", "--seed", "4")[1])["seed"] == 4
+        code, out, _ = run_cli(capsys, *argv, "--bootstrap", "5")
+        assert code == 0 and isinstance(json.loads(out)["seed"], int)
+
     def test_boundary_that_spends_nothing_is_null(self, capsys, tmp_path):
         # a first look at 2 of 40 carries so little information that the
         # O'Brien-Fleming-like spend is zero there and the boundary infinite

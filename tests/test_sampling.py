@@ -1,4 +1,5 @@
 import tracemalloc
+from contextlib import suppress
 from fractions import Fraction
 from unittest import mock
 
@@ -10,13 +11,16 @@ from scipy import stats
 from condrand import (
     DesignSpec,
     InfeasibleError,
+    InsufficientAcceptancesError,
     LookSchedule,
     MultilookSampler,
+    estimate_pvalue_rejection,
     sample_conditional,
     sample_multilook,
     simulate_unconditional,
 )
 import condrand.distributions as distributions
+import condrand.montecarlo as montecarlo
 import condrand.sampling as sampling
 from condrand.experiments import tail_estimate_repeatability
 from condrand.sampling import ConditionalChain
@@ -378,6 +382,89 @@ class TestOneSummationRule:
         finally:
             tracemalloc.stop()
         assert peak < 200_000 * 100 + 10e6, peak
+
+
+class TestReusedWalkBuffers:
+    """``accumulate_statistics`` writes over one set of walk buffers per
+    sampler; nothing else may see them."""
+
+    DESIGN = DesignSpec.bcd(0.7)
+    SCHEDULE = LookSchedule.from_pairs([(25, 12), (41, 20), (60, 31)])
+
+    def _scores(self, kind, looks=3):
+        responses = np.round(np.random.default_rng(3).standard_normal(60), 1)
+        return [centered_scores(responses[: l.position], kind) for l in self.SCHEDULE.looks[:looks]]
+
+    def test_returned_arrays_keep_their_bytes(self):
+        sampler = MultilookSampler(self.DESIGN, self.SCHEDULE)
+        scores = self._scores(SIMPLE_RANK)
+        walked = []
+
+        def recording_walk(*args, **kwargs):
+            walked.append(sampling._walk(*args, **kwargs))
+            return walked[-1]
+
+        def rejection_steps(seed, size):
+            # one attempt seldom hits the count; its walk is recorded anyway
+            with mock.patch.object(montecarlo, "_walk", recording_walk), suppress(
+                InsufficientAcceptancesError
+            ):
+                estimate_pvalue_rejection(self.DESIGN, 60, 31, scores[-1], 0.0, size, seed)
+            return walked[-1]
+
+        makers = [
+            (1, lambda seed: sampler.accumulate_statistics(seed, 1, scores)),
+            (1, lambda seed: sampler.draw(seed).assignments),
+            (1, lambda seed: sampler.draw_batch(seed, 1)),
+            (2500, lambda seed: sampler.draw_batch(seed, 2500)),
+            (1, lambda seed: sample_conditional(self.DESIGN, 60, 31, rng=seed).assignments),
+            (1, lambda seed: simulate_unconditional(self.DESIGN, 60, seed).assignments),
+            (2500, lambda seed: sampler.accumulate_statistics(seed, 2500, scores)),
+            (2500, lambda seed: rejection_steps(seed, 2500)),
+        ]
+        kept = []
+        for seed, (size, make) in enumerate(makers):
+            out = make(seed)
+            kept.append((out, out.tobytes()))
+            # walks of the same shape come first, where shared buffers would be
+            for later, later_size in enumerate((size, 1, 2500, size), start=100 * seed):
+                sampler.accumulate_statistics(later, later_size, scores)
+                sampler.prefix(3).accumulate_statistics(later, later_size, scores)
+                simulate_unconditional(self.DESIGN, 60, later)
+                rejection_steps(later, later_size)
+        for out, before in kept:
+            assert out.tobytes() == before
+
+    @pytest.mark.parametrize("kind", [SIMPLE_RANK, RAW])
+    def test_reuse_equals_fresh_work(self, kind):
+        sampler = MultilookSampler(self.DESIGN, self.SCHEDULE)
+        cuts = {l: sampler.prefix(l) for l in (1, 2, 3)}
+        for seed, size in enumerate([2500, 1, 2500, 3000, 0]):
+            for l, cut in [(3, sampler), *cuts.items()]:
+                scores = self._scores(kind, l)
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                fresh = MultilookSampler(self.DESIGN, self.SCHEDULE.prefix(l))
+                got = cut.accumulate_statistics(rng, size, scores)
+                want = fresh.accumulate_statistics(ref, size, scores)
+                assert got.shape == (size, l) and got.tobytes() == want.tobytes()
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_second_call_allocates_no_steps(self):
+        # a repeated call at n = 350 and 2500 draws peaked at 96,136 bytes
+        # (the float32 and float64 statistics); a fresh one at 1,535,136,
+        # the 875,000-byte step matrix and a 520,000-byte block among them
+        schedule = LookSchedule.from_pairs([(250, 126), (300, 148), (350, 174)])
+        sampler = MultilookSampler(DesignSpec.bcd(0.75), schedule)
+        responses = np.random.default_rng(1).standard_normal(350)
+        scores = [centered_scores(responses[: l.position]) for l in schedule.looks]
+        sampler.accumulate_statistics(1, 2500, scores)
+        tracemalloc.start()
+        try:
+            sampler.accumulate_statistics(2, 2500, scores)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 250_000, peak
 
 
 class TestExactContraction:
