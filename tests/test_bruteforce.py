@@ -14,7 +14,7 @@ from condrand import (
     exact_statistic_distribution,
     linear_rank_statistic,
 )
-from condrand.bruteforce import MAX_DP
+from condrand.bruteforce import MAX_DP, PACK_BITS, _integerize_scores
 from condrand.experiments import TAIL_ROWS, tail_estimate_repeatability
 from condrand.streams import substream
 from oracles import (
@@ -203,6 +203,99 @@ class TestOneLawPerQuestion:
         exact_rows = sum(n <= MAX_DP for n, _ in TAIL_ROWS)
         assert exact_rows == 4 and len(calls) == exact_rows
         assert all((r["exact"] is None) == (r["n"] > MAX_DP) for r in out)
+
+
+class TestObservedPointInItsTail:
+    def test_raw_pvalue_is_the_tail_of_the_integer_statistic(self):
+        # two-decimal responses up to 1e5: the float v_star sits within
+        # rounding of its lattice point, on either side, in about a third
+        # of these cases
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(8, 13))
+            x = np.round(rng.uniform(0, 1e5, n), int(rng.integers(1, 3)))
+            t = np.zeros(n, dtype=int)
+            t[rng.permutation(n)[: n // 2]] = 1
+            scores = centered_scores(x, "raw")
+            ints, scale = _integerize_scores(scores.values)
+            observed = sum(a for a, b in zip(ints, t) if b) / scale
+            support, probs = reference_statistic_distribution(BCD23, scores, n // 2)
+            want = sum((pr for s, pr in zip(support, probs) if s >= observed), start=Fraction(0))
+            v_star = linear_rank_statistic(scores, t)
+            assert exact_conditional_pvalue(BCD23, scores, n // 2, v_star) == want, seed
+
+
+@st.composite
+def lattice_cases(draw):
+    """A design, a count and integer scores: 8 to 12 negative, zero and
+    repeated values times a common factor, a lattice dense enough to
+    pack.  A wide case adds 0, 1 and 10**7 times the factor, a lattice
+    too wide to pack."""
+    p = draw(st.sampled_from([0.5, 0.6, 2 / 3, 0.75, 0.9, 1.0]))
+    design = draw(st.sampled_from([DesignSpec.bcd(p), DesignSpec.complete()]))
+    base = draw(st.lists(st.integers(-4, 4), min_size=8, max_size=12))
+    wide = draw(st.booleans())
+    if wide:
+        base += [0, 1, 10**7]
+    factor = draw(st.sampled_from([1, 3, 10]))
+    scores = np.array(base, dtype=float) * factor
+    return design, scores, draw(st.integers(0, len(base))), wide
+
+
+def _spy_forms(mp) -> list[str]:
+    """Record which form of the DP each call runs."""
+    forms = []
+    for name in ("_forward_packed", "_forward_sparse"):
+        inner = getattr(bruteforce, name)
+        mp.setattr(bruteforce, name, lambda *a, _f=inner, _n=name: forms.append(_n) or _f(*a))
+    return forms
+
+
+class TestPackedDP:
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_cases())
+    def test_both_forms_are_the_pair_keyed_law(self, case):
+        design, scores, n1, wide = case
+        with pytest.MonkeyPatch.context() as mp:
+            forms = _spy_forms(mp)
+            try:
+                want_support, want_probs = reference_statistic_distribution(design, scores, n1)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    exact_statistic_distribution(design, scores, n1)
+                assert forms == ["_forward_sparse" if wide else "_forward_packed"]
+                return
+            support, probs = exact_statistic_distribution(design, scores, n1)
+        assert forms == ["_forward_sparse" if wide else "_forward_packed"]
+        assert support.tobytes() == want_support.tobytes()
+        assert probs == want_probs
+
+    def test_form_follows_the_span(self):
+        # at n = 3 under complete randomization a path weighs 2**3 and a
+        # weight is at most 4**3, 7 bits, so a slot is one byte; scores 0,
+        # 1 and a reach statistics 0 to a + 1, a lattice of a + 2 points,
+        # against 3 subsets at the widest count
+        design = DesignSpec.complete()
+        for a, bits, form in (
+            (4, PACK_BITS, "_forward_packed"),
+            (5, PACK_BITS, "_forward_sparse"),
+            (4, 6 * 8, "_forward_packed"),
+            (4, 6 * 8 - 1, "_forward_sparse"),
+        ):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(bruteforce, "PACK_BITS", bits)
+                forms = _spy_forms(mp)
+                dist = bruteforce._forward(design, [0, 1, a], n1=2)[2]
+            assert forms == [form], (a, bits)
+            assert dist == {1: 8, a: 8, a + 1: 8}
+
+    def test_rank_scores_at_the_largest_horizon_pack(self):
+        for design in (DesignSpec.bcd(0.6), DesignSpec.bcd(0.7123456789), DesignSpec.complete()):
+            scores = centered_scores(np.arange(MAX_DP, dtype=float))
+            with pytest.MonkeyPatch.context() as mp:
+                forms = _spy_forms(mp)
+                exact_statistic_distribution(design, scores, MAX_DP // 2)
+            assert forms == ["_forward_packed"]
 
 
 def _tail_row_scores(r_idx: int, n: int):

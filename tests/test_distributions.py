@@ -13,7 +13,12 @@ from condrand import (
     unconditional_pmf,
 )
 from condrand.bruteforce import exact_count_law
-from condrand.distributions import _ballot_terms, _correction_value, backward_log_table
+from condrand.distributions import (
+    _ballot_rows,
+    _ballot_terms,
+    _correction_value,
+    backward_log_table,
+)
 from condrand.errors import NumericalError
 from oracles import (
     _ballot_int,
@@ -64,6 +69,13 @@ class TestBallotTerms:
             for l_max in {-1, 0, x // 3, x - 1, x}:
                 assert list(_ballot_terms(x, l_max)) == [t for t in full if t[0] <= l_max]
 
+    def test_accumulated_rows_are_the_stepped_ones(self):
+        for n in (*range(1, 131), 499, 500):
+            rows = list(_ballot_rows(n))
+            assert [x for x, _ in rows] == list(range((n + 1) // 2, n + 1))
+            for x, row in rows:
+                assert row == [c for _, c in _ballot_terms(x, n - x)], (n, x)
+
     def test_remainder_raises(self, monkeypatch):
         # the guard is an error, not an assert that python -O strips
         monkeypatch.setattr(distributions, "divmod", lambda a, b: (a // b, 1), raising=False)
@@ -108,17 +120,31 @@ class TestUnconditionalPmf:
             backward = backward_log_table(design, 0, n, n1)[0, 0]
             assert abs(backward - want) < 1e-12 * abs(want), n1
 
+    def test_table_at_horizon_2000_is_the_per_count_law(self):
+        # its ballot numbers pass 2**1024, where math.log takes big integers
+        design, n = DesignSpec.bcd(0.75), 2000
+        per_count = np.array([unconditional_pmf(design, n, n1) for n1 in range(n + 1)])
+        assert pmf_table(design, n).tobytes() == per_count.tobytes()
+
     def test_table_small(self):
         assert pmf_table(DesignSpec.bcd(0.5), 2) == pytest.approx([0.25, 0.5, 0.25])
         table = pmf_table(BCD23, 2, "exact")
         assert table == [Fraction(1, 6), Fraction(2, 3), Fraction(1, 6)]
 
-    @pytest.mark.parametrize("design", DESIGNS + [DesignSpec.complete()], ids=str)
+    @pytest.mark.parametrize(
+        "design",
+        [DesignSpec.bcd(p) for p in (0.5, 0.55, 0.6, 2 / 3, 0.75, 0.9, 1.0)] + [DesignSpec.complete()],
+        ids=str,
+    )
     def test_table_is_mirror_of_per_count_law(self, design):
-        for n in (1, 2, 7, 50, 301):
+        for n in (*range(1, 61), 99, 100, 101, 301, 500):
             table = pmf_table(design, n)
             per_count = np.array([unconditional_pmf(design, n, n1) for n1 in range(n + 1)])
-            assert table.tobytes() == table[::-1].tobytes() == per_count.tobytes()
+            assert table.tobytes() == table[::-1].tobytes() == per_count.tobytes(), n
+            if design.kind == "bcd" and n <= 101:
+                plans = [reference_plan_unconditional(n, n1)[1] for n1 in range(n + 1)]
+                reference = np.array([reference_eval_series_float(pl, design.p) for pl in plans])
+                assert table.tobytes() == reference.tobytes(), n
         for n in (1, 2, 9, 24):
             table = pmf_table(design, n, "exact")
             per_count = [unconditional_pmf(design, n, n1, "exact") for n1 in range(n + 1)]
