@@ -12,13 +12,15 @@ from condrand import (
     LookSchedule,
     MultilookSampler,
     k_percentile,
-    sample_conditional,
+    sample_multilook,
 )
 
 design = DesignSpec.bcd(2 / 3)
 
-# one constrained sequence: exactly 15 of 30 on treatment 1
-seq = sample_conditional(design, 30, 15, rng=1)
+# one constrained sequence: exactly 15 of 30 on treatment 1, a schedule
+# of one look
+final = LookSchedule.single(30, 15)
+seq = sample_multilook(design, final, rng=1)
 print("one draw:", seq.to_string(), "-> N1(30) =", seq.count())
 
 # the reweighted assignment probabilities adapt to the running state
@@ -29,7 +31,7 @@ for j, m in ((0, 0), (3, 1), (5, 4), (7, 3)):
     print(f"  j={j}, m={m}: P(next = 1) = {pr:.4f}")
 
 # batch draws all hit the target
-batch = sample_conditional(design, 30, 15, rng=2, size=100_000)
+batch = sample_multilook(design, final, rng=2, size=100_000)
 print("\n100k draws, all with N1(30)=15:", (batch.sum(axis=1) == 15).all())
 
 # interim constraints are handled segment by segment

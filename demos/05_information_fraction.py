@@ -14,7 +14,7 @@ import numpy as np
 from condrand import (
     DesignSpec,
     LookSchedule,
-    covariance_final,
+    covariance_multilook,
     information_at_look,
     simulate_unconditional,
 )
@@ -31,7 +31,7 @@ schedule = LookSchedule.from_pairs((r, int(counts[r - 1])) for r in look_positio
 print("schedule:", schedule.to_json()["looks"])
 
 # a slice of the conditional covariance: neighbours are negatively related
-sigma = covariance_final(design, 10, 5)
+sigma = covariance_multilook(design, LookSchedule.single(10, 5))
 print("\nconditional covariance of T, n=10 given N1=5 (first 4x4 block):")
 print(np.round(sigma[:4, :4], 4))
 

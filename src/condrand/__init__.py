@@ -13,7 +13,6 @@ from .bruteforce import (
 )
 from .covariance import (
     InformationFraction,
-    covariance_final,
     covariance_multilook,
     information_at_look,
     interpolate_scores,
@@ -21,7 +20,6 @@ from .covariance import (
 from .design import (
     DesignSpec,
     TreatmentSequence,
-    assignment_probability,
 )
 from .distributions import (
     conditional_pmf,
@@ -59,7 +57,6 @@ from .sampling import (
     Look,
     LookSchedule,
     MultilookSampler,
-    sample_conditional,
     sample_multilook,
     simulate_unconditional,
 )

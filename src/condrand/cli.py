@@ -5,8 +5,8 @@ generation), ``pvalue`` (Monte Carlo or exact conditional tests),
 ``boundaries`` (monitored-trial boundary estimation), ``info``
 (randomization-based information fractions), ``tables`` (benchmark
 experiments).  Structured results are JSON; series are CSV; sequences
-are 0/1 strings, one per line.  Exit codes: 0 success, 2 usage,
-3 infeasible conditioning, 4 input/output problems.
+are 0/1 strings, one per line.  Exit codes: 0 success, 2 usage, 3 infeasible
+conditioning, a failed numerical guard or out of memory, 4 input/output problems.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 
@@ -51,17 +50,6 @@ EXIT_IO = 4
 
 class CliInputError(Exception):
     """An input file could not be read or parsed."""
-
-
-def _default_reps() -> int:
-    raw = os.environ.get("CONDRAND_REPS", "2500")
-    try:
-        reps = int(raw)
-    except ValueError as exc:
-        raise CliInputError(f"CONDRAND_REPS must be an integer, got {raw!r}") from exc
-    if reps < 1:
-        raise CliInputError(f"CONDRAND_REPS must be >= 1, got {reps}")
-    return reps
 
 
 def _write(path: str | None, result: str | dict) -> None:
@@ -348,7 +336,7 @@ _SHARED = {
         type=DesignSpec.parse, help="randomization procedure, 'bcd:<p>' or 'complete'"
     ),
     "--scores": dict(choices=(SIMPLE_RANK, "raw"), default=SIMPLE_RANK),
-    "--reps": dict(type=_positive, help="draws per estimate (CONDRAND_REPS, else 2500)"),
+    "--reps": dict(type=_positive, default=2500, help="draws per estimate (default %(default)s)"),
     "--bootstrap": dict(type=_positive, default=100, help="completions of the unseen responses"),
     "--seed": dict(type=_non_negative, default=None),
     "--out": dict(default=None, help="output path (stdout by default)"),
@@ -428,8 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if hasattr(args, "reps") and args.reps is None:
-            args.reps = _default_reps()
         # full-mode information draws nothing, so an unseeded run prints null
         if hasattr(args, "seed") and args.seed is None and getattr(args, "mode", "") != "full":
             args.seed = int(np.random.SeedSequence().entropy % (2**63))
@@ -443,6 +429,9 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     except CondrandError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

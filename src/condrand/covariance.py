@@ -132,11 +132,6 @@ def covariance_multilook(
     return sigma
 
 
-def covariance_final(design: DesignSpec, n: int, n1: int) -> np.ndarray:
-    """Covariance of the full assignment vector given the final count."""
-    return covariance_multilook(design, LookSchedule.single(n, n1))
-
-
 # ---------------------------------------------------------------------------
 # Information fractions.
 

@@ -104,13 +104,9 @@ class TreatmentSequence:
         """Treatment-1 totals after 1, 2, ..., n assignments."""
         return np.cumsum(self.assignments, dtype=np.int64)
 
-    def count(self, upto: int | None = None) -> int:
-        """Treatment-1 total after the first ``upto`` assignments (all by default)."""
-        if upto is None:
-            upto = len(self)
-        if not 0 <= upto <= len(self):
-            raise ValueError(f"prefix length {upto} out of range")
-        return int(self.assignments[:upto].sum())
+    def count(self) -> int:
+        """Treatment-1 total N1(n)."""
+        return int(self.assignments.sum())
 
     @classmethod
     def from_string(cls, text: str) -> "TreatmentSequence":
@@ -126,28 +122,8 @@ class TreatmentSequence:
         return f"TreatmentSequence({self.to_string()!r})"
 
 
-def assignment_probability(design: DesignSpec, j: int, m_j: int) -> float:
-    """Probability the next subject is assigned treatment 1.
-
-    Args:
-        design: The randomization procedure.
-        j: Number of subjects already assigned (step index, >= 0).
-        m_j: Treatment-1 count among the first ``j`` assignments.
-
-    Returns:
-        P(T_{j+1} = 1 | N1(j) = m_j).
-    """
-    if j < 0:
-        raise ValueError(f"step index must be nonnegative, got {j}")
-    if not 0 <= m_j <= j:
-        raise ValueError(f"count {m_j} out of range for step {j}")
-    if 2 * m_j == j:
-        return 0.5
-    return design.p if 2 * m_j < j else 1.0 - design.p
-
-
 def _imbalance_probabilities(design: DesignSpec, end: int) -> np.ndarray:
-    """Assignment probabilities at the imbalances d = 2m - j = -end..2 end,
-    the one at d at index d + end."""
+    """The coin rule P(T_{j+1} = 1 | N1(j) = m), 1/2 at balance, p behind and 1 - p
+    ahead, at the imbalances d = 2m - j = -end..2 end, the one at d at index d + end."""
     d = np.arange(-end, 2 * end + 1)
     return np.where(d == 0, 0.5, np.where(d < 0, design.p, 1.0 - design.p))

@@ -243,9 +243,6 @@ class MultilookSampler:
         """A (size, n) int8 matrix of independent constrained sequences."""
         return _sequences(_walk(self._rows, rng, int(size)))
 
-    def draw(self, rng: np.random.Generator | int | None = None) -> TreatmentSequence:
-        return TreatmentSequence(self.draw_batch(rng, 1)[0])
-
     def accumulate_statistics(
         self,
         rng: np.random.Generator | int | None,
@@ -287,30 +284,17 @@ class MultilookSampler:
         return step_sums(weights, steps, _block=block)
 
 
-def sample_conditional(
-    design: DesignSpec,
-    n: int,
-    n1: int,
-    rng: np.random.Generator | int | None = None,
-    size: int | None = None,
-):
-    """Draw from the reference set {N1(n) = n1}.
-
-    Returns a :class:`TreatmentSequence` when ``size`` is None, else a
-    (size, n) int8 matrix.
-    """
-    return sample_multilook(design, LookSchedule.single(n, n1), rng, size)
-
-
 def sample_multilook(
     design: DesignSpec,
     schedule: LookSchedule,
     rng: np.random.Generator | int | None = None,
     size: int | None = None,
 ):
-    """Draw from the reference set satisfying every look of ``schedule``."""
-    sampler = MultilookSampler(design, schedule)
-    return sampler.draw(rng) if size is None else sampler.draw_batch(rng, size)
+    """Draw from the reference set satisfying every look of ``schedule``
+    ({N1(n) = n1} under ``LookSchedule.single(n, n1)``): one
+    :class:`TreatmentSequence` when ``size`` is None, else a (size, n) matrix."""
+    batch = MultilookSampler(design, schedule).draw_batch(rng, 1 if size is None else size)
+    return TreatmentSequence(batch[0]) if size is None else batch
 
 
 def simulate_unconditional(

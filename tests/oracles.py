@@ -5,7 +5,8 @@ conditional chain per segment (``condrand.sampling.ConditionalChain``).
 The functions here reach the same quantities another way, so the tests
 can hold the package to them.  None of them is fast.  In order:
 
-* the unconditional law of every sequence by enumeration, in rational
+* the coin rule one state at a time, in floats and in rationals, and
+  the unconditional law of every sequence by enumeration, in rational
   arithmetic, with the laws, covariances and quantiles derived from it,
   and a sequence's probability under a sampler;
 * the closed-form plans derived on both sides of balance, each with the
@@ -32,6 +33,9 @@ can hold the package to them.  None of them is fast.  In order:
 * the stratified statistic's law, as the convolution of its strata's;
 * the interim information fraction's bootstrap denominator, averaged
   over every completion of the unseen responses.
+
+``covariance_final`` alone is no other route: it is shorthand for the
+package's own covariance under a one-look schedule.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ import numpy as np
 import condrand.distributions as distributions
 import condrand.sampling as sampling
 from condrand.bruteforce import MAX_DP, _integerize_scores, exact_statistic_distribution
-from condrand.covariance import projected_final_count
-from condrand.design import COMPLETE, DesignSpec, assignment_probability
+from condrand.covariance import covariance_multilook, projected_final_count
+from condrand.design import COMPLETE, DesignSpec
 from condrand.distributions import (
     _NEG_INF,
     _ballot_terms,
@@ -66,6 +70,28 @@ from condrand.sampling import LookSchedule
 # The law of every sequence, by enumeration.
 
 MAX_ENUM = 20
+
+
+def assignment_probability(design: DesignSpec, j: int, m_j: int) -> float:
+    """Probability the next subject is assigned treatment 1, one state at
+    a time: the coin rule that ``condrand.design._imbalance_probabilities``
+    tabulates.
+
+    Args:
+        design: The randomization procedure.
+        j: Number of subjects already assigned (step index, >= 0).
+        m_j: Treatment-1 count among the first ``j`` assignments.
+
+    Returns:
+        P(T_{j+1} = 1 | N1(j) = m_j).
+    """
+    if j < 0:
+        raise ValueError(f"step index must be nonnegative, got {j}")
+    if not 0 <= m_j <= j:
+        raise ValueError(f"count {m_j} out of range for step {j}")
+    if 2 * m_j == j:
+        return 0.5
+    return design.p if 2 * m_j < j else 1.0 - design.p
 
 
 def assignment_probability_exact(design: DesignSpec, j: int, m_j: int) -> Fraction:
@@ -495,6 +521,12 @@ def covariance_multilook_exact(design: DesignSpec, schedule) -> np.ndarray:
                 sigma[r0 + a, r0 + b] = v
                 sigma[r0 + b, r0 + a] = v
     return sigma
+
+
+def covariance_final(design: DesignSpec, n: int, n1: int) -> np.ndarray:
+    """The package's covariance given the final count alone: its one route,
+    ``covariance_multilook``, under a one-look schedule."""
+    return covariance_multilook(design, LookSchedule.single(n, n1))
 
 
 def covariance_final_exact(design: DesignSpec, n: int, n1: int) -> np.ndarray:

@@ -15,7 +15,6 @@ from condrand import (
     SpendingFunction,
     centered_scores,
     conditional_pmf,
-    covariance_final,
     covariance_multilook,
     estimate_pvalue_conditional,
     estimate_pvalue_rejection,
@@ -24,7 +23,6 @@ from condrand import (
     information_at_look,
     k_percentile,
     linear_rank_statistic,
-    sample_conditional,
     sample_multilook,
     simulate_unconditional,
     unconditional_pmf,
@@ -33,6 +31,7 @@ from condrand.experiments import monitored_trial_type_i_error, tail_estimate_rep
 from condrand.scores import step_sums
 from condrand.streams import substream
 from oracles import (
+    covariance_final,
     covariance_final_exact,
     covariance_multilook_exact,
     enumerate_law,
@@ -150,7 +149,7 @@ def test_criterion_04_sampler_law_chi_square():
 
     law8 = enumerate_law(design, 8)
     cond = oracle_sequence_law(law8, [(8, 4)])
-    batch = sample_conditional(design, 8, 4, rng=substream(41, 0), size=draws)
+    batch = sample_multilook(design, LookSchedule.single(8, 4), rng=substream(41, 0), size=draws)
     stat1, crit1 = _chi_square_gof(batch, cond)
     assert stat1 < crit1
 
@@ -174,7 +173,7 @@ def test_criterion_05_estimator_consistency():
         p = float(rng.choice([0.5, 0.6, 2 / 3, 0.75]))
         design = DesignSpec.bcd(p)
         scores = centered_scores(rng.standard_normal(n))
-        batch = sample_conditional(design, n, n1, rng, 200)
+        batch = sample_multilook(design, LookSchedule.single(n, n1), rng, 200)
         support = np.sort(step_sums([scores.values], batch.T)[:, 0])
         v_star = float(support[int(0.8 * support.size)])
         exact = float(exact_conditional_pvalue(design, scores, n1, v_star))

@@ -11,10 +11,17 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import condrand.cli as cli
 import condrand.distributions as distributions
 import condrand.sampling as sampling
 from condrand import experiments
 from condrand.cli import build_parser, main
+
+
+def _env_with_src() -> dict:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def run_cli(capsys, *argv):
@@ -58,7 +65,7 @@ CLI_SURFACE = {
         "--assignments": (None, None, True, None),
         "--scores": ("simple-rank", RANK_OR_RAW, False, None),
         "--method": ("direct", ("direct", "rejection"), False, None),
-        "--reps": (None, None, False, "_positive"),
+        "--reps": (2500, None, False, "_positive"),
         "--seed": (None, None, False, "_non_negative"),
         "--exact": (False, None, False, None),
         "--stratified": (False, None, False, None),
@@ -70,7 +77,7 @@ CLI_SURFACE = {
         "--responses": (None, None, True, None),
         "--alpha": (0.05, None, False, "float"),
         "--spending": ("obf", ("obf", "pocock"), False, None),
-        "--reps": (None, None, False, "_positive"),
+        "--reps": (2500, None, False, "_positive"),
         "--seed": (None, None, False, "_non_negative"),
         "--quantile": ("smooth", ("smooth", "ecdf"), False, None),
         "--info": ("full", ("full", "interim"), False, None),
@@ -91,7 +98,7 @@ CLI_SURFACE = {
     "tables": {
         "--which": (None, (1, 2, 3), True, "int"),
         "--seed": (None, None, False, "_non_negative"),
-        "--reps": (None, None, False, "_positive"),
+        "--reps": (2500, None, False, "_positive"),
         "--runs": (None, None, False, "_positive"),
         "--n": (None, None, False, "int"),
         "--full": (False, None, False, None),
@@ -400,6 +407,35 @@ class TestErrorPaths:
         assert (code, out) == (3, "")
         assert err.startswith("error: ballot numerator ")
 
+    def test_oversized_horizon_exit_3(self):
+        # the chain table would take 29.1 TiB.  The address-space cap makes
+        # its allocation fail at once; without it, a host that always
+        # overcommits would let numpy touch the pages.
+        code = (
+            "import resource, sys\n"
+            "from condrand.cli import main\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        argv = ["sample", "--design", "bcd:0.75", "--n", "2000000", "--n1", "1000000"]
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv, "--count", "1"], env=_env_with_src(),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (3, ""), done.stderr
+        assert done.stderr.startswith("error: out of memory: Unable to allocate 29.1 TiB ")
+        assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
+
+    def test_bare_memory_error_exit_3(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "MultilookSampler", exhausted)
+        code, out, err = run_cli(
+            capsys, "sample", "--design", "bcd:0.75", "--n", "20", "--n1", "10", "--seed", "1",
+        )
+        assert (code, out, err) == (3, "", "error: out of memory: an allocation failed\n")
+
     @pytest.mark.parametrize(
         "bad, scores", [("nan", "simple-rank"), ("nan", "raw"), ("inf", "raw")]
     )
@@ -558,26 +594,6 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert f"argument --seed: expected a non-negative integer, got {seed!r}" in err
 
-    def test_reps_env_not_an_integer_exit_4(self, capsys, trial_files, monkeypatch):
-        monkeypatch.setenv("CONDRAND_REPS", "abc")
-        code, _, err = run_cli(
-            capsys, "pvalue", "--design", "bcd:0.6",
-            "--responses", str(trial_files["responses"]),
-            "--assignments", str(trial_files["assignments"]),
-        )
-        assert code == 4
-        assert err == "error: CONDRAND_REPS must be an integer, got 'abc'\n"
-
-    def test_reps_env_below_one_exit_4(self, capsys, trial_files, monkeypatch):
-        monkeypatch.setenv("CONDRAND_REPS", "0")
-        code, out, err = run_cli(
-            capsys, "pvalue", "--design", "bcd:0.6",
-            "--responses", str(trial_files["responses"]),
-            "--assignments", str(trial_files["assignments"]),
-        )
-        assert code == 4
-        assert out == "" and err == "error: CONDRAND_REPS must be >= 1, got 0\n"
-
     @pytest.mark.parametrize("command", ["sample", "boundaries", "info"])
     @pytest.mark.parametrize("design", [{"p": 0.7}, {"kind": "bcd"}, 3, {"kind": 3}])
     def test_malformed_schedule_design_exit_4(self, capsys, tmp_path, trial_files, command, design):
@@ -589,16 +605,6 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, *argv)
         assert code == 4
         assert f"{schedule}: invalid design (" in err
-
-    def test_reps_env_override(self, capsys, trial_files, monkeypatch):
-        monkeypatch.setenv("CONDRAND_REPS", "123")
-        code, out, _ = run_cli(
-            capsys, "pvalue", "--design", "bcd:0.6",
-            "--responses", str(trial_files["responses"]),
-            "--assignments", str(trial_files["assignments"]), "--seed", "4",
-        )
-        assert code == 0
-        assert json.loads(out)["n_effective"] == 123
 
 
 _FAULTS = (
@@ -683,11 +689,9 @@ def test_module_runs_the_command_line(capsys):
     argv = ["dist", "--design", "bcd:0.75", "--n", "20"]
     assert main(argv) == 0
     want = capsys.readouterr().out.encode()
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run(
-        [sys.executable, "-m", "condrand", *argv], env=env, capture_output=True, timeout=60
+        [sys.executable, "-m", "condrand", *argv], env=_env_with_src(), capture_output=True,
+        timeout=60,
     )
     assert (done.returncode, done.stderr) == (0, b"")
     assert done.stdout == want

@@ -13,7 +13,6 @@ from condrand import (
     LookSchedule,
     ScoreVector,
     centered_scores,
-    covariance_final,
     covariance_multilook,
     information_at_look,
     interpolate_scores,
@@ -27,6 +26,7 @@ from condrand.sampling import ConditionalChain, MultilookSampler
 from condrand.scores import _midranks
 from oracles import (
     count_constraints_predicate,
+    covariance_final,
     covariance_final_exact,
     covariance_multilook_exact,
     cross_moment_single,

@@ -6,11 +6,12 @@ from hypothesis import given, strategies as st
 from condrand import (
     DesignSpec,
     TreatmentSequence,
-    assignment_probability,
     simulate_unconditional,
     unconditional_pmf,
 )
+from condrand.design import _imbalance_probabilities
 from oracles import (
+    assignment_probability,
     enumerate_law,
     reference_unconditional_draws,
     sequence_probability,
@@ -97,6 +98,17 @@ class TestAssignmentProbability:
         m = data.draw(st.integers(0, j))
         pr = assignment_probability(DesignSpec.bcd(p), j, m)
         assert 0.0 <= pr <= 1.0
+
+    @pytest.mark.parametrize(
+        "design", [DesignSpec.bcd(0.6), DesignSpec.bcd(1.0), DesignSpec.complete()]
+    )
+    def test_package_table_states_the_same_rule(self, design):
+        # the package's one statement of the coin rule, indexed by imbalance
+        end = 12
+        table = _imbalance_probabilities(design, end)
+        for j in range(end + 1):
+            for m in range(j + 1):
+                assert table[2 * m - j + end] == assignment_probability(design, j, m)
 
 
 class TestSimulateUnconditional:

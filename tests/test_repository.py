@@ -4,7 +4,8 @@ raises its numerical guards explicitly instead of with ``assert``, which
 ``scipy`` module unloaded, no module imports scipy at module level, each
 CLI command loads only the scipy modules it evaluates, every public name,
 every top-level function or class and every public method of the package
-has a caller outside the tests, the bench tracer finds every name it
+has a caller in the package, the bench or the demos, the package's public
+names are those pinned here, the bench tracer finds every name it
 wraps but its one known absentee, every option of a public function is set by some caller, and
 each committed ``BENCH_*.json`` summarises its own per-run values."""
 
@@ -13,9 +14,9 @@ import importlib.util
 import json
 import math
 import os
-import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -190,14 +191,50 @@ def test_every_export_has_a_caller_outside_the_tests():
         for fn in node.body
         if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
     }
+    # a mention in the README is no caller: the demos show the API in use
     callers = [p for p in SOURCES if p != init]
     callers += sorted((ROOT / "bench").glob("*.py")) + DEMOS
     used = set().union(*map(_used_names, callers))
-    readme = (ROOT / "README.md").read_text()
-    # a public name may be used only by readers of the README
-    documented = {name for name in exported if re.search(rf"\b{name}\b", readme)}
-    unused = sorted((exported | defined) - used - documented)
+    unused = sorted((exported | defined) - used)
     assert exported and defined and not unused, unused
+
+
+# the package's public names; a change to the API is an edit of this set
+PUBLIC_NAMES = {
+    # laws and exact tests
+    "conditional_pmf", "exact_conditional_pvalue", "exact_statistic_distribution",
+    "pmf_table", "unconditional_pmf",
+    # designs, sequences and sampling
+    "DesignSpec", "Look", "LookSchedule", "MultilookSampler", "TreatmentSequence",
+    "sample_multilook", "simulate_unconditional", "substream",
+    # scores and statistics
+    "ScoreVector", "StratifiedData", "Stratum", "centered_scores", "interim_statistic",
+    "linear_rank_statistic", "stratified_statistic",
+    # Monte Carlo tests
+    "PValueEstimate", "estimate_pvalue_conditional", "estimate_pvalue_rejection",
+    "estimate_pvalue_stratified", "k_percentile", "mc_sample_size",
+    "negative_binomial_quantile",
+    # monitoring
+    "BoundaryResult", "MonitoringDecision", "SpendingFunction", "estimate_boundaries",
+    "incremental_alpha", "nonparametric_quantile", "sequential_decision", "spend",
+    # covariances and information fractions
+    "InformationFraction", "covariance_multilook", "information_at_look",
+    "interpolate_scores",
+    # errors
+    "CondrandError", "DegenerateScoresError", "InfeasibleError",
+    "InsufficientAcceptancesError", "NumericalError", "UnderSampleError",
+}
+
+
+def test_public_names_are_pinned():
+    import condrand
+
+    public = {
+        name
+        for name, value in vars(condrand).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == PUBLIC_NAMES, public ^ PUBLIC_NAMES
 
 
 def _load_tracing():
@@ -229,8 +266,6 @@ def test_bench_tracer_finds_its_names():
 UNSET_OPTIONS_KEPT = {
     # the seam through which an exact-boundary oracle hands in its fractions
     "estimate_boundaries(info_fractions)",
-    # the interim count N1(j) of a prefix; the callers so far want N1(n)
-    "TreatmentSequence.count(upto)",
     # raw scores at a look, as every other scoring function takes them
     "interim_statistic(kind)",
     # inputs of the sample-size formula; the demo plans at their defaults

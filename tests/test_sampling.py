@@ -15,7 +15,6 @@ from condrand import (
     LookSchedule,
     MultilookSampler,
     estimate_pvalue_rejection,
-    sample_conditional,
     sample_multilook,
     simulate_unconditional,
 )
@@ -131,7 +130,7 @@ class TestSamplers:
             assert (counts[:, look.position - 1] == look.count).all()
 
     def test_single_constraint_batch(self):
-        batch = sample_conditional(BCD23, 6, 3, rng=11, size=100_000)
+        batch = sample_multilook(BCD23, LookSchedule.single(6, 3), rng=11, size=100_000)
         assert (batch.sum(axis=1) == 3).all()
 
     def test_negative_draw_count_raises(self):
@@ -140,7 +139,7 @@ class TestSamplers:
             sampler.draw_batch(1, -1)
 
     def test_single_draw_type(self):
-        seq = sample_conditional(BCD23, 9, 4, rng=13)
+        seq = sample_multilook(BCD23, LookSchedule.single(9, 4), rng=13)
         assert seq.count() == 4
 
     def test_complete_two_look_uniform(self):
@@ -198,7 +197,7 @@ class TestSamplers:
 
     def test_infeasible_final_count(self):
         with pytest.raises(InfeasibleError):
-            sample_conditional(DesignSpec.bcd(1.0), 4, 4, rng=1)
+            sample_multilook(DesignSpec.bcd(1.0), LookSchedule.single(4, 4), rng=1)
 
     def test_accumulate_statistics_matches_batch(self):
         design = DesignSpec.bcd(0.75)
@@ -412,12 +411,13 @@ class TestReusedWalkBuffers:
                 estimate_pvalue_rejection(self.DESIGN, 60, 31, scores[-1], 0.0, size, seed)
             return walked[-1]
 
+        single = LookSchedule.single(60, 31)
         makers = [
             (1, lambda seed: sampler.accumulate_statistics(seed, 1, scores)),
-            (1, lambda seed: sampler.draw(seed).assignments),
+            (1, lambda seed: sample_multilook(self.DESIGN, self.SCHEDULE, seed).assignments),
             (1, lambda seed: sampler.draw_batch(seed, 1)),
             (2500, lambda seed: sampler.draw_batch(seed, 2500)),
-            (1, lambda seed: sample_conditional(self.DESIGN, 60, 31, rng=seed).assignments),
+            (1, lambda seed: sample_multilook(self.DESIGN, single, seed).assignments),
             (1, lambda seed: simulate_unconditional(self.DESIGN, 60, seed).assignments),
             (2500, lambda seed: sampler.accumulate_statistics(seed, 2500, scores)),
             (2500, lambda seed: rejection_steps(seed, 2500)),
