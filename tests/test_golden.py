@@ -61,6 +61,7 @@ CASES = {
         "--assignments", str(GOLDEN / "assignments40.txt"), "--exact", *SEED,
     ),
     "tables_1": ("tables", "--which", "1", "--reps", "2500", *SEED),
+    "tables_2": ("tables", "--which", "2", "--runs", "2", "--reps", "200", *SEED),
     "tables_3": (
         "tables", "--which", "3", "--n", "70", "--runs", "3", "--reps", "200", *SEED,
     ),
