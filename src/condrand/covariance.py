@@ -5,7 +5,9 @@ Conditioning the randomization procedure on interim counts turns it into
 a Markov chain whose transitions are the sampler's; conditional means and
 cross moments then come from forward sweeps of that chain against its
 occupancy law.  The chain is the sampler's own :class:`ConditionalChain`,
-so one set of segment tables serves both.
+so one set of segment tables serves both, and a swept block is kept in
+the same process-wide memo as the tables; this module keeps no cache of
+its own.
 
 Covariances under a schedule are block diagonal across look segments:
 assignments in different segments are conditionally uncorrelated.
@@ -18,7 +20,6 @@ the observed ones when the trial is still in progress.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from .design import DesignSpec
 from .distributions import conditional_pmf
 from .errors import DegenerateScoresError, InfeasibleError
-from .sampling import ConditionalChain, Look, LookSchedule
+from .sampling import ConditionalChain, Look, LookSchedule, _recall, _remember
 from .scores import SIMPLE_RANK, ScoreVector, _centered, _counted_midranks, centered_scores
 from .streams import as_generator
 
@@ -85,21 +86,6 @@ def _block_moments_float(chain: ConditionalChain, r0: int, m0: int, r1: int, m1:
     return theta, lam
 
 
-# Blocks kept across calls, so that analyses of different trials whose look
-# counts repeat skip the sweep: at most MEMO_BYTES of them, least recently
-# used out first.  A larger block is never kept.
-MEMO_BYTES = 4 << 20
-_memo: OrderedDict[tuple, np.ndarray] = OrderedDict()
-
-
-def _remember(key: tuple, block: np.ndarray) -> None:
-    block.flags.writeable = False
-    if block.nbytes <= MEMO_BYTES:
-        _memo[key] = block
-        while sum(b.nbytes for b in _memo.values()) > MEMO_BYTES:
-            _memo.popitem(last=False)
-
-
 def covariance_multilook(
     design: DesignSpec, schedule: LookSchedule, *, _chain: ConditionalChain | None = None
 ) -> np.ndarray:
@@ -109,20 +95,20 @@ def covariance_multilook(
     a chain of the same design, supplies the segment tables and keeps the
     blocks; a caller that passes one chain to several calls builds each
     segment once.  A block the chain lacks comes from the process-wide
-    memo when a call before swept it, under the chain's own design.
+    memo of :mod:`condrand.sampling`, which keeps chain tables too, when a
+    call before swept it, under the chain's own design: a hit costs one
+    lookup and no sweep.
     """
     chain = ConditionalChain(design) if _chain is None else _chain
     for segment in schedule.segments():
         if segment not in chain.blocks:
             key = (chain.design, segment)
-            block = _memo.pop(key, None)
+            block = _recall(key)
             if block is None:
                 theta, lam = _block_moments_float(chain, *segment)
                 block = lam + lam.T - np.outer(theta, theta)
                 np.fill_diagonal(block, theta * (1.0 - theta))
                 _remember(key, block)
-            else:
-                _memo[key] = block  # now the most recently used
             chain.blocks[segment] = block
     # allocated after the sweeps, so that it does not add to their peak
     sigma = np.zeros((schedule.horizon,) * 2)

@@ -320,6 +320,15 @@ def pmf_table(design: DesignSpec, n: int, backend: str = "float", *, given=None)
 # delivers in O(horizon^2); tests pin it to the closed forms.
 
 
+def _reach(start: int, end: int, target: int) -> tuple[list[int], list[int]]:
+    """The bands of steps j = start..end - 1, as lists of lo and hi: at step
+    j, the counts lo <= m < hi from which N1(end) = target can still be
+    reached, at most ``target`` and short of it by no more than the end - j
+    steps left."""
+    steps = range(start, end)
+    return [max(0, target - (end - j)) for j in steps], [min(j, target) + 1 for j in steps]
+
+
 def backward_log_table(
     design: DesignSpec, start: int, end: int, target: int
 ) -> np.ndarray:
@@ -328,8 +337,8 @@ def backward_log_table(
     Rows run over steps ``start..end``; entries for unreachable states
     are ``-inf``.  The log assignment probabilities are taken once, by
     imbalance, so row j reads them as a stride-2 slice and computes only
-    the counts that can still reach the target, with two adds and one
-    logaddexp; the entries off that band stay ``-inf``.
+    the counts that can still reach the target (:func:`_reach`), with two
+    adds and one logaddexp; the entries off that band stay ``-inf``.
     """
     if not 0 <= start < end:
         raise ValueError(f"need 0 <= start < end, got ({start}, {end})")
@@ -339,11 +348,13 @@ def backward_log_table(
     table = np.full((steps + 1, end + 2), _NEG_INF)
     table[steps, target] = 0.0
     pr = _imbalance_probabilities(design, end)
+    lows, highs = _reach(start, end, target)
     with np.errstate(divide="ignore"):
         lp1, lp0 = np.log(pr), np.log1p(-pr)
         for j in range(end - 1, start - 1, -1):
-            lo, hi = max(0, target - (end - j)), min(j, target) + 1
-            idx, d = j - start, slice(end + 2 * lo - j, end + 2 * hi - j, 2)
+            idx = j - start
+            lo, hi = lows[idx], highs[idx]
+            d = slice(end + 2 * lo - j, end + 2 * hi - j, 2)
             up, down = lp1[d] + table[idx + 1, lo + 1 : hi + 1], lp0[d] + table[idx + 1, lo:hi]
             np.logaddexp(up, down, out=table[idx, lo:hi])
     return table

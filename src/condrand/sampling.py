@@ -8,18 +8,26 @@ reproduces exactly the law of the procedure restricted to the
 constrained set, with no rejection step.
 A schedule of several interim constraints is handled segment by segment:
 within segment k only the next look's constraint enters the transition.
+
+Segment tables and covariance blocks are kept across calls in one
+process-wide memo of at most ``MEMO_BYTES`` (4 MiB), least recently used
+out first by bytes; a larger entry is never kept.  A table is kept as its
+band alone, under (design, start, start_count, end, end_count), a block
+under (design, segment).  A chain that finds its table there copies the
+band into zeros, in about a fifth of a build's time at n = 250.
 """
 
 from __future__ import annotations
 
 import copy
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .design import DesignSpec, TreatmentSequence, _imbalance_probabilities
-from .distributions import BLOCK_ENTRIES, backward_log_table
+from .distributions import BLOCK_ENTRIES, _reach, backward_log_table
 from .errors import InfeasibleError, NumericalError
 from .scores import step_sums
 from .streams import as_generator
@@ -101,6 +109,28 @@ class LookSchedule:
         return {"looks": [{"r": l.position, "n1": l.count} for l in self.looks]}
 
 
+# read-only tables and blocks, so that analyses whose look counts repeat
+# skip the build or the sweep
+MEMO_BYTES = 4 << 20
+_memo: OrderedDict[tuple, np.ndarray] = OrderedDict()
+
+
+def _recall(key: tuple) -> np.ndarray | None:
+    """The memo's entry under ``key``, now the most recently used, or None."""
+    entry = _memo.pop(key, None)
+    if entry is not None:
+        _memo[key] = entry
+    return entry
+
+
+def _remember(key: tuple, entry: np.ndarray) -> None:
+    entry.flags.writeable = False
+    if entry.nbytes <= MEMO_BYTES:
+        _memo[key] = entry
+        while sum(e.nbytes for e in _memo.values()) > MEMO_BYTES:
+            _memo.popitem(last=False)
+
+
 class ConditionalChain:
     """The design's chain conditioned on look counts, one segment at a time.
 
@@ -108,9 +138,11 @@ class ConditionalChain:
     transition table psi[j - start, m] = P(T_{j+1} = 1 | N1(j) = m,
     N1(end) = end_count), of shape (end - start, end + 2).  It is built on
     first use, in the segment's backward log table itself, and then read
-    by every sampler and covariance that holds this chain.  ``blocks``
-    keeps each segment's conditional covariance block under the same key,
-    filled by :mod:`condrand.covariance`.
+    by every sampler and covariance that holds this chain.  Row j is
+    exactly 0 off its band, the counts that can still reach ``end_count``,
+    so a table the memo keeps as its bands has the bytes of a build.
+    ``blocks`` keeps each segment's conditional covariance block under the
+    same key, filled by :mod:`condrand.covariance`.
     """
 
     def __init__(self, design: DesignSpec):
@@ -126,6 +158,15 @@ class ConditionalChain:
             raise ValueError(f"need 0 <= start < end, got positions {start} and {end}")
         if not 0 <= start_count <= start:
             raise InfeasibleError(f"count {start_count} at position {start} is outside 0..{start}")
+        lows, highs = _reach(start, end, end_count)
+        band = _recall((self.design, *key))
+        if band is not None:
+            psi = self._tables[key] = np.zeros((end - start, end + 2))
+            at = 0
+            for row, lo, hi in zip(psi, lows, highs):
+                row[lo:hi] = band[at : at + hi - lo]
+                at += hi - lo
+            return psi
         table = backward_log_table(self.design, start, end, end_count)
         if table[0, start_count] == _NEG_INF:
             raise InfeasibleError(
@@ -135,14 +176,15 @@ class ConditionalChain:
         # Rows turn from log probabilities into psi a block at a time, from
         # the top: the block of rows a..b-1 reads log rows a..b, and row b
         # stays a log row until its own block.  A block computes only the
-        # counts from the first that can reach ``end_count`` in its first
-        # row up to ``end_count``, and writes 0 over the rest of its rows.
+        # counts from the first of its first row's band to the last of its
+        # last row's, and writes 0 over the rest of its rows; inside those
+        # counts, a state off its row's band has a log row of -inf, so 0.
         pr = _imbalance_probabilities(self.design, end)
         rows = max(1, BLOCK_ENTRIES // (end + 1))
         for lo in range(start, end, rows):
             hi = min(lo + rows, end)
             a, b = lo - start, hi - start
-            c0, c1 = max(0, end_count - (end - lo)), min(hi, end_count + 1)
+            c0, c1 = lows[a], highs[b - 1]
             cur, up = table[a:b, c0:c1], table[a + 1 : b + 1, c0 + 1 : c1 + 1]
             with np.errstate(invalid="ignore"):
                 ratio = np.where(cur > _NEG_INF, np.exp(up - cur), 0.0)
@@ -155,6 +197,9 @@ class ConditionalChain:
             table[a:b, :c0] = table[a:b, c1:] = 0.0
             np.clip(block, 0.0, 1.0, out=table[a:b, c0:c1])
         psi = self._tables[key] = table[:-1]
+        if (sum(highs) - sum(lows)) * psi.itemsize <= MEMO_BYTES:
+            band = np.concatenate([row[lo:hi] for row, lo, hi in zip(psi, lows, highs)])
+            _remember((self.design, *key), band)
         return psi
 
 

@@ -2,13 +2,13 @@ from collections import OrderedDict
 
 import pytest
 
-import condrand.covariance as covariance
+import condrand.sampling as sampling
 
 
 @pytest.fixture
 def empty_memo(monkeypatch):
-    """An empty covariance-block memo for one test; the process's own memo
-    comes back after it."""
+    """An empty memo of chain tables and covariance blocks for one test; the
+    process's own memo comes back after it."""
     memo = OrderedDict()
-    monkeypatch.setattr(covariance, "_memo", memo)
+    monkeypatch.setattr(sampling, "_memo", memo)
     return memo

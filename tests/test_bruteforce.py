@@ -15,7 +15,7 @@ from condrand import (
     linear_rank_statistic,
 )
 from condrand.bruteforce import MAX_DP, PACK_BITS, _integerize_scores
-from condrand.experiments import TAIL_ROWS, tail_estimate_repeatability
+from condrand.experiments import TAIL_EXACT_N, TAIL_ROWS, tail_estimate_repeatability
 from condrand.streams import substream
 from oracles import (
     count_constraints_predicate,
@@ -193,16 +193,18 @@ class TestOneLawPerQuestion:
             assert exact_conditional_pvalue(design, scores, n1, v_star) == want
 
     def test_repeatability_study_runs_one_dp_per_exact_row(self, monkeypatch):
-        # the threshold and the exact tail of a row come from one law
+        # the threshold and the exact tail of a row come from one law; a
+        # wider DP does not make the n = 100 rows exact
+        monkeypatch.setattr(bruteforce, "MAX_DP", 100)
         calls = []
         integerize = bruteforce._integerize_scores
         monkeypatch.setattr(
             bruteforce, "_integerize_scores", lambda v: calls.append(1) or integerize(v)
         )
         out = tail_estimate_repeatability(rows=TAIL_ROWS, runs=1, n_c=10, seed=3)
-        exact_rows = sum(n <= MAX_DP for n, _ in TAIL_ROWS)
+        exact_rows = sum(n <= TAIL_EXACT_N for n, _ in TAIL_ROWS)
         assert exact_rows == 4 and len(calls) == exact_rows
-        assert all((r["exact"] is None) == (r["n"] > MAX_DP) for r in out)
+        assert all((r["exact"] is None) == (r["n"] > TAIL_EXACT_N) for r in out)
 
 
 class TestObservedPointInItsTail:

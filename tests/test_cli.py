@@ -391,8 +391,9 @@ class TestErrorPaths:
             "from count 0 at position 0 under bcd:1\n"
         )
 
-    def test_transition_guard_exit_3(self, capsys, monkeypatch):
-        # doubled assignment probabilities push transitions above 1
+    def test_transition_guard_exit_3(self, capsys, monkeypatch, empty_memo):
+        # doubled assignment probabilities push transitions above 1; the
+        # empty memo makes the chain build its table
         real = sampling._imbalance_probabilities
         monkeypatch.setattr(sampling, "_imbalance_probabilities", lambda *a: 2.0 * real(*a))
         code, out, err = run_cli(

@@ -476,9 +476,11 @@ class TestBlockMoments:
 
     def test_sweep_memory_holds_a_band_wide_move(self, empty_memo):
         # psi, rho, g and lam are (about) 1000 x 1002 each; the update
-        # buffer is only as wide as the reachable band, here 501 counts
+        # buffer is only as wide as the reachable band, here 501 counts;
+        # the table's own band, 251,000 entries, stays in the memo
         n, n1 = 1000, 500
-        arrays = (3 * n * (n + 2) + (n + 2) + n * n + n * (min(n1, n - n1) + 1)) * 8
+        band = sum(min(j, n1) + 1 - max(0, n1 - n + j) for j in range(n))
+        arrays = (3 * n * (n + 2) + (n + 2) + n * n + n * (min(n1, n - n1) + 1) + band) * 8
         covariance_final(DesignSpec.bcd(0.75), 40, 20)
         tracemalloc.start()
         try:
@@ -487,6 +489,7 @@ class TestBlockMoments:
         finally:
             tracemalloc.stop()
         assert peak <= 1.05 * arrays, (peak, arrays)
+        assert empty_memo[DesignSpec.bcd(0.75), 0, 0, n, n1].size == band == 251_000
 
     def test_sampler_and_covariance_share_the_chain(self):
         design = DesignSpec.bcd(0.75)
@@ -564,42 +567,63 @@ class TestBlockSharing:
 
 
 class TestBlockMemo:
+    """Chain tables and covariance blocks share the memo of
+    :mod:`condrand.sampling`: one least-recently-used order, one budget."""
+
     DESIGN = DesignSpec.bcd(0.75)
 
-    def segments(self, memo):
-        return [segment for _, segment in memo]
+    def entries(self, memo):
+        # a table is kept under (design, *segment), a block under (design, segment)
+        return [("block", key[1]) if len(key) == 2 else ("table", key[1:]) for key in memo]
 
     def test_evicts_least_recently_used_by_bytes(self, monkeypatch, empty_memo):
-        # blocks of 10, 12, 14 and 19 steps take 800, 1152, 1568 and 2888 bytes
-        monkeypatch.setattr(covariance, "MEMO_BYTES", 3000)
+        # the bands of the 10-, 12- and 14-step tables take 280, 384 and 504
+        # bytes; their blocks 800, 1152 and 1568
+        monkeypatch.setattr(sampling, "MEMO_BYTES", 3000)
         covariance_final(self.DESIGN, 10, 5)
         covariance_final(self.DESIGN, 12, 6)
-        covariance_final(self.DESIGN, 10, 5)  # a hit: the 10-step block is now the newest
-        covariance_final(self.DESIGN, 14, 7)  # 3520 bytes: the 12-step block goes
-        assert self.segments(empty_memo) == [(0, 0, 10, 5), (0, 0, 14, 7)]
-        covariance_final(self.DESIGN, 19, 9)  # 5256 bytes: both older blocks go
-        assert self.segments(empty_memo) == [(0, 0, 19, 9)]
+        covariance_final(self.DESIGN, 10, 5)  # a block hit, which asks for no table
+        assert self.entries(empty_memo) == [
+            ("table", (0, 0, 10, 5)), ("table", (0, 0, 12, 6)),
+            ("block", (0, 0, 12, 6)), ("block", (0, 0, 10, 5)),
+        ]
+        covariance_final(self.DESIGN, 14, 7)  # its table evicts one, its block two more
+        assert self.entries(empty_memo) == [
+            ("block", (0, 0, 10, 5)), ("table", (0, 0, 14, 7)), ("block", (0, 0, 14, 7)),
+        ]
+        MultilookSampler(self.DESIGN, LookSchedule.single(10, 5))  # 3152 bytes: the oldest goes
+        MultilookSampler(self.DESIGN, LookSchedule.single(14, 7))  # a table hit
+        assert self.entries(empty_memo) == [
+            ("block", (0, 0, 14, 7)), ("table", (0, 0, 10, 5)), ("table", (0, 0, 14, 7)),
+        ]
 
-    def test_block_above_the_budget_is_never_kept(self, monkeypatch, empty_memo):
-        # at the default budget, the first horizon never kept is 725
-        assert 724**2 * 8 <= covariance.MEMO_BYTES == 4 << 20 < 725**2 * 8
-        monkeypatch.setattr(covariance, "MEMO_BYTES", 3000)
+    def test_entry_above_the_budget_is_never_kept(self, monkeypatch, empty_memo):
+        # at the default budget, the first horizon whose block is never kept
+        # is 725; the first whose table is never kept (n1 = n // 2), 1447
+        assert 724**2 * 8 <= sampling.MEMO_BYTES == 4 << 20 < 725**2 * 8
+        band = [sum(min(j, n // 2) + 1 - max(0, n // 2 - n + j) for j in range(n)) for n in (1446, 1447)]
+        assert band[0] * 8 <= sampling.MEMO_BYTES < band[1] * 8
+        monkeypatch.setattr(sampling, "MEMO_BYTES", 3000)
         covariance_final(self.DESIGN, 10, 5)
-        calls = []
-        inner = covariance._block_moments_float
+        calls, tables = [], []
+        inner, build = covariance._block_moments_float, sampling.backward_log_table
         monkeypatch.setattr(
             covariance, "_block_moments_float", lambda *a: calls.append(a) or inner(*a)
         )
+        monkeypatch.setattr(sampling, "backward_log_table", lambda *a: tables.append(a) or build(*a))
         for _ in range(2):
-            covariance_final(self.DESIGN, 20, 10)  # 3200 bytes
-        assert self.segments(empty_memo) == [(0, 0, 10, 5)]
-        assert len(calls) == 2
+            covariance_final(self.DESIGN, 20, 10)  # a 960-byte band, a 3200-byte block
+            MultilookSampler(self.DESIGN, LookSchedule.single(40, 20))  # a 3520-byte band
+        assert self.entries(empty_memo) == [
+            ("table", (0, 0, 10, 5)), ("block", (0, 0, 10, 5)), ("table", (0, 0, 20, 10)),
+        ]
+        assert len(calls) == 2 and len(tables) == 3
 
-    def test_memo_blocks_are_read_only(self, empty_memo):
+    def test_memo_entries_are_read_only(self, empty_memo):
         covariance_final(self.DESIGN, 12, 6)
-        block = empty_memo[self.DESIGN, (0, 0, 12, 6)]
-        with pytest.raises(ValueError, match="read-only"):
-            block[0, 0] = 1.0
+        for entry in (empty_memo[self.DESIGN, 0, 0, 12, 6], empty_memo[self.DESIGN, (0, 0, 12, 6)]):
+            with pytest.raises(ValueError, match="read-only"):
+                entry[0] = 1.0
 
     def test_block_from_the_memo_equals_a_fresh_sweep(self, empty_memo):
         schedule = LookSchedule.from_pairs([(250, 126), (300, 148), (350, 174)])
@@ -619,7 +643,9 @@ class TestBlockMemo:
         chain = ConditionalChain(self.DESIGN)
         covariance_multilook(other, LookSchedule.single(14, 7), _chain=chain)
         assert list(empty_memo) == [
-            (other, (0, 0, 12, 6)), (self.DESIGN, (0, 0, 12, 6)), (self.DESIGN, (0, 0, 14, 7)),
+            (other, 0, 0, 12, 6), (other, (0, 0, 12, 6)),
+            (self.DESIGN, 0, 0, 12, 6), (self.DESIGN, (0, 0, 12, 6)),
+            (self.DESIGN, 0, 0, 14, 7), (self.DESIGN, (0, 0, 14, 7)),
         ]
         assert not np.array_equal(
             empty_memo[other, (0, 0, 12, 6)], empty_memo[self.DESIGN, (0, 0, 12, 6)]

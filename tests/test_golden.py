@@ -15,6 +15,7 @@ import pytest
 
 import condrand.covariance as covariance
 import condrand.distributions as distributions
+import condrand.sampling as sampling
 import condrand.scores as scores
 from condrand.cli import main
 from oracles import compensated_sum
@@ -91,20 +92,25 @@ def test_output_holds_under_a_compensated_sum(name, tmp_path, monkeypatch):
 
 
 def test_output_holds_with_the_memo_cold_and_warm(tmp_path, monkeypatch, empty_memo):
-    # a warm run takes every covariance block from the memo, sweeping none
-    sweeps = []
-    inner = covariance._block_moments_float
+    # a warm run takes every chain table and covariance block from the
+    # memo, building and sweeping none
+    sweeps, builds = [], []
+    inner, build = covariance._block_moments_float, sampling.backward_log_table
     monkeypatch.setattr(
         covariance, "_block_moments_float", lambda *a: sweeps.append(a) or inner(*a)
     )
-    for name in ("info", "boundaries_interim", "boundaries_full_raw", "tables_3"):
+    monkeypatch.setattr(sampling, "backward_log_table", lambda *a: builds.append(a) or build(*a))
+    sweeping = ("info", "boundaries_interim", "boundaries_full_raw", "tables_3")
+    for name in (*sweeping, "tables_2"):
         empty_memo.clear()
         for warm in (False, True):
             sweeps.clear()
+            builds.clear()
             out = tmp_path / f"{name}-{warm}.out"
             assert run_case(name, out) == 0
             assert out.read_bytes() == (GOLDEN / f"{name}.out").read_bytes(), (name, warm)
-            assert bool(sweeps) != warm, (name, warm)
+            assert bool(sweeps) == (name in sweeping and not warm), (name, warm)
+            assert bool(builds) != warm, (name, warm)
 
 
 if __name__ == "__main__":

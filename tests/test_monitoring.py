@@ -371,12 +371,13 @@ class TestMonitoredPipelineOracle:
             first = int(np.argmax(cross)) + 1 if cross.any() else None
             assert (decision.rejected, decision.look) == (bool(cross.any()), first)
 
-    def test_type_i_error_study_matches_the_exact_level(self, monkeypatch):
+    def test_type_i_error_study_matches_the_exact_level(self, monkeypatch, empty_memo):
         # the study's boundaries come from interim information fractions,
         # so the covariance path runs; its expected alpha_hat is exactly
         # the attained level of the boundaries it returns
-        seen = []
-        real = experiments.estimate_boundaries
+        seen, tables = [], []
+        real, build = experiments.estimate_boundaries, sampling.backward_log_table
+        monkeypatch.setattr(sampling, "backward_log_table", lambda *a: tables.append(a) or build(*a))
 
         def recording(design, schedule, responses, *args, **kwargs):
             seen.append((design, schedule, np.array(responses)))
@@ -387,6 +388,9 @@ class TestMonitoredPipelineOracle:
             n=24, look_positions=(16, 20, 24), n_c=2500, replications=200, seed=2012
         )
         ((design, schedule, x),) = seen
+        # the replicates' sampler reads the boundary sampler's tables from the memo
+        assert len(tables) == len(set(tables))
+        assert {(design, r0, r1, m1) for r0, _, r1, m1 in schedule.segments()} <= set(tables)
         scores = [centered_scores(x[: look.position]) for look in schedule.looks]
         values, weights = monitored_joint_law(design, schedule, scores)
         level = float(exact_attained_level(values, weights, out["boundaries"]["d"]))

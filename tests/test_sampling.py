@@ -1,11 +1,12 @@
 import tracemalloc
+from collections import OrderedDict
 from contextlib import suppress
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from condrand import (
@@ -535,10 +536,18 @@ def segment_cases(draw):
 class TestBlockedChainMatchesReference:
     @settings(max_examples=200, deadline=None)
     @given(segment_cases(), st.sampled_from([1, 7, 300, distributions.BLOCK_ENTRIES]))
+    # a start count above 0, and end counts at both edges of its reach
+    @example((DesignSpec.bcd(0.6), (10, 4, 60, 4)), 300)
+    @example((DesignSpec.bcd(0.75), (10, 4, 60, 54)), 7)
+    @example((DesignSpec.bcd(1.0), (41, 20, 101, 51)), 300)
+    @example((COMPLETE, (20, 3, 70, 53)), 1)
     def test_table_and_psi_are_the_row_by_row_bits(self, case, block):
         design, (r0, m0, r1, m1) = case
-        # the backward table works row by row; only the fill is blocked
-        with mock.patch.object(sampling, "BLOCK_ENTRIES", block):
+        # the backward table works row by row; only the fill is blocked.  A
+        # second chain reads the first one's band from the memo
+        with mock.patch.object(sampling, "BLOCK_ENTRIES", block), mock.patch.object(
+            sampling, "_memo", OrderedDict()
+        ):
             table = distributions.backward_log_table(design, r0, r1, m1)
             assert table.tobytes() == reference_backward_log_table(design, r0, r1, m1).tobytes()
             try:
@@ -546,8 +555,13 @@ class TestBlockedChainMatchesReference:
             except InfeasibleError:
                 with pytest.raises(InfeasibleError):
                     ConditionalChain(design).table(r0, m0, r1, m1)
+                assert not sampling._memo
             else:
-                assert ConditionalChain(design).table(r0, m0, r1, m1).tobytes() == want.tobytes()
+                built = ConditionalChain(design).table(r0, m0, r1, m1)
+                (band,) = sampling._memo.values()
+                assert not band.flags.writeable
+                hit = ConditionalChain(design).table(r0, m0, r1, m1)
+                assert built.tobytes() == hit.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "design, segment",
@@ -579,12 +593,14 @@ class TestBlockedChainMatchesReference:
             (DesignSpec.bcd(0.75), (250, 126, 350, 176)),
         ],
     )
-    def test_bench_and_golden_horizons_are_the_row_by_row_bits(self, design, segment):
+    def test_bench_and_golden_horizons_are_the_row_by_row_bits(self, design, segment, empty_memo):
         r0, m0, r1, m1 = segment
         table = distributions.backward_log_table(design, r0, r1, m1)
         assert table.tobytes() == reference_backward_log_table(design, r0, r1, m1).tobytes()
         want = reference_segment_chain(design, *segment)
-        assert ConditionalChain(design).table(*segment).tobytes() == want.tobytes()
+        for _ in ("build", "hit"):
+            assert ConditionalChain(design).table(*segment).tobytes() == want.tobytes()
+        assert list(empty_memo) == [(design, *segment)]
 
     @pytest.mark.parametrize("segment", [(5, -10, 10, 3), (5, 20, 10, 8), (5, 6, 10, 8)])
     def test_start_count_outside_its_range_raises(self, segment):
@@ -612,3 +628,17 @@ class TestBlockedChainMatchesReference:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * table, (peak, table)
+
+    def test_build_memory_is_one_table_and_its_band(self, empty_memo):
+        # below the budget a build keeps its band, here 251,000 entries of
+        # n = 1000, and gathers it into the memo without a second table
+        n, n1 = 1000, 500
+        table = (n + 1) * (n + 2) * 8
+        tracemalloc.start()
+        try:
+            MultilookSampler(DesignSpec.bcd(0.75), LookSchedule.single(n, n1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        band = empty_memo[DesignSpec.bcd(0.75), 0, 0, n, n1].nbytes
+        assert band == 251_000 * 8 and peak <= 1.1 * table + band, (peak, table, band)
