@@ -566,6 +566,11 @@ class TestBlockSharing:
         assert calls == []
 
 
+# one-look horizons 1446 and 1447 at n1 = n // 2: the last table band that
+# fits the default memo budget and the first that does not
+BAND_EDGE = ((1446, 723), (1447, 723))
+
+
 class TestBlockMemo:
     """Chain tables and covariance blocks share the memo of
     :mod:`condrand.sampling`: one least-recently-used order, one budget."""
@@ -601,7 +606,7 @@ class TestBlockMemo:
         # at the default budget, the first horizon whose block is never kept
         # is 725; the first whose table is never kept (n1 = n // 2), 1447
         assert 724**2 * 8 <= sampling.MEMO_BYTES == 4 << 20 < 725**2 * 8
-        band = [sum(min(j, n // 2) + 1 - max(0, n // 2 - n + j) for j in range(n)) for n in (1446, 1447)]
+        band = [sum(min(j, n1) + 1 - max(0, n1 - n + j) for j in range(n)) for n, n1 in BAND_EDGE]
         assert band[0] * 8 <= sampling.MEMO_BYTES < band[1] * 8
         monkeypatch.setattr(sampling, "MEMO_BYTES", 3000)
         covariance_final(self.DESIGN, 10, 5)
@@ -610,7 +615,9 @@ class TestBlockMemo:
         monkeypatch.setattr(
             covariance, "_block_moments_float", lambda *a: calls.append(a) or inner(*a)
         )
-        monkeypatch.setattr(sampling, "backward_log_table", lambda *a: tables.append(a) or build(*a))
+        monkeypatch.setattr(
+            sampling, "backward_log_table", lambda *a: tables.append(a) or build(*a)
+        )
         for _ in range(2):
             covariance_final(self.DESIGN, 20, 10)  # a 960-byte band, a 3200-byte block
             MultilookSampler(self.DESIGN, LookSchedule.single(40, 20))  # a 3520-byte band

@@ -377,7 +377,9 @@ class TestMonitoredPipelineOracle:
         # the attained level of the boundaries it returns
         seen, tables = [], []
         real, build = experiments.estimate_boundaries, sampling.backward_log_table
-        monkeypatch.setattr(sampling, "backward_log_table", lambda *a: tables.append(a) or build(*a))
+        monkeypatch.setattr(
+            sampling, "backward_log_table", lambda *a: tables.append(a) or build(*a)
+        )
 
         def recording(design, schedule, responses, *args, **kwargs):
             seen.append((design, schedule, np.array(responses)))
