@@ -6,8 +6,8 @@ a Markov chain whose transitions are the sampler's; conditional means and
 cross moments then come from forward sweeps of that chain against its
 occupancy law.  The chain is the sampler's own :class:`ConditionalChain`,
 so one set of segment tables serves both, and a swept block is kept in
-the same process-wide memo as the tables; this module keeps no cache of
-its own.
+the process-wide memo of :mod:`condrand.distributions`, with the tables
+and the float laws; this module keeps no cache of its own.
 
 Covariances under a schedule are block diagonal across look segments:
 assignments in different segments are conditionally uncorrelated.
@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import DesignSpec
-from .distributions import conditional_pmf
+from .distributions import _memoized, conditional_pmf
 from .errors import DegenerateScoresError, InfeasibleError
-from .sampling import ConditionalChain, Look, LookSchedule, _recall, _remember
+from .sampling import ConditionalChain, Look, LookSchedule
 from .scores import SIMPLE_RANK, ScoreVector, _centered, _counted_midranks, centered_scores
 from .streams import as_generator
 
@@ -95,21 +95,21 @@ def covariance_multilook(
     a chain of the same design, supplies the segment tables and keeps the
     blocks; a caller that passes one chain to several calls builds each
     segment once.  A block the chain lacks comes from the process-wide
-    memo of :mod:`condrand.sampling`, which keeps chain tables too, when a
-    call before swept it, under the chain's own design: a hit costs one
-    lookup and no sweep.
+    memo of :mod:`condrand.distributions`, which keeps chain tables and
+    float laws too, when a call before swept it, under the chain's own
+    design: a hit costs one lookup and no sweep.
     """
     chain = ConditionalChain(design) if _chain is None else _chain
+
+    def sweep(segment) -> np.ndarray:
+        theta, lam = _block_moments_float(chain, *segment)
+        block = lam + lam.T - np.outer(theta, theta)
+        np.fill_diagonal(block, theta * (1.0 - theta))
+        return block
+
     for segment in schedule.segments():
         if segment not in chain.blocks:
-            key = (chain.design, segment)
-            block = _recall(key)
-            if block is None:
-                theta, lam = _block_moments_float(chain, *segment)
-                block = lam + lam.T - np.outer(theta, theta)
-                np.fill_diagonal(block, theta * (1.0 - theta))
-                _remember(key, block)
-            chain.blocks[segment] = block
+            chain.blocks[segment] = _memoized((chain.design, segment), lambda: sweep(segment))
     # allocated after the sweeps, so that it does not add to their peak
     sigma = np.zeros((schedule.horizon,) * 2)
     for segment in schedule.segments():

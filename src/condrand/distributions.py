@@ -30,6 +30,7 @@ binom(t, k) = binom(t, t - k), so every value keeps its bits.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -52,6 +53,36 @@ _NEG_INF = float("-inf")
 # ``scores.step_sums``) take this many entries at a time, so their
 # temporaries stay small next to the table.
 BLOCK_ENTRIES = 1 << 16
+
+# One process-wide memo of read-only float laws, chain tables and covariance
+# blocks, at most MEMO_BYTES, least recently used out first by bytes.
+MEMO_BYTES = 4 << 20
+_memo: OrderedDict[tuple, np.ndarray] = OrderedDict()
+
+
+def _recall(key: tuple) -> np.ndarray | None:
+    """The memo's entry under ``key``, now the most recently used, or None."""
+    entry = _memo.pop(key, None)
+    if entry is not None:
+        _memo[key] = entry
+    return entry
+
+
+def _remember(key: tuple, entry: np.ndarray) -> None:
+    entry.flags.writeable = False
+    if entry.nbytes <= MEMO_BYTES:
+        _memo[key] = entry
+        while sum(e.nbytes for e in _memo.values()) > MEMO_BYTES:
+            _memo.popitem(last=False)
+
+
+def _memoized(key: tuple, build) -> np.ndarray:
+    """The memo's entry under ``key``, from ``build()`` and kept on a miss."""
+    entry = _recall(key)
+    if entry is None:
+        entry = build()
+        _remember(key, entry)
+    return entry
 
 
 def _ballot_terms(x: int, l_max: int):
@@ -289,26 +320,32 @@ def pmf_table(design: DesignSpec, n: int, backend: str = "float", *, given=None)
     ``(j, m)``, of P(N1(n) = n1 | N1(j) = m).
 
     The exact backend prices the whole law in one DP and returns a list
-    of Fractions.  The float backend returns an array; the unconditional
-    law is symmetric, P(N1(n) = n1) = P(N1(n) = n - n1), and both counts
-    are priced by the same plan, so its upper half is mirrored.
+    of Fractions.  The float backend returns an array, a fresh copy of the
+    law that the memo keeps under (design, n, given) once it is priced; the
+    unconditional law is symmetric, P(N1(n) = n1) = P(N1(n) = n - n1), and
+    both counts are priced by the same plan, so its upper half is mirrored.
     """
     exact = _validate_backend(backend)
     j, m = (0, 0) if given is None else given
     _validate_conditional_args(n, 0, j, m)
     if exact:
         return exact_count_law(design, n, j, m)
-    if given is not None:
-        return np.asarray([conditional_pmf(design, n, n1, j, m) for n1 in range(n + 1)])
-    if design.kind == COMPLETE or design.p == 1.0:
-        half = [unconditional_pmf(design, n, n1) for n1 in range(n // 2 + 1)]
-    else:
-        # the count n1 = n - x <= n/2 is priced from the ballot row of x
-        half = [
-            _eval_series_float(_plan_unconditional(n, n - x), design.p, row)
-            for x, row in _ballot_rows(n)
-        ][::-1]
-    return np.asarray(half + half[(n - 1) // 2 :: -1])
+
+    def law() -> np.ndarray:
+        if given is not None:
+            return np.asarray([conditional_pmf(design, n, n1, j, m) for n1 in range(n + 1)])
+        if design.kind == COMPLETE or design.p == 1.0:
+            half = [unconditional_pmf(design, n, n1) for n1 in range(n // 2 + 1)]
+        else:
+            # the count n1 = n - x <= n/2 is priced from the ballot row of x
+            half = [
+                _eval_series_float(_plan_unconditional(n, n - x), design.p, row)
+                for x, row in _ballot_rows(n)
+            ][::-1]
+        return np.asarray(half + half[(n - 1) // 2 :: -1])
+
+    # three items: a chain table's key has five, a covariance block's two
+    return _memoized((design, n, None if given is None else (j, m)), law).copy()
 
 
 # ---------------------------------------------------------------------------

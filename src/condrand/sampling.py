@@ -9,25 +9,25 @@ constrained set, with no rejection step.
 A schedule of several interim constraints is handled segment by segment:
 within segment k only the next look's constraint enters the transition.
 
-Segment tables and covariance blocks are kept across calls in one
-process-wide memo of at most ``MEMO_BYTES`` (4 MiB), least recently used
-out first by bytes; a larger entry is never kept.  A table is kept as its
-band alone, under (design, start, start_count, end, end_count), a block
-under (design, segment).  A chain that finds its table there copies the
-band into zeros, in about a fifth of a build's time at n = 250.
+Segment tables are kept across calls in the process-wide memo of
+:mod:`condrand.distributions`, beside the float laws and covariance
+blocks, within its ``MEMO_BYTES`` (4 MiB); a larger entry is never kept.
+A table is kept as its band alone, under (design, start, start_count,
+end, end_count).  A chain that finds its table there copies the band
+into zeros, in about a fifth of a build's time at n = 250.
 """
 
 from __future__ import annotations
 
 import copy
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .design import DesignSpec, TreatmentSequence, _imbalance_probabilities
-from .distributions import BLOCK_ENTRIES, _reach, backward_log_table
+from . import distributions
+from .distributions import BLOCK_ENTRIES, _reach, _recall, _remember, backward_log_table
 from .errors import InfeasibleError, NumericalError
 from .scores import step_sums
 from .streams import as_generator
@@ -109,28 +109,6 @@ class LookSchedule:
         return {"looks": [{"r": l.position, "n1": l.count} for l in self.looks]}
 
 
-# read-only tables and blocks, so that analyses whose look counts repeat
-# skip the build or the sweep
-MEMO_BYTES = 4 << 20
-_memo: OrderedDict[tuple, np.ndarray] = OrderedDict()
-
-
-def _recall(key: tuple) -> np.ndarray | None:
-    """The memo's entry under ``key``, now the most recently used, or None."""
-    entry = _memo.pop(key, None)
-    if entry is not None:
-        _memo[key] = entry
-    return entry
-
-
-def _remember(key: tuple, entry: np.ndarray) -> None:
-    entry.flags.writeable = False
-    if entry.nbytes <= MEMO_BYTES:
-        _memo[key] = entry
-        while sum(e.nbytes for e in _memo.values()) > MEMO_BYTES:
-            _memo.popitem(last=False)
-
-
 class ConditionalChain:
     """The design's chain conditioned on look counts, one segment at a time.
 
@@ -197,7 +175,7 @@ class ConditionalChain:
             table[a:b, :c0] = table[a:b, c1:] = 0.0
             np.clip(block, 0.0, 1.0, out=table[a:b, c0:c1])
         psi = self._tables[key] = table[:-1]
-        if (sum(highs) - sum(lows)) * psi.itemsize <= MEMO_BYTES:
+        if (sum(highs) - sum(lows)) * psi.itemsize <= distributions.MEMO_BYTES:
             band = np.concatenate([row[lo:hi] for row, lo, hi in zip(psi, lows, highs)])
             _remember((self.design, *key), band)
         return psi

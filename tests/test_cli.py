@@ -401,8 +401,9 @@ class TestErrorPaths:
         )
         assert (code, out, err) == (3, "", "error: transition probability exceeds 1\n")
 
-    def test_ballot_guard_exit_3(self, capsys, monkeypatch):
-        # a remainder where the ballot numerator divides exactly
+    def test_ballot_guard_exit_3(self, capsys, monkeypatch, empty_memo):
+        # a remainder where the ballot numerator divides exactly; the empty
+        # memo makes the table price its law
         monkeypatch.setattr(distributions, "divmod", lambda a, b: (a // b, 1), raising=False)
         code, out, err = run_cli(capsys, "dist", "--design", "bcd:0.75", "--n", "20")
         assert (code, out) == (3, "")

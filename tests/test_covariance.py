@@ -16,8 +16,10 @@ from condrand import (
     covariance_multilook,
     information_at_look,
     interpolate_scores,
+    pmf_table,
 )
 import condrand.covariance as covariance
+import condrand.distributions as distributions
 import condrand.sampling as sampling
 from condrand.covariance import _block_moments_float, _ratio, projected_final_count
 from condrand.errors import InfeasibleError
@@ -572,19 +574,21 @@ BAND_EDGE = ((1446, 723), (1447, 723))
 
 
 class TestBlockMemo:
-    """Chain tables and covariance blocks share the memo of
-    :mod:`condrand.sampling`: one least-recently-used order, one budget."""
+    """Float laws, chain tables and covariance blocks share the memo of
+    :mod:`condrand.distributions`: one least-recently-used order, one budget."""
 
     DESIGN = DesignSpec.bcd(0.75)
 
     def entries(self, memo):
-        # a table is kept under (design, *segment), a block under (design, segment)
-        return [("block", key[1]) if len(key) == 2 else ("table", key[1:]) for key in memo]
+        # a law is kept under (design, n, given), a table under
+        # (design, *segment), a block under (design, segment)
+        kinds = {2: "block", 3: "law", 5: "table"}
+        return [(kinds[len(key)], key[1] if len(key) == 2 else key[1:]) for key in memo]
 
     def test_evicts_least_recently_used_by_bytes(self, monkeypatch, empty_memo):
         # the bands of the 10-, 12- and 14-step tables take 280, 384 and 504
         # bytes; their blocks 800, 1152 and 1568
-        monkeypatch.setattr(sampling, "MEMO_BYTES", 3000)
+        monkeypatch.setattr(distributions, "MEMO_BYTES", 3000)
         covariance_final(self.DESIGN, 10, 5)
         covariance_final(self.DESIGN, 12, 6)
         covariance_final(self.DESIGN, 10, 5)  # a block hit, which asks for no table
@@ -602,13 +606,39 @@ class TestBlockMemo:
             ("block", (0, 0, 14, 7)), ("table", (0, 0, 10, 5)), ("table", (0, 0, 14, 7)),
         ]
 
+    def test_laws_count_their_bytes_in_the_same_order(self, monkeypatch, empty_memo):
+        # a law of horizon n takes 8(n + 1) bytes: 800 at n = 99, 200 at
+        # n = 24 and 600 at n = 74
+        monkeypatch.setattr(distributions, "MEMO_BYTES", 3000)
+        pmf_table(self.DESIGN, 99)
+        covariance_final(self.DESIGN, 10, 5)
+        pmf_table(self.DESIGN, 24, given=(10, 4))
+        pmf_table(self.DESIGN, 99)  # a law hit
+        assert self.entries(empty_memo) == [
+            ("table", (0, 0, 10, 5)), ("block", (0, 0, 10, 5)),
+            ("law", (24, (10, 4))), ("law", (99, None)),
+        ]
+        covariance_final(self.DESIGN, 12, 6)  # 2464 bytes, then its block evicts two
+        assert self.entries(empty_memo) == [
+            ("law", (24, (10, 4))), ("law", (99, None)),
+            ("table", (0, 0, 12, 6)), ("block", (0, 0, 12, 6)),
+        ]
+        pmf_table(self.DESIGN, 74)  # 3136 bytes: the oldest law goes
+        assert self.entries(empty_memo) == [
+            ("law", (99, None)), ("table", (0, 0, 12, 6)), ("block", (0, 0, 12, 6)),
+            ("law", (74, None)),
+        ]
+        assert sum(e.nbytes for e in empty_memo.values()) == 2936
+        pmf_table(self.DESIGN, 400)  # 3208 bytes, above the budget: never kept
+        assert sum(e.nbytes for e in empty_memo.values()) == 2936 and len(empty_memo) == 4
+
     def test_entry_above_the_budget_is_never_kept(self, monkeypatch, empty_memo):
         # at the default budget, the first horizon whose block is never kept
         # is 725; the first whose table is never kept (n1 = n // 2), 1447
-        assert 724**2 * 8 <= sampling.MEMO_BYTES == 4 << 20 < 725**2 * 8
+        assert 724**2 * 8 <= distributions.MEMO_BYTES == 4 << 20 < 725**2 * 8
         band = [sum(min(j, n1) + 1 - max(0, n1 - n + j) for j in range(n)) for n, n1 in BAND_EDGE]
-        assert band[0] * 8 <= sampling.MEMO_BYTES < band[1] * 8
-        monkeypatch.setattr(sampling, "MEMO_BYTES", 3000)
+        assert band[0] * 8 <= distributions.MEMO_BYTES < band[1] * 8
+        monkeypatch.setattr(distributions, "MEMO_BYTES", 3000)
         covariance_final(self.DESIGN, 10, 5)
         calls, tables = [], []
         inner, build = covariance._block_moments_float, sampling.backward_log_table

@@ -394,6 +394,83 @@ class TestWalkBranches:
         assert checked > 20
 
 
+class TestLawMemo:
+    """A float law is priced once per process and kept in the memo of
+    :mod:`condrand.distributions`; every call returns a fresh array."""
+
+    DESIGNS = [DesignSpec.bcd(p) for p in (0.6, 2 / 3, 0.75, 1.0)] + [DesignSpec.complete()]
+    # unconditional; from deficit, surplus and balance at step 25 of 60
+    GIVEN = [None, (25, 10), (25, 15), (24, 12)]
+    PRICERS = ("_eval_series_float", "_eval_pure_float", "_complete_pmf",
+               "unconditional_pmf", "conditional_pmf")
+
+    def count_pricing(self, monkeypatch):
+        calls = []
+        for name in self.PRICERS:
+            inner = getattr(distributions, name)
+            monkeypatch.setattr(
+                distributions, name, lambda *a, _f=inner, **k: calls.append(a) or _f(*a, **k)
+            )
+        return calls
+
+    @pytest.mark.parametrize("given", GIVEN, ids=str)
+    @pytest.mark.parametrize("design", DESIGNS, ids=str)
+    def test_warm_law_is_the_cold_bytes_with_no_closed_form(
+        self, design, given, monkeypatch, empty_memo
+    ):
+        if given is None:
+            want = [unconditional_pmf(design, 60, n1) for n1 in range(61)]
+        else:
+            want = [conditional_pmf(design, 60, n1, *given) for n1 in range(61)]
+        calls = self.count_pricing(monkeypatch)
+        cold = pmf_table(design, 60, given=given)
+        assert calls and list(empty_memo) == [(design, 60, given)]
+        calls.clear()
+        warm = pmf_table(design, 60, given=given)
+        assert calls == [] and warm.tobytes() == cold.tobytes() == np.array(want).tobytes()
+
+    def test_a_written_table_leaves_the_next_hit_alone(self, empty_memo):
+        for given in (None, (25, 10)):
+            first = pmf_table(BCD23, 60, given=given)
+            want = first.copy()
+            assert first.flags.writeable
+            first[:] = -1.0
+            second = pmf_table(BCD23, 60, given=given)
+            assert second.flags.writeable and second.tobytes() == want.tobytes()
+            assert not empty_memo[BCD23, 60, given].flags.writeable
+
+    def test_designs_never_share_an_entry(self, empty_memo):
+        # bcd:0.5 is the complete design's law under another design
+        designs = [DesignSpec.bcd(0.5), DesignSpec.complete(), DesignSpec.bcd(0.6)]
+        laws = [pmf_table(design, 40, given=(15, 6)) for design in designs]
+        assert list(empty_memo) == [(design, 40, (15, 6)) for design in designs]
+        assert not np.array_equal(laws[0], laws[2])
+        for design, law in zip(designs, laws):
+            assert pmf_table(design, 40, given=(15, 6)).tobytes() == law.tobytes()
+
+    def test_a_list_given_shares_the_tuple_entry(self, empty_memo):
+        law = pmf_table(BCD23, 30, given=[10, 4])
+        assert list(empty_memo) == [(BCD23, 30, (10, 4))]
+        assert pmf_table(BCD23, 30, given=(10, 4)).tobytes() == law.tobytes()
+
+    def test_bad_arguments_raise_before_the_memo(self, empty_memo):
+        with pytest.raises(ValueError, match="interim count 11 out of range for step 10"):
+            pmf_table(BCD23, 30, given=(10, 11))
+        with pytest.raises(ValueError, match="backend must be"):
+            pmf_table(BCD23, 30, "double")
+        assert not empty_memo
+
+    def test_exact_laws_are_fresh_lists_and_never_kept(self, empty_memo):
+        for given in (None, (10, 4)):
+            first = pmf_table(BCD23, 24, "exact", given=given)
+            second = pmf_table(BCD23, 24, "exact", given=given)
+            assert first is not second and first == second
+            assert all(isinstance(v, Fraction) for v in first)
+            first[0] = Fraction(7)
+            assert pmf_table(BCD23, 24, "exact", given=given) == second
+        assert not empty_memo
+
+
 class TestExactEngine:
     """The exact backend is the integer DP; the rational closed forms
     check it."""

@@ -81,9 +81,10 @@ def test_output_is_byte_identical(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", ["dist_given", "tables_1"])
-def test_output_holds_under_a_compensated_sum(name, tmp_path, monkeypatch):
+def test_output_holds_under_a_compensated_sum(name, tmp_path, monkeypatch, empty_memo):
     # Python 3.12's builtin sum compensates its rounding; these outputs
-    # moved under it while the closed forms summed with it
+    # moved under it while the closed forms summed with it.  The empty
+    # memo makes the laws be priced under the patched sum
     for module in (distributions, scores):
         monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
     out = tmp_path / f"{name}.out"
@@ -92,25 +93,35 @@ def test_output_holds_under_a_compensated_sum(name, tmp_path, monkeypatch):
 
 
 def test_output_holds_with_the_memo_cold_and_warm(tmp_path, monkeypatch, empty_memo):
-    # a warm run takes every chain table and covariance block from the
-    # memo, building and sweeping none
-    sweeps, builds = [], []
+    # a warm run takes every float law, chain table and covariance block
+    # from the memo, pricing, building and sweeping none
+    sweeps, builds, laws = [], [], []
     inner, build = covariance._block_moments_float, sampling.backward_log_table
     monkeypatch.setattr(
         covariance, "_block_moments_float", lambda *a: sweeps.append(a) or inner(*a)
     )
     monkeypatch.setattr(sampling, "backward_log_table", lambda *a: builds.append(a) or build(*a))
+    for pricer in ("_eval_series_float", "_eval_pure_float", "conditional_pmf"):
+        price = getattr(distributions, pricer)
+        monkeypatch.setattr(
+            distributions, pricer, lambda *a, _f=price: laws.append(a) or _f(*a)
+        )
     sweeping = ("info", "boundaries_interim", "boundaries_full_raw", "tables_3")
-    for name in (*sweeping, "tables_2"):
+    building = (*sweeping, "tables_2")
+    pricing = ("dist_table", "dist_given")
+    for name in (*building, *pricing):
         empty_memo.clear()
         for warm in (False, True):
             sweeps.clear()
             builds.clear()
+            laws.clear()
             out = tmp_path / f"{name}-{warm}.out"
             assert run_case(name, out) == 0
             assert out.read_bytes() == (GOLDEN / f"{name}.out").read_bytes(), (name, warm)
             assert bool(sweeps) == (name in sweeping and not warm), (name, warm)
-            assert bool(builds) != warm, (name, warm)
+            assert bool(builds) == (name in building and not warm), (name, warm)
+            if name in pricing:
+                assert bool(laws) != warm, (name, warm)
 
 
 if __name__ == "__main__":

@@ -546,7 +546,7 @@ class TestBlockedChainMatchesReference:
         # the backward table works row by row; only the fill is blocked.  A
         # second chain reads the first one's band from the memo
         with mock.patch.object(sampling, "BLOCK_ENTRIES", block), mock.patch.object(
-            sampling, "_memo", OrderedDict()
+            distributions, "_memo", OrderedDict()
         ):
             table = distributions.backward_log_table(design, r0, r1, m1)
             assert table.tobytes() == reference_backward_log_table(design, r0, r1, m1).tobytes()
@@ -555,10 +555,10 @@ class TestBlockedChainMatchesReference:
             except InfeasibleError:
                 with pytest.raises(InfeasibleError):
                     ConditionalChain(design).table(r0, m0, r1, m1)
-                assert not sampling._memo
+                assert not distributions._memo
             else:
                 built = ConditionalChain(design).table(r0, m0, r1, m1)
-                (band,) = sampling._memo.values()
+                (band,) = distributions._memo.values()
                 assert not band.flags.writeable
                 hit = ConditionalChain(design).table(r0, m0, r1, m1)
                 assert built.tobytes() == hit.tobytes() == want.tobytes()
