@@ -87,7 +87,8 @@ def _forward(design: DesignSpec, ints, j0: int = 0, m0: int = 0, n1: int | None 
         return _forward_sparse(w_one, w_zero, ints, j0, m0, n1)
     shifts = [(a - low) // unit * slot for a in steps]
     packed = _forward_packed(w_one, w_zero, shifts, j0, m0, n1, n)
-    return [_unpack(w, slot // 8, low * m, unit) for m, w in enumerate(packed)]
+    # given n1, the law of that count alone is unpacked; the others stay empty
+    return [_unpack(w, slot // 8, low * m, unit) if n1 in (None, m) else {} for m, w in enumerate(packed)]
 
 
 def _forward_packed(w_one, w_zero, shifts, j0: int, m0: int, n1: int | None, n: int) -> list[int]:

@@ -211,7 +211,10 @@ def information_at_look(
     constraint at the schedule's horizon: the schedule's final count when
     the trial is complete (``mode="full"``), or its projection from the
     current allocation rate mid-trial.  At the last look the two
-    conditionings coincide and the fraction is exactly 1.
+    conditionings coincide and the fraction is exactly 1.  One covariance
+    serves both: the numerator reads the prefix's blocks in place.  The
+    completions' forms a' sigma a are one stacked matmul, whose items run the
+    gemv and dot of ``a @ sigma @ a``, so every value keeps its bits.
 
     Args:
         mode: ``"interim"`` fills unknown responses by bootstrap
@@ -233,23 +236,23 @@ def information_at_look(
         raise ValueError(f"full mode needs {horizon} responses, got {x.size}")
     scores_l = centered_scores(x[:r_l], kind).values
     chain = ConditionalChain(design) if _chain is None else _chain
-    sigma_l = covariance_multilook(design, prefix, _chain=chain)
-    num = float(scores_l @ sigma_l @ scores_l)
+    den_schedule = prefix
+    if r_l < horizon:
+        final_count = schedule.final_count
+        if mode != "full":
+            final_count = projected_final_count(design, prefix, look, horizon)
+        den_schedule = LookSchedule(prefix.looks + (Look(horizon, final_count),))
+    sigma_n = covariance_multilook(design, den_schedule, _chain=chain)
+    num = float(scores_l @ sigma_n[:r_l, :r_l] @ scores_l)  # the prefix's blocks, in place
     if r_l == horizon:
         if num <= 0.0:
             raise DegenerateScoresError("interim-statistic variance is zero")
         return InformationFraction(1.0, look, num, num)
 
     if mode == "full":
-        final_count = schedule.final_count
-    else:
-        final_count = projected_final_count(design, prefix, look, horizon)
-    den_schedule = LookSchedule(prefix.looks + (Look(horizon, final_count),))
-    sigma_n = covariance_multilook(design, den_schedule, _chain=chain)
-
-    if mode == "full":
         den_scores = centered_scores(x[:horizon], kind).values[None]
     else:
         den_scores = interpolate_scores(x[:r_l], horizon, rng, bootstrap, kind)
-    den = float(np.mean([a @ sigma_n @ a for a in den_scores]))
-    return _ratio(num, den, look)
+    # one B x n temporary, below the peak of interpolate_scores
+    forms = np.matmul(den_scores[:, None, :] @ sigma_n, den_scores[:, :, None])
+    return _ratio(num, float(forms.mean()), look)

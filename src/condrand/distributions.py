@@ -57,7 +57,19 @@ BLOCK_ENTRIES = 1 << 16
 # One process-wide memo of read-only float laws, chain tables and covariance
 # blocks, at most MEMO_BYTES, least recently used out first by bytes.
 MEMO_BYTES = 4 << 20
-_memo: OrderedDict[tuple, np.ndarray] = OrderedDict()
+
+
+class _Memo(OrderedDict):
+    """Entries, least recently used first, and their running byte total."""
+
+    nbytes = 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.nbytes = 0
+
+
+_memo = _Memo()
 
 
 def _recall(key: tuple) -> np.ndarray | None:
@@ -72,8 +84,9 @@ def _remember(key: tuple, entry: np.ndarray) -> None:
     entry.flags.writeable = False
     if entry.nbytes <= MEMO_BYTES:
         _memo[key] = entry
-        while sum(e.nbytes for e in _memo.values()) > MEMO_BYTES:
-            _memo.popitem(last=False)
+        _memo.nbytes += entry.nbytes
+        while _memo.nbytes > MEMO_BYTES:
+            _memo.nbytes -= _memo.popitem(last=False)[1].nbytes
 
 
 def _memoized(key: tuple, build) -> np.ndarray:
@@ -362,8 +375,8 @@ def _reach(start: int, end: int, target: int) -> tuple[list[int], list[int]]:
     j, the counts lo <= m < hi from which N1(end) = target can still be
     reached, at most ``target`` and short of it by no more than the end - j
     steps left."""
-    steps = range(start, end)
-    return [max(0, target - (end - j)) for j in steps], [min(j, target) + 1 for j in steps]
+    j = np.arange(start, end)
+    return np.maximum(target - (end - j), 0).tolist(), (np.minimum(j, target) + 1).tolist()
 
 
 def backward_log_table(

@@ -98,10 +98,15 @@ def _check_quantile_method(method: str) -> None:
 def nonparametric_quantile(samples, level: float, method: str = "smooth") -> float:
     """Quantile estimate from a sample.
 
-    ``"smooth"`` is a beta-weighted average of order statistics
-    (bandwidth-free, deterministic); ``"ecdf"`` inverts the empirical
-    upper tail conservatively, returning the smallest sample value whose
-    strict upper tail proportion is at most ``1 - level``.
+    ``"smooth"`` is the Harrell-Davis estimator, a beta-weighted average of
+    order statistics (bandwidth-free, deterministic); ``"ecdf"`` inverts the
+    empirical upper tail conservatively, returning the smallest sample value
+    whose strict upper tail proportion is at most ``1 - level``.
+
+    The smooth weights are differences of a beta CDF at k / n, exactly 0.0
+    below a window of k and 1.0 above it: ``betainc`` runs on a coarse grid,
+    whose own nondecreasing values bracket the window, then inside it alone,
+    so each weight and the full-length dot product keep their bits.
     """
     x = np.sort(np.asarray(samples, dtype=float))
     if x.size == 0:
@@ -118,12 +123,20 @@ def nonparametric_quantile(samples, level: float, method: str = "smooth") -> flo
     n = x.size
     if n == 1:
         return float(x[0])
+    return float(np.diff(_beta_edges(n, level)) @ x)
+
+
+def _beta_edges(n: int, level: float) -> np.ndarray:
+    """The Harrell-Davis weights' edges betainc(a, b, k / n), k = 0..n."""
     from scipy import special
 
-    a = (n + 1) * level
-    b = (n + 1) * (1.0 - level)
-    edges = special.betainc(a, b, np.arange(n + 1) / n)
-    return float(np.diff(edges) @ x)
+    a, b = (n + 1) * level, (n + 1) * (1.0 - level)
+    coarse = np.append(np.arange(0, n, math.isqrt(n)), n)
+    c = special.betainc(a, b, coarse / n)  # nondecreasing, from 0.0 to 1.0
+    lo, hi = coarse[np.searchsorted(c, 0.0, "right") - 1], coarse[np.searchsorted(c, 1.0)]
+    edges = (np.arange(n + 1) >= hi).astype(float)
+    edges[lo + 1 : hi] = special.betainc(a, b, np.arange(lo + 1, hi) / n)
+    return edges
 
 
 @dataclass(frozen=True)

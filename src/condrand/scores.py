@@ -149,15 +149,15 @@ def step_sums(weights, steps: np.ndarray, *, _block=None) -> np.ndarray:
         padded = np.zeros((len(weights), n), dtype=np.float32)
         for l, w in enumerate(weights):
             padded[l, : w.size] = w
-        stats = np.zeros((size, len(weights)), dtype=np.float32)
+        stats = np.zeros((len(weights), size), dtype=np.float32)  # look-major
         if _block is None:
             _block = np.empty((min(n, max(1, 2 * BLOCK_ENTRIES // max(size, 1))), size), np.float32)
         block = max(1, len(_block))
         for lo in range(0, n, block):
             part = _block[: n - lo]
             np.copyto(part, steps[lo : lo + block])
-            stats += np.einsum("lj,jk->kl", padded[:, lo : lo + block], part)
-        return stats.astype(float)
+            stats += np.einsum("lj,jk->lk", padded[:, lo : lo + block], part)
+        return stats.T.astype(float, order="C")
     # einsum keeps the steps outermost only over C-ordered rows of two or
     # more draws; it sums a single column with split accumulators
     steps = np.ascontiguousarray(steps if size > 1 else np.repeat(steps, 2, axis=1))

@@ -1,5 +1,3 @@
-from collections import OrderedDict
-
 import pytest
 
 import condrand.distributions as distributions
@@ -9,6 +7,6 @@ import condrand.distributions as distributions
 def empty_memo(monkeypatch):
     """An empty memo of float laws, chain tables and covariance blocks for
     one test; the process's own memo comes back after it."""
-    memo = OrderedDict()
+    memo = distributions._Memo()
     monkeypatch.setattr(distributions, "_memo", memo)
     return memo

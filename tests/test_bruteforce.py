@@ -291,6 +291,26 @@ class TestPackedDP:
             assert forms == [form], (a, bits)
             assert dist == {1: 8, a: 8, a + 1: 8}
 
+    def test_a_given_count_unpacks_its_law_alone(self, monkeypatch):
+        # an exact p-value reads one count's law, so the DP unpacks that
+        # one; every count unpacked, with no count given, has the same law there
+        calls = []
+        unpack = bruteforce._unpack
+        monkeypatch.setattr(bruteforce, "_unpack", lambda *a: calls.append(1) or unpack(*a))
+        x = np.random.default_rng(40).standard_normal(MAX_DP)
+        ints, _ = _integerize_scores(centered_scores(x).values)
+        for design, n1 in ((BCD23, 20), (DesignSpec.bcd(0.75), 17), (DesignSpec.complete(), 23)):
+            calls.clear()
+            law = bruteforce._forward(design, ints, n1=n1)
+            assert len(calls) == 1 and [m for m, row in enumerate(law) if row] == [n1]
+            calls.clear()
+            assert bruteforce._forward(design, ints)[n1] == law[n1]
+            assert len(calls) == MAX_DP + 1
+            calls.clear()
+            v_star = linear_rank_statistic(centered_scores(x), np.arange(MAX_DP) < n1)
+            exact_conditional_pvalue(design, centered_scores(x), n1, v_star)
+            assert len(calls) == 1
+
     def test_rank_scores_at_the_largest_horizon_pack(self):
         for design in (DesignSpec.bcd(0.6), DesignSpec.bcd(0.7123456789), DesignSpec.complete()):
             scores = centered_scores(np.arange(MAX_DP, dtype=float))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -395,7 +396,7 @@ class TestInformationAtLook:
             information_at_look(BCD23, schedule, x[:30], 1, mode="full")
         assert built == []
         information_at_look(BCD23, schedule, x, 1, mode="full")
-        assert len(built) == 2
+        assert len(built) == 1  # the numerator reads the denominator's covariance
 
     def test_bootstrap_checked_before_any_table(self, monkeypatch, empty_memo):
         def never(*args, **kwargs):
@@ -631,6 +632,52 @@ class TestBlockMemo:
         assert sum(e.nbytes for e in empty_memo.values()) == 2936
         pmf_table(self.DESIGN, 400)  # 3208 bytes, above the budget: never kept
         assert sum(e.nbytes for e in empty_memo.values()) == 2936 and len(empty_memo) == 4
+
+    def test_byte_total_follows_inserts_hits_and_evictions(self, monkeypatch, empty_memo):
+        # every recall and remember is replayed on a plain OrderedDict under
+        # the rule the running total replaced: after each insertion, evict
+        # the oldest while the summed bytes of every entry exceed the budget
+        monkeypatch.setattr(distributions, "MEMO_BYTES", 3000)
+        calls = []
+        for module in (distributions, sampling):
+            recall, remember = distributions._recall, distributions._remember
+            monkeypatch.setattr(
+                module, "_recall", lambda k, _f=recall: calls.append((k, None)) or _f(k)
+            )
+            monkeypatch.setattr(
+                module, "_remember", lambda k, e, _f=remember: calls.append((k, e.nbytes)) or _f(k, e)
+            )
+        reference = OrderedDict()
+
+        def check():
+            for key, nbytes in calls:
+                if nbytes is None:
+                    if key in reference:
+                        reference.move_to_end(key)
+                elif nbytes <= 3000:
+                    reference[key] = nbytes
+                    while sum(reference.values()) > 3000:
+                        reference.popitem(last=False)
+            calls.clear()
+            assert list(empty_memo) == list(reference)
+            assert empty_memo.nbytes == sum(e.nbytes for e in empty_memo.values())
+
+        rng = np.random.default_rng(28)
+        for n in rng.integers(2, 60, 150):  # laws of 24 to 480 bytes: 30 hits, 110 evictions
+            pmf_table(self.DESIGN, int(n), given=(1, 1) if n % 3 == 0 else None)
+            check()
+        covariance_final(self.DESIGN, 12, 6)  # a table and a block
+        check()
+        pmf_table(self.DESIGN, 400)  # above the budget: never kept
+        MultilookSampler(self.DESIGN, LookSchedule.single(12, 6))  # a table hit
+        check()
+        assert 0 < empty_memo.nbytes <= 3000
+        empty_memo.clear()
+        assert empty_memo.nbytes == 0
+        reference.clear()
+        pmf_table(self.DESIGN, 99)
+        check()
+        assert empty_memo.nbytes == 800
 
     def test_entry_above_the_budget_is_never_kept(self, monkeypatch, empty_memo):
         # at the default budget, the first horizon whose block is never kept

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import condrand.bruteforce as bruteforce
 import condrand.covariance as covariance
 import condrand.distributions as distributions
 import condrand.sampling as sampling
@@ -122,6 +123,25 @@ def test_output_holds_with_the_memo_cold_and_warm(tmp_path, monkeypatch, empty_m
             assert bool(builds) == (name in building and not warm), (name, warm)
             if name in pricing:
                 assert bool(laws) != warm, (name, warm)
+
+
+def test_exact_dp_unpacks_one_count_per_pvalue(tmp_path, monkeypatch):
+    # each exact p-value's DP is given its count and unpacks that law alone
+    forwards, unpacks = [], []
+    forward, unpack = bruteforce._forward, bruteforce._unpack
+    monkeypatch.setattr(
+        bruteforce, "_forward", lambda *a, **k: forwards.append(k) or forward(*a, **k)
+    )
+    monkeypatch.setattr(bruteforce, "_unpack", lambda *a: unpacks.append(1) or unpack(*a))
+    # table 2 prices its four rows with n <= 40 exactly, once each
+    for name, pvalues in (("pvalue_exact", 1), ("tables_2", 4)):
+        forwards.clear()
+        unpacks.clear()
+        out = tmp_path / f"{name}.out"
+        assert run_case(name, out) == 0
+        assert out.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
+        assert len(forwards) == len(unpacks) == pvalues, name
+        assert all(k["n1"] is not None for k in forwards)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,4 @@
 import tracemalloc
-from collections import OrderedDict
 from contextlib import suppress
 from fractions import Fraction
 from unittest import mock
@@ -546,7 +545,7 @@ class TestBlockedChainMatchesReference:
         # the backward table works row by row; only the fill is blocked.  A
         # second chain reads the first one's band from the memo
         with mock.patch.object(sampling, "BLOCK_ENTRIES", block), mock.patch.object(
-            distributions, "_memo", OrderedDict()
+            distributions, "_memo", distributions._Memo()
         ):
             table = distributions.backward_log_table(design, r0, r1, m1)
             assert table.tobytes() == reference_backward_log_table(design, r0, r1, m1).tobytes()
