@@ -62,9 +62,9 @@ class DesignSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "DesignSpec":
         kind = obj["kind"].lower()
-        if kind == COMPLETE:
-            return cls.complete()
-        return cls.bcd(float(obj["p"]))
+        if kind == BCD:
+            return cls.bcd(float(obj["p"]))
+        return cls(kind)  # complete, or the unknown-kind error
 
     def to_json(self) -> dict:
         if self.kind == COMPLETE:

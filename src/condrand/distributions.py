@@ -7,11 +7,9 @@ ballot coefficients.  Every probability is available from two backends:
 
 * ``"float"``: the closed forms, evaluated on the log scale with exact
   integer combinatorics, tested to horizon 2000, where each
-  log-probability is within 1e-12 of the rational value.  A single value
-  steps its ballot series out exactly; the unconditional table takes the
-  ballot rows of all its counts from one stepped row by prefix sums
-  (``_ballot_rows``), the same integers, so a table's values keep the bits
-  of the single values;
+  log-probability is within 1e-12 of the rational value.  Each value
+  steps its ballot series out exactly, and a table is its single values,
+  so the two keep the same bits;
 * ``"exact"``: rationals from the integer DP of :mod:`condrand.bruteforce`,
   which prices a whole count law per call, in whole-integer passes, for
   verification and exact work (n = 300 in tens of milliseconds, n = 2000
@@ -32,7 +30,6 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -193,9 +190,8 @@ def _correction_value(trials: int, corr: tuple[int, int, int]) -> int:
     return d
 
 
-def _eval_series_float(plan: _SeriesPlan, p: float, ballots=None) -> float:
-    """The plan's value; ``ballots``, when given, are the positive C(x, l)
-    for l = 0..l_max that ``_ballot_terms`` would step out."""
+def _eval_series_float(plan: _SeriesPlan, p: float) -> float:
+    """The plan's value, its ballot series summed left to right on the log scale."""
     q = 1.0 - p
     logs: list[float] = []
     if q == 0.0:
@@ -204,10 +200,9 @@ def _eval_series_float(plan: _SeriesPlan, p: float, ballots=None) -> float:
         if plan.q_base == 0 and plan.l_max >= 0:
             logs.append(0.0)
     else:
-        if ballots is None:
-            ballots = [c for _, c in _ballot_terms(plan.x, plan.l_max)]
         lq = math.log(q)
-        logs = [math.log(c) + (plan.q_base + l) * lq for l, c in enumerate(ballots)]
+        terms = _ballot_terms(plan.x, plan.l_max)
+        logs = [math.log(c) + (plan.q_base + l) * lq for l, c in terms]
     main = _NEG_INF
     if logs:
         top = max(logs)
@@ -227,23 +222,6 @@ def _eval_series_float(plan: _SeriesPlan, p: float, ballots=None) -> float:
     if main == _NEG_INF:
         return 0.0
     return math.exp(plan.p_exp * math.log(p) + main)
-
-
-def _ballot_rows(n: int):
-    """Yield ``(x, row)`` for x = ceil(n/2)..n, where ``row`` lists the
-    positive C(x, l) for l <= n - x, the terms that ``_ballot_terms``
-    steps out.
-
-    Since C(x, l) is the sum of C(x - 1, i) over i <= l, each row is the
-    prefix sums of the one before it: only the first row is stepped, with
-    its remainder guard, and the others come by additions alone.
-    """
-    x0 = (n + 1) // 2
-    row = [c for _, c in _ballot_terms(x0, n - x0)]
-    yield x0, row
-    for x in range(x0 + 1, n + 1):
-        row = list(accumulate(row[: n - x + 1]))
-        yield x, row
 
 
 def _eval_pure_float(plan: _PurePlan, p: float) -> float:
@@ -347,14 +325,7 @@ def pmf_table(design: DesignSpec, n: int, backend: str = "float", *, given=None)
     def law() -> np.ndarray:
         if given is not None:
             return np.asarray([conditional_pmf(design, n, n1, j, m) for n1 in range(n + 1)])
-        if design.kind == COMPLETE or design.p == 1.0:
-            half = [unconditional_pmf(design, n, n1) for n1 in range(n // 2 + 1)]
-        else:
-            # the count n1 = n - x <= n/2 is priced from the ballot row of x
-            half = [
-                _eval_series_float(_plan_unconditional(n, n - x), design.p, row)
-                for x, row in _ballot_rows(n)
-            ][::-1]
+        half = [unconditional_pmf(design, n, n1) for n1 in range(n // 2 + 1)]
         return np.asarray(half + half[(n - 1) // 2 :: -1])
 
     # three items: a chain table's key has five, a covariance block's two

@@ -120,6 +120,23 @@ class TestExactPvalue:
         with pytest.raises(ValueError):
             exact_conditional_pvalue(BCD23, values, 2, 0.0)
 
+    def test_horizon_above_the_cap_rejected(self):
+        scores = centered_scores(np.arange(MAX_DP + 1.0))
+        message = f"exact DP supports 1 <= n <= {MAX_DP}, got {MAX_DP + 1}"
+        with pytest.raises(ValueError, match=message):
+            exact_conditional_pvalue(BCD23, scores, 2, 0.0)
+
+    def test_count_out_of_range_rejected(self):
+        scores = centered_scores(np.arange(4.0))
+        with pytest.raises(ValueError, match="count 5 out of range for horizon 4"):
+            exact_conditional_pvalue(BCD23, scores, 5, 0.0)
+
+    def test_scale_above_a_million_rejected(self):
+        # each score is on the lattice, but their common denominator is not small
+        values = [1 / 9973, 1 / 9967]
+        with pytest.raises(ValueError, match=r"scores need scale \d+, beyond the exact DP's range"):
+            exact_conditional_pvalue(BCD23, values, 1, 0.0)
+
     def test_quantile_tail_property(self):
         scores = centered_scores(np.arange(10.0))
         for alpha in (0.05, 0.1, 0.25):

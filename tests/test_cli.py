@@ -548,6 +548,8 @@ class TestErrorPaths:
             ("tail_estimate_repeatability", {"runs": 2, "n_c": 0}, "n_c must be >= 1, got 0"),
             ("monitored_trial_type_i_error", {"n": 70, "look_positions": (50, 60, 70),
              "replications": 0}, "replications must be >= 1, got 0"),
+            ("monitored_trial_type_i_error", {"n": 70, "look_positions": (50, 60, 65)},
+             "the last look must sit at the horizon"),
         ],
     )
     def test_studies_check_counts_before_any_work(self, monkeypatch, study, kwargs, message):
@@ -607,6 +609,101 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, *argv)
         assert code == 4
         assert f"{schedule}: invalid design (" in err
+
+    @pytest.mark.parametrize("command", ["sample", "boundaries", "info"])
+    @pytest.mark.parametrize("design", [{"kind": "urn", "p": 0.8}, {"kind": "weird"}])
+    def test_unknown_schedule_design_kind_exit_4(
+        self, capsys, tmp_path, trial_files, command, design
+    ):
+        # an unknown kind with a p was once drawn as the biased coin
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text(json.dumps({"looks": [{"r": 12, "n1": 6}], "design": design}))
+        argv = [command, "--schedule", str(schedule), "--seed", "1"]
+        if command != "sample":
+            argv += ["--responses", str(trial_files["responses"])]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (4, "")
+        kind = design["kind"]
+        assert err == f"error: {schedule}: invalid design (unknown design kind {kind!r})\n"
+
+    def test_out_into_a_missing_directory_exit_4(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "dist.csv"
+        code, out, err = run_cli(
+            capsys, "dist", "--design", "bcd:0.75", "--n", "6", "--out", str(out_path)
+        )
+        assert (code, out) == (4, "")
+        assert err.startswith(f"error: cannot write {out_path}: ")
+
+    @pytest.mark.parametrize(
+        "responses, assignments, message",
+        [
+            ("1,A\n2\n3,B\n4\n", "0101\n", "{r}: stratum column must be present on every row"),
+            ("1\n2\n3\n4\n", "0121\n", "{a}:1: expected a 0/1 string, got '0121'"),
+            ("1\n2\n3\n4\n", "", "{a}: no assignment sequences"),
+            ("1\n2\n3\n4\n", "01\n", "4 responses but the assignment sequence has length 2"),
+        ],
+    )
+    def test_unusable_pvalue_input_exit_4(self, capsys, tmp_path, responses, assignments, message):
+        resp, seqs = tmp_path / "r.csv", tmp_path / "s.txt"
+        resp.write_text(responses)
+        seqs.write_text(assignments)
+        code, out, err = run_cli(
+            capsys, "pvalue", "--design", "bcd:0.75", "--responses", str(resp),
+            "--assignments", str(seqs), "--seed", "1",
+        )
+        assert (code, out) == (4, "")
+        assert err == f"error: {message.format(r=resp, a=seqs)}\n"
+
+    @pytest.mark.parametrize(
+        "assignments, message",
+        [
+            ("01\n", "2 strata but 1 assignment sequences"),
+            ("010\n10\n", "stratum of size 2 has a sequence of length 3"),
+        ],
+    )
+    def test_stratified_sequences_that_do_not_fit_exit_4(
+        self, capsys, tmp_path, assignments, message
+    ):
+        resp, seqs = tmp_path / "r.csv", tmp_path / "s.txt"
+        resp.write_text("1,A\n2,A\n3,B\n4,B\n")
+        seqs.write_text(assignments)
+        code, out, err = run_cli(
+            capsys, "pvalue", "--design", "bcd:0.75", "--responses", str(resp),
+            "--assignments", str(seqs), "--stratified", "--seed", "1",
+        )
+        assert (code, out, err) == (4, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "cannot read {s}: "),
+            ("not json", "{s}: invalid JSON (Expecting value: line 1 column 1 (char 0))"),
+            ('{"looks": [{"r": 4}]}', "{s}: invalid schedule ('n1')"),
+        ],
+    )
+    def test_unusable_schedule_file_exit_4(self, capsys, tmp_path, text, message):
+        schedule = tmp_path / "schedule.json"
+        if text is not None:
+            schedule.write_text(text)
+        code, out, err = run_cli(capsys, "sample", "--schedule", str(schedule), "--seed", "1")
+        assert (code, out) == (4, "")
+        assert err.startswith(f"error: {message.format(s=schedule)}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--schedule", "{s}"], "no design given on the command line or in the schedule file"),
+            (["--design", "bcd:0.75", "--n", "4"], "need either --schedule or both --n and --n1"),
+            (["--n", "4", "--n1", "2"], "--design is required without a schedule file"),
+        ],
+    )
+    def test_sample_without_a_design_or_look_exit_2(self, capsys, tmp_path, argv, message):
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text(json.dumps({"looks": [{"r": 4, "n1": 2}]}))
+        argv = [a.format(s=schedule) for a in argv]
+        code, out, err = run_cli(capsys, "sample", *argv, "--seed", "1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 _FAULTS = (

@@ -377,6 +377,8 @@ class TestInformationAtLook:
         schedule = LookSchedule.from_pairs([(4, 2), (8, 4)])
         with pytest.raises(DegenerateScoresError):
             information_at_look(BCD23, schedule, np.ones(8), 1, rng=3, bootstrap=10)
+        with pytest.raises(DegenerateScoresError, match="interim-statistic variance is zero"):
+            information_at_look(BCD23, schedule, np.ones(8), 2)
 
     def test_inputs_checked_before_any_covariance(self, monkeypatch):
         built = []
@@ -394,6 +396,8 @@ class TestInformationAtLook:
                 information_at_look(BCD23, schedule, x, look)
         with pytest.raises(ValueError, match="full mode needs 40 responses, got 30"):
             information_at_look(BCD23, schedule, x[:30], 1, mode="full")
+        with pytest.raises(ValueError, match="need at least 20 responses for look 2"):
+            information_at_look(BCD23, schedule, x[:15], 2)
         assert built == []
         information_at_look(BCD23, schedule, x, 1, mode="full")
         assert len(built) == 1  # the numerator reads the denominator's covariance

@@ -26,6 +26,23 @@ class TestDesignSpec:
         assert DesignSpec.parse("complete").kind == "complete"
         assert DesignSpec.from_json(d.to_json()) == d
 
+    def test_complete_json_round_trip(self):
+        d = DesignSpec.complete()
+        assert d.to_json() == {"kind": "complete"}
+        assert DesignSpec.from_json(d.to_json()) == d
+
+    def test_unknown_kind_raises(self):
+        with pytest.raises(ValueError, match="unknown design kind 'urn'"):
+            DesignSpec("urn")
+        with pytest.raises(ValueError, match="cannot parse design 'urn:0.7'"):
+            DesignSpec.parse("urn:0.7")
+
+    @pytest.mark.parametrize("obj", [{"kind": "urn", "p": 0.8}, {"kind": "urn"}])
+    def test_from_json_refuses_an_unknown_kind(self, obj):
+        # the kind is checked before p is read: an urn with a p is not a coin
+        with pytest.raises(ValueError, match="unknown design kind 'urn'"):
+            DesignSpec.from_json(obj)
+
     def test_bias_validated_at_construction(self):
         with pytest.raises(ValueError):
             DesignSpec.bcd(0.4)
@@ -68,6 +85,10 @@ class TestTreatmentSequence:
             TreatmentSequence(np.array([0, 2, 1]))
         with pytest.raises(ValueError):
             TreatmentSequence.from_string("01x")
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="assignments must be a nonempty 1-D sequence"):
+            TreatmentSequence([])
 
 
 class TestAssignmentProbability:

@@ -14,7 +14,6 @@ from condrand import (
 )
 from condrand.bruteforce import exact_count_law
 from condrand.distributions import (
-    _ballot_rows,
     _ballot_terms,
     _correction_value,
     backward_log_table,
@@ -68,13 +67,6 @@ class TestBallotTerms:
             full = [(l, c) for l in range(x + 1) if (c := _ballot_int(x, l)) > 0]
             for l_max in {-1, 0, x // 3, x - 1, x}:
                 assert list(_ballot_terms(x, l_max)) == [t for t in full if t[0] <= l_max]
-
-    def test_accumulated_rows_are_the_stepped_ones(self):
-        for n in (*range(1, 131), 499, 500):
-            rows = list(_ballot_rows(n))
-            assert [x for x, _ in rows] == list(range((n + 1) // 2, n + 1))
-            for x, row in rows:
-                assert row == [c for _, c in _ballot_terms(x, n - x)], (n, x)
 
     def test_remainder_raises(self, monkeypatch):
         # the guard is an error, not an assert that python -O strips
@@ -540,3 +532,15 @@ class TestBackwardTables:
             assert math.exp(table[0, 0]) == pytest.approx(
                 unconditional_pmf(design, 60, n1), rel=1e-11
             )
+
+    @pytest.mark.parametrize(
+        "start, end, target, message",
+        [
+            (5, 5, 3, r"need 0 <= start < end, got \(5, 5\)"),
+            (6, 5, 3, r"need 0 <= start < end, got \(6, 5\)"),
+            (0, 5, 6, "target 6 out of range for horizon 5"),
+        ],
+    )
+    def test_bad_span_or_target_rejected(self, start, end, target, message):
+        with pytest.raises(ValueError, match=message):
+            backward_log_table(BCD23, start, end, target)

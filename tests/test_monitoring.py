@@ -85,6 +85,10 @@ class TestIncrementalAlpha:
         with pytest.raises(ValueError):
             incremental_alpha(OBF, [0.5, 0.9])
 
+    def test_no_fractions_rejected(self):
+        with pytest.raises(ValueError, match="need at least one information fraction"):
+            incremental_alpha(OBF, [])
+
 
 class TestNonparametricQuantile:
     def test_uniform_grid_median(self):
@@ -153,6 +157,10 @@ class TestSequentialDecision:
         dec = sequential_decision([1.0, 2.0, 3.0], [2.0, 4.0, 6.0])
         assert not dec.rejected and dec.look is None
 
+    def test_more_statistics_than_boundaries_rejected(self):
+        with pytest.raises(ValueError, match="3 statistics but only 2 boundaries"):
+            sequential_decision([1.0, 2.0, 3.0], [2.0, 4.0])
+
 
 class TestEstimateBoundaries:
     def _setup(self, n=12, seed=4):
@@ -189,6 +197,11 @@ class TestEstimateBoundaries:
         assert math.isinf(result.d[0])
         assert result.incremental_alpha[0] == 0.0
         assert math.isfinite(result.d[1])
+
+    def test_zero_sequences_per_stage_rejected(self):
+        design, responses = self._setup()
+        with pytest.raises(ValueError, match="need at least one sequence per stage, got 0"):
+            estimate_boundaries(design, LookSchedule.single(12, 6), responses, OBF, 0, rng=6)
 
     @pytest.mark.parametrize("fractions", [[0.5, 1.0], [0.3, 0.6, 0.9, 1.0]])
     def test_fraction_count_checked_before_any_draw(self, fractions, monkeypatch):

@@ -76,6 +76,11 @@ class TestConditionalEstimator:
         with pytest.raises(InfeasibleError):
             estimate_pvalue_conditional(DesignSpec.bcd(1.0), 5, 5, scores, 0.0, 100, rng=1)
 
+    def test_score_length_checked(self):
+        scores = centered_scores(np.arange(4.0))
+        with pytest.raises(ValueError, match="scores have length 4, expected 5"):
+            estimate_pvalue_conditional(BCD23, 5, 2, scores, 0.0, 100, rng=1)
+
 
 class TestRejectionEstimator:
     def test_agrees_with_enumeration(self):
@@ -117,6 +122,16 @@ class TestRejectionEstimator:
         assert 0 < est.n_effective < 5000
         assert est.method == "rejection"
 
+    def test_score_length_checked(self):
+        scores = centered_scores(np.arange(4.0))
+        with pytest.raises(ValueError, match="scores have length 4, expected 5"):
+            estimate_pvalue_rejection(BCD23, 5, 2, scores, 0.0, 100, rng=1)
+
+    def test_zero_attempts_rejected(self):
+        scores = centered_scores(np.arange(4.0))
+        with pytest.raises(ValueError, match="need at least one attempt, got 0"):
+            estimate_pvalue_rejection(BCD23, 4, 2, scores, 0.0, 0, rng=1)
+
 
 class TestStratifiedEstimator:
     def test_two_strata(self):
@@ -148,6 +163,13 @@ class TestStratifiedEstimator:
         v_star, exact = exact_tail_near(*stratified_statistic_distribution(data), level)
         est = estimate_pvalue_stratified(data, v_star, 20_000, rng=24)
         assert within_four_standard_errors(est, exact)
+
+
+    def test_zero_draws_rejected(self):
+        d = DesignSpec.bcd(0.6)
+        data = StratifiedData((Stratum(centered_scores([1.0, 3.0, 2.0]), 1, d),))
+        with pytest.raises(ValueError, match="need at least one draw, got 0"):
+            estimate_pvalue_stratified(data, 0.0, 0, rng=1)
 
 
 class TestTiedDrawsCount:
@@ -273,3 +295,7 @@ class TestSampleSizePlanning:
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
                 mc_sample_size(bad)
+        with pytest.raises(ValueError, match="relative error must be positive, got 0"):
+            mc_sample_size(0.05, rel_error=0.0)
+        with pytest.raises(ValueError, match=r"confidence must lie in \(0, 1\), got 1"):
+            mc_sample_size(0.05, confidence=1.0)

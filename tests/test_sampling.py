@@ -56,6 +56,8 @@ class TestLookSchedule:
             LookSchedule.from_pairs([(2, 3)])
         with pytest.raises(ValueError):
             LookSchedule.from_pairs([(2, 0), (4, 3)])  # gain of 3 in 2 steps
+        with pytest.raises(ValueError, match="a schedule needs at least one look"):
+            LookSchedule(())
 
     def test_segments_and_prefix(self):
         sch = LookSchedule.from_pairs([(2, 1), (4, 2), (7, 4)])
@@ -119,6 +121,18 @@ class TestMultilookTransition:
             for m in range(lo, min(j, end_count) + 1):
                 want = multilook_transition(BCD23, sch, j, m)
                 assert sampler.transition(j, m) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("j, m", [(10, 5), (3, 4), (-1, 0)])
+    def test_sampler_refuses_an_invalid_state(self, j, m):
+        sampler = MultilookSampler(BCD23, LookSchedule.from_pairs([(4, 2), (10, 5)]))
+        with pytest.raises(ValueError, match=rf"invalid state \(j={j}, m={m}\)"):
+            sampler.transition(j, m)
+
+    def test_accumulate_refuses_a_score_vector_of_the_wrong_length(self):
+        sampler = MultilookSampler(BCD23, LookSchedule.from_pairs([(4, 2), (10, 5)]))
+        scores = [centered_scores(np.arange(4.0)), centered_scores(np.arange(9.0))]
+        with pytest.raises(ValueError, match="score vector for look at 10 has length 9"):
+            sampler.accumulate_statistics(1, 5, scores)
 
 
 class TestSamplers:

@@ -45,6 +45,10 @@ class TestCenteredScores:
         with pytest.raises(ValueError):
             centered_scores([])
 
+    def test_empty_vector_rejected(self):
+        with pytest.raises(ValueError, match="scores must form a nonempty 1-D vector"):
+            ScoreVector(np.array([]))
+
     def test_uncentered_vector_rejected(self):
         with pytest.raises(ValueError):
             ScoreVector(np.array([1.0, 2.0]))
@@ -176,6 +180,10 @@ class TestInterimStatistic:
         with pytest.raises(ValueError):
             interim_statistic([1.0, 2.0], [1, 0], 3)
 
+    def test_too_few_assignments_for_the_cut(self):
+        with pytest.raises(ValueError, match="need at least 3 assignments, got 2"):
+            interim_statistic([1.0, 2.0, 3.0], [1, 0], 3)
+
 
 class TestStratified:
     def _data(self):
@@ -196,6 +204,10 @@ class TestStratified:
         t1 = np.array([0, 1, 0])  # rank 3 centered: +1
         t2 = np.array([1, 0])  # rank 2 centered: +0.5
         assert stratified_statistic(data, [t1, t2]) == pytest.approx(1.5)
+
+    def test_no_strata_rejected(self):
+        with pytest.raises(ValueError, match="need at least one stratum"):
+            StratifiedData(())
 
     def test_mismatched_counts_rejected(self):
         with pytest.raises(ValueError):
