@@ -108,9 +108,11 @@ def read_responses(path: str) -> tuple[np.ndarray, list[str] | None]:
     return np.asarray(values), (strata or None)
 
 
-def read_assignments(path: str) -> list[TreatmentSequence]:
+def read_assignments(path: str, many: bool) -> list[TreatmentSequence]:
     out = []
     for lineno, text in _read_lines(path):
+        if out and not many:
+            raise CliInputError(f"{path}:{lineno}: a second sequence needs --stratified")
         try:
             out.append(TreatmentSequence.from_string(text))
         except ValueError as exc:
@@ -220,7 +222,9 @@ def _cmd_pvalue(args) -> dict:
         raise ValueError("--exact computes the exact p-value; it does not take --method rejection")
     design = args.design
     values, labels = read_responses(args.responses)
-    sequences = read_assignments(args.assignments)
+    if labels is not None and not args.stratified:
+        raise CliInputError(f"{args.responses}: a stratum column (column 2) needs --stratified")
+    sequences = read_assignments(args.assignments, many=args.stratified)
 
     if args.stratified:
         if args.method == "rejection" or args.exact:

@@ -4,10 +4,9 @@ randomization-based information fraction.
 Conditioning the randomization procedure on interim counts turns it into
 a Markov chain whose transitions are the sampler's; conditional means and
 cross moments then come from forward sweeps of that chain against its
-occupancy law.  The chain is the sampler's own :class:`ConditionalChain`,
-so one set of segment tables serves both, and a swept block is kept in
-the process-wide memo of :mod:`condrand.distributions`, with the tables
-and the float laws; this module keeps no cache of its own.
+occupancy law.  Its tables are the sampler's, from the process-wide memo
+of :mod:`condrand.distributions`, which keeps each swept block too; this
+module keeps no cache of its own.
 
 Covariances under a schedule are block diagonal across look segments:
 assignments in different segments are conditionally uncorrelated.
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import DesignSpec
-from .distributions import _memoized, conditional_pmf
+from .distributions import _memoized, _reach, conditional_pmf
 from .errors import DegenerateScoresError, InfeasibleError
 from .sampling import ConditionalChain, Look, LookSchedule
 from .scores import SIMPLE_RANK, ScoreVector, _centered, _counted_midranks, centered_scores
@@ -54,35 +53,37 @@ def _block_moments_float(chain: ConditionalChain, r0: int, m0: int, r1: int, m1:
     the law of the count before step b jointly with that event.  At step b
     the open sweeps give their cross moments with T_b and advance through
     psi[b] together; then the chain step rho[b] * psi[b] opens sweep b and
-    gives rho[b + 1].  Each entry of ``lam`` keeps its own full-width dot
-    product: the stacked (b, 1, w) @ (w, 1) matmul hands every 1 x 1 item
-    to the same BLAS dot as ``ndarray.dot``, so the result equals a sweep
-    per pair bit for bit; a matrix-vector product would sum in another
-    order.  The sweep updates touch only the counts m0 + b can still reach
-    on the way to m1; outside that band psi is 0 or the sweeps hold no
-    mass, so the full-width updates would leave those columns as they are.
+    gives rho[b + 1].  psi[b] is laid out full width from the band for its
+    step alone.  Each entry of ``lam`` keeps its own full-width dot product:
+    the stacked (b, 1, w) @ (w, 1) matmul hands every 1 x 1 item to the same
+    BLAS dot as ``ndarray.dot``, so the result equals a sweep per pair bit
+    for bit; theta[b], one row's full-width einsum, has the bits of the
+    whole table's.  The sweep updates touch only the counts m0 + b can
+    still reach on the way to m1; off that band psi is 0 or no mass is held.
     """
-    psi = chain.table(r0, m0, r1, m1)
-    s, width = psi.shape
+    rows = chain.table(r0, m0, r1, m1)
+    s, width = len(rows), r1 + 2
     rho = np.zeros((s, width))
     rho[0, m0] = 1.0
+    theta = np.empty(s)
     lam = np.zeros((s, s))
     g = np.zeros((s, width))
     move = np.empty((s, min(m1 - m0, s - (m1 - m0)) + 1))
-    for b in range(s):
-        row = psi[b]
+    for b, psi_b, lo_b, hi_b in zip(range(s), rows, *_reach(r0, r1, m1)):
+        row = np.zeros(width)
+        row[lo_b:hi_b] = psi_b[lo_b:hi_b]
         np.matmul(g[:b, None, :], row[:, None], out=lam[:b, b, None, None])
         lo, hi = max(m0, m1 - (s - b)), min(m0 + b, m1) + 1
         band = move[:b, : hi - lo]
         np.multiply(g[:b, lo:hi], row[lo:hi], out=band)
         g[:b, lo:hi] -= band
         g[:b, lo + 1 : hi + 1] += band
+        theta[b] = np.einsum("m,m->", rho[b], row)
         step = rho[b] * row
         g[b, 1:] = step[:-1]
         if b + 1 < s:
             np.subtract(rho[b], step, out=rho[b + 1])
             rho[b + 1, 1:] += step[:-1]
-    theta = np.einsum("im,im->i", rho, psi)
     return theta, lam
 
 
@@ -92,12 +93,10 @@ def covariance_multilook(
     """Covariance of the first r_L assignments given every look count.
 
     The matrix is block diagonal with one block per segment.  ``_chain``,
-    a chain of the same design, supplies the segment tables and keeps the
-    blocks; a caller that passes one chain to several calls builds each
-    segment once.  A block the chain lacks comes from the process-wide
-    memo of :mod:`condrand.distributions`, which keeps chain tables and
-    float laws too, when a call before swept it, under the chain's own
-    design: a hit costs one lookup and no sweep.
+    a chain of the same design, keeps the blocks, so a caller that passes
+    one chain to several calls sweeps each segment once.  A block the chain
+    lacks is read from the memo of :mod:`condrand.distributions` when a
+    call before swept it under the chain's own design: one lookup, no sweep.
     """
     chain = ConditionalChain(design) if _chain is None else _chain
 

@@ -46,14 +46,14 @@ __all__ = [
 
 _NEG_INF = float("-inf")
 
-# Whole-array passes over a table (the transition fill, the walk and
-# ``scores.step_sums``) take this many entries at a time, so their
-# temporaries stay small next to the table.
+# Whole-array passes over a table (the walk and ``scores.step_sums``) take
+# this many entries at a time, so their temporaries stay small next to the
+# table.
 BLOCK_ENTRIES = 1 << 16
 
-# One process-wide memo of read-only float laws, chain tables and covariance
-# blocks, at most MEMO_BYTES, least recently used out first by bytes.
-MEMO_BYTES = 4 << 20
+# One process-wide memo of read-only float laws, chain tables (row views
+# counted) and covariance blocks, at most MEMO_BYTES, least recently used out.
+MEMO_BYTES = 5 << 20
 
 
 class _Memo(OrderedDict):
@@ -77,13 +77,14 @@ def _recall(key: tuple) -> np.ndarray | None:
     return entry
 
 
-def _remember(key: tuple, entry: np.ndarray) -> None:
-    entry.flags.writeable = False
+def _remember(key: tuple, entry):
+    """``entry``, kept under ``key`` unless its ``nbytes`` exceed the budget."""
     if entry.nbytes <= MEMO_BYTES:
         _memo[key] = entry
         _memo.nbytes += entry.nbytes
         while _memo.nbytes > MEMO_BYTES:
             _memo.nbytes -= _memo.popitem(last=False)[1].nbytes
+    return entry
 
 
 def _memoized(key: tuple, build) -> np.ndarray:
@@ -91,6 +92,7 @@ def _memoized(key: tuple, build) -> np.ndarray:
     entry = _recall(key)
     if entry is None:
         entry = build()
+        entry.flags.writeable = False
         _remember(key, entry)
     return entry
 
@@ -342,41 +344,41 @@ def pmf_table(design: DesignSpec, n: int, backend: str = "float", *, given=None)
 
 
 def _reach(start: int, end: int, target: int) -> tuple[list[int], list[int]]:
-    """The bands of steps j = start..end - 1, as lists of lo and hi: at step
-    j, the counts lo <= m < hi from which N1(end) = target can still be
+    """The bands of steps j = start..end, as lists of lo and hi: at step j,
+    the counts lo <= m < hi from which N1(end) = target can still be
     reached, at most ``target`` and short of it by no more than the end - j
-    steps left."""
-    j = np.arange(start, end)
+    steps left, so at ``end`` the target alone."""
+    j = np.arange(start, end + 1)
     return np.maximum(target - (end - j), 0).tolist(), (np.minimum(j, target) + 1).tolist()
 
 
-def backward_log_table(
-    design: DesignSpec, start: int, end: int, target: int
-) -> np.ndarray:
-    """Log-probability table B[idx, m] = log P(N1(end) = target | N1(start+idx) = m).
-
-    Rows run over steps ``start..end``; entries for unreachable states
-    are ``-inf``.  The log assignment probabilities are taken once, by
-    imbalance, so row j reads them as a stride-2 slice and computes only
-    the counts that can still reach the target (:func:`_reach`), with two
-    adds and one logaddexp; the entries off that band stay ``-inf``.
+def backward_log_table(design: DesignSpec, start: int, end: int, target: int) -> list[np.ndarray]:
+    """log P(N1(end) = target | N1(j) = m) on the band of each step j =
+    start..end (:func:`_reach`) as ``rows[j - start][m]``: count-indexed
+    views of one array that follows each band with a -inf, which is all a
+    row gives one count off its band.  The log assignment probabilities are
+    taken once, by imbalance, so row j reads them as a stride-2 slice and
+    costs two adds and one logaddexp.
     """
     if not 0 <= start < end:
         raise ValueError(f"need 0 <= start < end, got ({start}, {end})")
     if not 0 <= target <= end:
         raise ValueError(f"target {target} out of range for horizon {end}")
-    steps = end - start
-    table = np.full((steps + 1, end + 2), _NEG_INF)
-    table[steps, target] = 0.0
-    pr = _imbalance_probabilities(design, end)
     lows, highs = _reach(start, end, target)
+    # lows[0] entries of -inf, so that row 0 too starts at count 0, then each band and a -inf
+    tops = np.cumsum(np.subtract(highs, lows) + 1) + lows[0]
+    band = np.empty(int(tops[-1]))
+    band[: lows[0]] = _NEG_INF
+    band[tops - 1] = _NEG_INF
+    rows = [band[top - hi - 1 : top] for top, hi in zip(tops.tolist(), highs)]
+    rows[-1][target] = 0.0
+    pr = _imbalance_probabilities(design, end)
     with np.errstate(divide="ignore"):
         lp1, lp0 = np.log(pr), np.log1p(-pr)
         for j in range(end - 1, start - 1, -1):
             idx = j - start
-            lo, hi = lows[idx], highs[idx]
+            lo, hi, nxt = lows[idx], highs[idx], rows[idx + 1]
             d = slice(end + 2 * lo - j, end + 2 * hi - j, 2)
-            up, down = lp1[d] + table[idx + 1, lo + 1 : hi + 1], lp0[d] + table[idx + 1, lo:hi]
-            np.logaddexp(up, down, out=table[idx, lo:hi])
-    return table
-
+            up, down = lp1[d] + nxt[lo + 1 : hi + 1], lp0[d] + nxt[lo:hi]
+            np.logaddexp(up, down, out=rows[idx][lo:hi])
+    return rows

@@ -10,23 +10,21 @@ A schedule of several interim constraints is handled segment by segment:
 within segment k only the next look's constraint enters the transition.
 
 Segment tables are kept across calls in the process-wide memo of
-:mod:`condrand.distributions`, beside the float laws and covariance
-blocks, within its ``MEMO_BYTES`` (4 MiB); a larger entry is never kept.
-A table is kept as its band alone, under (design, start, start_count,
-end, end_count).  A chain that finds its table there copies the band
-into zeros, in about a fifth of a build's time at n = 250.
+:mod:`condrand.distributions` under (design, start, start_count, end,
+end_count), each as its band and the walk's row views, so a chain that
+finds its table there reads it at once; above 5 MiB one is never kept.
 """
 
 from __future__ import annotations
 
 import copy
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .design import DesignSpec, TreatmentSequence, _imbalance_probabilities
-from . import distributions
 from .distributions import BLOCK_ENTRIES, _reach, _recall, _remember, backward_log_table
 from .errors import InfeasibleError, NumericalError
 from .scores import step_sums
@@ -109,76 +107,71 @@ class LookSchedule:
         return {"looks": [{"r": l.position, "n1": l.count} for l in self.looks]}
 
 
+class _Rows(list):
+    """A segment's transition rows, read-only views of one band indexed by
+    count: ``row[m]`` is psi[j, m] for m on the band.  ``nbytes`` counts the
+    band, the list and its views, all that the memo keeps of them."""
+
+    __slots__ = ("nbytes",)
+
+
 class ConditionalChain:
     """The design's chain conditioned on look counts, one segment at a time.
 
     ``table(start, start_count, end, end_count)`` is the segment's
     transition table psi[j - start, m] = P(T_{j+1} = 1 | N1(j) = m,
-    N1(end) = end_count), of shape (end - start, end + 2).  It is built on
-    first use, in the segment's backward log table itself, and then read
-    by every sampler and covariance that holds this chain.  Row j is
-    exactly 0 off its band, the counts that can still reach ``end_count``,
-    so a table the memo keeps as its bands has the bytes of a build.
-    ``blocks`` keeps each segment's conditional covariance block under the
-    same key, filled by :mod:`condrand.covariance`.
+    N1(end) = end_count) as :class:`_Rows`, built on first use in the band
+    of its backward log table (at step j, the counts that can still reach
+    ``end_count``) and then read from the memo.  A count whose steps left
+    must all be 1 has psi exactly 1, and one that may take no more 1s
+    exactly 0, so a walk never leaves its band.  ``blocks`` keeps each
+    segment's covariance block under the same key (:mod:`condrand.covariance`).
     """
 
     def __init__(self, design: DesignSpec):
         self.design = design
-        self._tables: dict[tuple[int, int, int, int], np.ndarray] = {}
         self.blocks: dict[tuple[int, int, int, int], np.ndarray] = {}
 
-    def table(self, start: int, start_count: int, end: int, end_count: int) -> np.ndarray:
-        key = (start, start_count, end, end_count)
-        if key in self._tables:
-            return self._tables[key]
+    def table(self, start: int, start_count: int, end: int, end_count: int) -> _Rows:
         if not 0 <= start < end:
             raise ValueError(f"need 0 <= start < end, got positions {start} and {end}")
         if not 0 <= start_count <= start:
             raise InfeasibleError(f"count {start_count} at position {start} is outside 0..{start}")
-        lows, highs = _reach(start, end, end_count)
-        band = _recall((self.design, *key))
-        if band is not None:
-            psi = self._tables[key] = np.zeros((end - start, end + 2))
-            at = 0
-            for row, lo, hi in zip(psi, lows, highs):
-                row[lo:hi] = band[at : at + hi - lo]
-                at += hi - lo
-            return psi
-        table = backward_log_table(self.design, start, end, end_count)
-        if table[0, start_count] == _NEG_INF:
-            raise InfeasibleError(
-                f"look (position {end}, count {end_count}) is unreachable "
-                f"from count {start_count} at position {start} under {self.design.label()}"
-            )
-        # Rows turn from log probabilities into psi a block at a time, from
-        # the top: the block of rows a..b-1 reads log rows a..b, and row b
-        # stays a log row until its own block.  A block computes only the
-        # counts from the first of its first row's band to the last of its
-        # last row's, and writes 0 over the rest of its rows; inside those
-        # counts, a state off its row's band has a log row of -inf, so 0.
-        pr = _imbalance_probabilities(self.design, end)
-        rows = max(1, BLOCK_ENTRIES // (end + 1))
-        for lo in range(start, end, rows):
-            hi = min(lo + rows, end)
-            a, b = lo - start, hi - start
-            c0, c1 = lows[a], highs[b - 1]
-            cur, up = table[a:b, c0:c1], table[a + 1 : b + 1, c0 + 1 : c1 + 1]
-            with np.errstate(invalid="ignore"):
-                ratio = np.where(cur > _NEG_INF, np.exp(up - cur), 0.0)
-            # P(T_{j+1} = 1 | N1(j) = m) is pr[end + 2m - j]: a read-only view of pr
-            view = (b - a, c1 - c0), (-pr.itemsize, 2 * pr.itemsize)
-            box = np.lib.stride_tricks.as_strided(pr[end + 2 * c0 - lo :], *view, writeable=False)
-            block = box * ratio
-            if block.max(initial=0.0) > 1.0 + 1e-9:
-                raise NumericalError("transition probability exceeds 1")
-            table[a:b, :c0] = table[a:b, c1:] = 0.0
-            np.clip(block, 0.0, 1.0, out=table[a:b, c0:c1])
-        psi = self._tables[key] = table[:-1]
-        if (sum(highs) - sum(lows)) * psi.itemsize <= distributions.MEMO_BYTES:
-            band = np.concatenate([row[lo:hi] for row, lo, hi in zip(psi, lows, highs)])
-            _remember((self.design, *key), band)
-        return psi
+        key = (self.design, start, start_count, end, end_count)
+        return _recall(key) or _build_rows(*key)
+
+
+def _build_rows(design: DesignSpec, start: int, start_count: int, end: int, end_count: int):
+    rows = backward_log_table(design, start, end, end_count)
+    lows, highs = _reach(start, end, end_count)
+    if not lows[0] <= start_count < highs[0] or rows[0][start_count] == _NEG_INF:
+        raise InfeasibleError(
+            f"look (position {end}, count {end_count}) is unreachable "
+            f"from count {start_count} at position {start} under {design.label()}"
+        )
+    # from the top, each log row turns into psi in place, its up moves read from
+    # row j + 1, still a log row, where the -inf after a band gives a forced 0
+    band, pr = rows[0].base, _imbalance_probabilities(design, end)
+    with np.errstate(invalid="ignore"):
+        for j, row, nxt, lo, hi in zip(range(start, end), rows, rows[1:], lows, highs):
+            cur = row[lo:hi]
+            np.subtract(nxt[lo + 1 : hi + 1], cur, out=cur)
+            np.exp(cur, out=cur)
+            cur *= pr[end + 2 * lo - j : end + 2 * hi - j : 2]
+        if not np.isfinite(band.max()):  # nan or inf where a log row is -inf
+            band[~np.isfinite(band)] = 0.0
+    if band.max() > 1.0 + 1e-9:
+        raise NumericalError("transition probability exceeds 1")
+    np.clip(band, 0.0, 1.0, out=band)
+    up = max(end - end_count - start, 0)  # from here on the lowest count must step up:
+    for row, lo in zip(rows[up:-1], lows[up:]):
+        row[lo] = row[lo] > 0.0  # exactly 1 where it can be reached
+    band.flags.writeable = False
+    for row in rows:
+        row.flags.writeable = False
+    out = _Rows(rows[:-1])
+    out.nbytes = band.nbytes + sys.getsizeof(out) + sum(map(sys.getsizeof, out))
+    return _remember((design, start, start_count, end, end_count), out)
 
 
 def _walk_buffers(n: int, size: int) -> tuple[np.ndarray, ...]:
@@ -210,7 +203,7 @@ def _walk(rows, rng: np.random.Generator | int | None, size: int, *, _buffers=()
     for start in range(0, n, block):
         u = rng.random(out=uniforms[: n - start])
         for row, u_j, step in zip(rows[start : start + block], u, steps[start:]):
-            # counts never leave 0..j, so clipping skips a bounds check only
+            # counts never leave their band, so clipping skips a bounds check only
             row.take(m, out=prob, mode="clip")
             np.less(u_j, prob, out=step)
             m += step
@@ -242,7 +235,7 @@ class MultilookSampler:
         self.schedule = schedule
         self.n = schedule.horizon
         self.chain = ConditionalChain(design)
-        # row j of the walk is a view into its segment's table
+        # row j of the walk is a count-indexed view into its segment's band
         self._rows = [row for seg in schedule.segments() for row in self.chain.table(*seg)]
         self._work = ()  # accumulate_statistics' buffers, kept for the next call
 
@@ -257,10 +250,12 @@ class MultilookSampler:
         return out
 
     def transition(self, j: int, m: int) -> float:
-        """Tabulated P(T_{j+1} = 1 | state, constraints ahead)."""
+        """Tabulated P(T_{j+1} = 1 | state, constraints ahead), 0.0 off the band."""
         if not 0 <= j < self.n or not 0 <= m <= j:
             raise ValueError(f"invalid state (j={j}, m={m})")
-        return float(self._rows[j][m])
+        _, _, end, count = next(seg for seg in self.schedule.segments() if j < seg[2])
+        lows, highs = _reach(j, end, count)
+        return float(self._rows[j][m]) if lows[0] <= m < highs[0] else 0.0
 
     def draw_batch(self, rng: np.random.Generator | int | None, size: int) -> np.ndarray:
         """A (size, n) int8 matrix of independent constrained sequences."""

@@ -653,7 +653,9 @@ def reference_backward_log_table(design: DesignSpec, start: int, end: int, targe
 
 def reference_segment_chain(design: DesignSpec, r0: int, m0: int, r1: int, m1: int):
     """Transition table psi[j - r0, m] of one segment, row by row from
-    :func:`reference_backward_log_table`."""
+    :func:`reference_backward_log_table`.  A reachable count whose steps
+    left must all be 1 (m1 - m = r1 - j) has psi exactly 1; one that may
+    take no more 1s (m = m1) has psi exactly 0 by the -inf it reads."""
     table = reference_backward_log_table(design, r0, r1, m1)
     if table[0, m0] == _NEG_INF:
         raise InfeasibleError(f"count {m1} at {r1} is unreachable from {m0} at {r0}")
@@ -668,7 +670,40 @@ def reference_segment_chain(design: DesignSpec, r0: int, m0: int, r1: int, m1: i
         if row.max(initial=0.0) > 1.0 + 1e-9:
             raise AssertionError("transition probability exceeds 1")
         psi[idx, : j + 1] = np.clip(row, 0.0, 1.0)
+        forced = m1 - (r1 - j)
+        if 0 <= forced <= j and psi[idx, forced] > 0.0:
+            psi[idx, forced] = 1.0
     return psi
+
+
+def bands(start: int, end: int, target: int, rows: int) -> list[tuple[int, int]]:
+    """(lo, hi) of the first ``rows`` steps from ``start``: the counts
+    lo <= m < hi that can still reach N1(end) = target, written out apart
+    from ``distributions._reach``; at ``end`` itself, the target alone."""
+    out = [(max(0, target - (end - j)), min(j, target) + 1) for j in range(start, end)]
+    return (out + [(target, target + 1)])[:rows]
+
+
+def on_band(table, start: int, end: int, target: int) -> np.ndarray:
+    """The band entries of ``table``, dense or count-indexed rows, row after row."""
+    spans = bands(start, end, target, len(table))
+    return np.concatenate([np.asarray(row[lo:hi]) for row, (lo, hi) in zip(table, spans)])
+
+
+def off_band(table: np.ndarray, start: int, end: int, target: int) -> np.ndarray:
+    """The entries of a dense ``table`` off its band."""
+    keep = np.ones(table.shape, dtype=bool)
+    for row, (lo, hi) in zip(keep, bands(start, end, target, len(table))):
+        row[lo:hi] = False
+    return table[keep]
+
+
+def dense_table(rows, start: int, end: int, target: int, fill: float) -> np.ndarray:
+    """Count-indexed band rows laid out full width, ``fill`` off the band."""
+    out = np.full((len(rows), end + 2), fill)
+    for row, dense, (lo, hi) in zip(rows, out, bands(start, end, target, len(rows))):
+        dense[lo:hi] = row[lo:hi]
+    return out
 
 
 def _step_weights(design: DesignSpec):

@@ -207,12 +207,17 @@ class TestSampleAndPvalue:
         assert text.startswith("# design=bcd:0.6")
         body = [l for l in text.splitlines() if not l.startswith("#")]
         assert len(body) == 3 and all(len(l) == 12 for l in body)
-        # sequences are accepted verbatim as observed assignments
-        code, out, _ = run_cli(
-            capsys, "pvalue", "--design", "bcd:0.6",
-            "--responses", str(trial_files["responses"]),
+        argv = [
+            "pvalue", "--design", "bcd:0.6", "--responses", str(trial_files["responses"]),
             "--assignments", str(seq_out), "--reps", "500", "--seed", "5",
-        )
+        ]
+        # one test takes one sequence: the second, on line 3, is refused
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err == f"error: {seq_out}:3: a second sequence needs --stratified\n"
+        # a sequence is accepted verbatim as the observed assignments
+        seq_out.write_text("".join(text.splitlines(keepends=True)[:2]))
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         payload = json.loads(out)
         assert 0.0 <= payload["estimate"] <= 1.0
@@ -410,7 +415,7 @@ class TestErrorPaths:
         assert err.startswith("error: ballot numerator ")
 
     def test_oversized_horizon_exit_3(self):
-        # the chain table would take 29.1 TiB.  The address-space cap makes
+        # the chain table's band would take 7.28 TiB.  The address-space cap makes
         # its allocation fail at once; without it, a host that always
         # overcommits would let numpy touch the pages.
         code = (
@@ -425,7 +430,7 @@ class TestErrorPaths:
             capture_output=True, text=True, timeout=60,
         )
         assert (done.returncode, done.stdout) == (3, ""), done.stderr
-        assert done.stderr.startswith("error: out of memory: Unable to allocate 29.1 TiB ")
+        assert done.stderr.startswith("error: out of memory: Unable to allocate 7.28 TiB ")
         assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
 
     def test_bare_memory_error_exit_3(self, capsys, monkeypatch):
@@ -634,6 +639,8 @@ class TestErrorPaths:
         assert (code, out) == (4, "")
         assert err.startswith(f"error: cannot write {out_path}: ")
 
+    STRATUM_COLUMN = "{r}: a stratum column (column 2) needs --stratified"
+
     @pytest.mark.parametrize(
         "responses, assignments, message",
         [
@@ -641,6 +648,11 @@ class TestErrorPaths:
             ("1\n2\n3\n4\n", "0121\n", "{a}:1: expected a 0/1 string, got '0121'"),
             ("1\n2\n3\n4\n", "", "{a}: no assignment sequences"),
             ("1\n2\n3\n4\n", "01\n", "4 responses but the assignment sequence has length 2"),
+            # one test reads one sequence and no strata, unless --stratified
+            ("1\n2\n3\n4\n", "0101\n1111\n", "{a}:2: a second sequence needs --stratified"),
+            ("1\n2\n3\n4\n", "# seen\n0101\n\n11\n", "{a}:4: a second sequence needs --stratified"),
+            ("1,A\n2,A\n3,B\n4,B\n", "0101\n", STRATUM_COLUMN),
+            ("x,site\n1,A\n2,A\n3,B\n4,B\n", "0101\n1111\n", STRATUM_COLUMN),
         ],
     )
     def test_unusable_pvalue_input_exit_4(self, capsys, tmp_path, responses, assignments, message):

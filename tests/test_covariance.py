@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 from collections import OrderedDict
@@ -36,6 +37,8 @@ from oracles import (
     enumerate_law,
     exact_covariance,
     exact_interim_denominator,
+    off_band,
+    on_band,
     oracle_sequence_law,
     reference_segment_chain,
     theta_single,
@@ -482,12 +485,13 @@ class TestBlockMoments:
         assert lam[:, 7].tobytes() == want.tobytes()
 
     def test_sweep_memory_holds_a_band_wide_move(self, empty_memo):
-        # psi, rho, g and lam are (about) 1000 x 1002 each; the update
-        # buffer is only as wide as the reachable band, here 501 counts;
-        # the table's own band, 251,000 entries, stays in the memo
+        # rho, g and lam are (about) 1000 x 1002 each, and psi is laid out
+        # full width one row at a time; the update buffer is only as wide
+        # as the reachable band, here 501 counts; the table's own band,
+        # 251,000 entries and a -inf after each of its 1001 rows, stays in
+        # the memo with its row views
         n, n1 = 1000, 500
         band = sum(min(j, n1) + 1 - max(0, n1 - n + j) for j in range(n))
-        arrays = (3 * n * (n + 2) + (n + 2) + n * n + n * (min(n1, n - n1) + 1) + band) * 8
         covariance_final(DesignSpec.bcd(0.75), 40, 20)
         tracemalloc.start()
         try:
@@ -495,15 +499,21 @@ class TestBlockMoments:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        rows = empty_memo[DesignSpec.bcd(0.75), 0, 0, n, n1]
+        arrays = (2 * n * (n + 2) + n * n + n * (min(n1, n - n1) + 1)) * 8 + rows.nbytes
         assert peak <= 1.05 * arrays, (peak, arrays)
-        assert empty_memo[DesignSpec.bcd(0.75), 0, 0, n, n1].size == band == 251_000
+        assert rows[0].base.size == band + n + 2 and band == 251_000
 
     def test_sampler_and_covariance_share_the_chain(self):
         design = DesignSpec.bcd(0.75)
         schedule = LookSchedule.from_pairs([(25, 13), (40, 19), (61, 30)])
         chain = MultilookSampler(design, schedule).chain
         for segment in schedule.segments():
-            assert np.array_equal(chain.table(*segment), reference_segment_chain(design, *segment))
+            r0, _, r1, m1 = segment
+            want = reference_segment_chain(design, *segment)
+            rows = chain.table(*segment)
+            assert np.array_equal(on_band(rows, r0, r1, m1), on_band(want, r0, r1, m1))
+            assert not off_band(want, r0, r1, m1).any()
 
 
 class TestBlockSharing:
@@ -573,9 +583,10 @@ class TestBlockSharing:
         assert calls == []
 
 
-# one-look horizons 1446 and 1447 at n1 = n // 2: the last table band that
-# fits the default memo budget and the first that does not
-BAND_EDGE = ((1446, 723), (1447, 723))
+# one-look horizons 1585 and 1586 at n1 = n // 2: the last table that fits
+# the default memo budget, band and row views together, and the first that
+# does not
+BAND_EDGE = ((1585, 792), (1586, 793))
 
 
 class TestBlockMemo:
@@ -591,21 +602,23 @@ class TestBlockMemo:
         return [(kinds[len(key)], key[1] if len(key) == 2 else key[1:]) for key in memo]
 
     def test_evicts_least_recently_used_by_bytes(self, monkeypatch, empty_memo):
-        # the bands of the 10-, 12- and 14-step tables take 280, 384 and 504
-        # bytes; their blocks 800, 1152 and 1568
-        monkeypatch.setattr(distributions, "MEMO_BYTES", 3000)
+        # the 10-, 12- and 14-step tables take 1640, 2000 and 2376 bytes with
+        # their row views; their blocks 800, 1152 and 1568
+        monkeypatch.setattr(distributions, "MEMO_BYTES", 6000)
         covariance_final(self.DESIGN, 10, 5)
         covariance_final(self.DESIGN, 12, 6)
         covariance_final(self.DESIGN, 10, 5)  # a block hit, which asks for no table
+        assert [e.nbytes for e in empty_memo.values()] == [1640, 2000, 1152, 800]
         assert self.entries(empty_memo) == [
             ("table", (0, 0, 10, 5)), ("table", (0, 0, 12, 6)),
             ("block", (0, 0, 12, 6)), ("block", (0, 0, 10, 5)),
         ]
-        covariance_final(self.DESIGN, 14, 7)  # its table evicts one, its block two more
+        covariance_final(self.DESIGN, 14, 7)  # its table evicts two, its block none
         assert self.entries(empty_memo) == [
-            ("block", (0, 0, 10, 5)), ("table", (0, 0, 14, 7)), ("block", (0, 0, 14, 7)),
+            ("block", (0, 0, 12, 6)), ("block", (0, 0, 10, 5)),
+            ("table", (0, 0, 14, 7)), ("block", (0, 0, 14, 7)),
         ]
-        MultilookSampler(self.DESIGN, LookSchedule.single(10, 5))  # 3152 bytes: the oldest goes
+        MultilookSampler(self.DESIGN, LookSchedule.single(10, 5))  # 7536 bytes: the two oldest go
         MultilookSampler(self.DESIGN, LookSchedule.single(14, 7))  # a table hit
         assert self.entries(empty_memo) == [
             ("block", (0, 0, 14, 7)), ("table", (0, 0, 10, 5)), ("table", (0, 0, 14, 7)),
@@ -614,7 +627,7 @@ class TestBlockMemo:
     def test_laws_count_their_bytes_in_the_same_order(self, monkeypatch, empty_memo):
         # a law of horizon n takes 8(n + 1) bytes: 800 at n = 99, 200 at
         # n = 24 and 600 at n = 74
-        monkeypatch.setattr(distributions, "MEMO_BYTES", 3000)
+        monkeypatch.setattr(distributions, "MEMO_BYTES", 4600)
         pmf_table(self.DESIGN, 99)
         covariance_final(self.DESIGN, 10, 5)
         pmf_table(self.DESIGN, 24, given=(10, 4))
@@ -623,25 +636,25 @@ class TestBlockMemo:
             ("table", (0, 0, 10, 5)), ("block", (0, 0, 10, 5)),
             ("law", (24, (10, 4))), ("law", (99, None)),
         ]
-        covariance_final(self.DESIGN, 12, 6)  # 2464 bytes, then its block evicts two
+        covariance_final(self.DESIGN, 12, 6)  # 5440 bytes, then its block evicts one more
         assert self.entries(empty_memo) == [
             ("law", (24, (10, 4))), ("law", (99, None)),
             ("table", (0, 0, 12, 6)), ("block", (0, 0, 12, 6)),
         ]
-        pmf_table(self.DESIGN, 74)  # 3136 bytes: the oldest law goes
+        pmf_table(self.DESIGN, 74)  # 4752 bytes: the oldest law goes
         assert self.entries(empty_memo) == [
             ("law", (99, None)), ("table", (0, 0, 12, 6)), ("block", (0, 0, 12, 6)),
             ("law", (74, None)),
         ]
-        assert sum(e.nbytes for e in empty_memo.values()) == 2936
-        pmf_table(self.DESIGN, 400)  # 3208 bytes, above the budget: never kept
-        assert sum(e.nbytes for e in empty_memo.values()) == 2936 and len(empty_memo) == 4
+        assert sum(e.nbytes for e in empty_memo.values()) == 4552
+        pmf_table(self.DESIGN, 600)  # 4808 bytes, above the budget: never kept
+        assert sum(e.nbytes for e in empty_memo.values()) == 4552 and len(empty_memo) == 4
 
     def test_byte_total_follows_inserts_hits_and_evictions(self, monkeypatch, empty_memo):
         # every recall and remember is replayed on a plain OrderedDict under
         # the rule the running total replaced: after each insertion, evict
         # the oldest while the summed bytes of every entry exceed the budget
-        monkeypatch.setattr(distributions, "MEMO_BYTES", 3000)
+        monkeypatch.setattr(distributions, "MEMO_BYTES", 6000)
         calls = []
         for module in (distributions, sampling):
             recall, remember = distributions._recall, distributions._remember
@@ -658,24 +671,30 @@ class TestBlockMemo:
                 if nbytes is None:
                     if key in reference:
                         reference.move_to_end(key)
-                elif nbytes <= 3000:
+                elif nbytes <= 6000:
                     reference[key] = nbytes
-                    while sum(reference.values()) > 3000:
+                    while sum(reference.values()) > 6000:
                         reference.popitem(last=False)
             calls.clear()
             assert list(empty_memo) == list(reference)
             assert empty_memo.nbytes == sum(e.nbytes for e in empty_memo.values())
 
         rng = np.random.default_rng(28)
-        for n in rng.integers(2, 60, 150):  # laws of 24 to 480 bytes: 30 hits, 110 evictions
+        three_looks = LookSchedule.from_pairs([(4, 2), (10, 5), (14, 7)])
+        for n in rng.integers(2, 60, 150):  # laws of 24 to 480 bytes, and tables between
             pmf_table(self.DESIGN, int(n), given=(1, 1) if n % 3 == 0 else None)
+            if n % 10 == 0:
+                MultilookSampler(self.DESIGN, three_looks.prefix(1 + n % 3))
             check()
         covariance_final(self.DESIGN, 12, 6)  # a table and a block
         check()
-        pmf_table(self.DESIGN, 400)  # above the budget: never kept
+        pmf_table(self.DESIGN, 800)  # above the budget: never kept
         MultilookSampler(self.DESIGN, LookSchedule.single(12, 6))  # a table hit
+        MultilookSampler(self.DESIGN, three_looks)
+        pmf_table(self.DESIGN, 30, given=(1, 1))
         check()
-        assert 0 < empty_memo.nbytes <= 3000
+        kinds = {kind for kind, _ in self.entries(empty_memo)}
+        assert kinds == {"law", "table", "block"} and 0 < empty_memo.nbytes <= 6000
         empty_memo.clear()
         assert empty_memo.nbytes == 0
         reference.clear()
@@ -683,12 +702,31 @@ class TestBlockMemo:
         check()
         assert empty_memo.nbytes == 800
 
+    @pytest.mark.parametrize("n", [500, 1000])
+    def test_a_table_counts_what_it_holds(self, n, empty_memo):
+        # the band, the list and its row views: what the build leaves
+        # behind, but for each view's small shape and strides allocation
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ConditionalChain(self.DESIGN).table(0, 0, n, n // 2)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        (rows,) = empty_memo.values()
+        assert rows.nbytes > rows[0].base.nbytes + 100 * len(rows)
+        assert abs(held - rows.nbytes) <= 0.02 * rows.nbytes, (held, rows.nbytes)
+
     def test_entry_above_the_budget_is_never_kept(self, monkeypatch, empty_memo):
         # at the default budget, the first horizon whose block is never kept
-        # is 725; the first whose table is never kept (n1 = n // 2), 1447
-        assert 724**2 * 8 <= distributions.MEMO_BYTES == 4 << 20 < 725**2 * 8
-        band = [sum(min(j, n1) + 1 - max(0, n1 - n + j) for j in range(n)) for n, n1 in BAND_EDGE]
-        assert band[0] * 8 <= distributions.MEMO_BYTES < band[1] * 8
+        # is 810; the first whose table is never kept (n1 = n // 2), 1586
+        assert 809**2 * 8 <= distributions.MEMO_BYTES == 5 << 20 < 810**2 * 8
+        for (n, n1), kept in zip(BAND_EDGE, (True, False)):
+            ConditionalChain(self.DESIGN).table(0, 0, n, n1)
+            assert ((self.DESIGN, 0, 0, n, n1) in empty_memo) is kept
+        empty_memo.clear()
         monkeypatch.setattr(distributions, "MEMO_BYTES", 3000)
         covariance_final(self.DESIGN, 10, 5)
         calls, tables = [], []
@@ -700,16 +738,15 @@ class TestBlockMemo:
             sampling, "backward_log_table", lambda *a: tables.append(a) or build(*a)
         )
         for _ in range(2):
-            covariance_final(self.DESIGN, 20, 10)  # a 960-byte band, a 3200-byte block
-            MultilookSampler(self.DESIGN, LookSchedule.single(40, 20))  # a 3520-byte band
-        assert self.entries(empty_memo) == [
-            ("table", (0, 0, 10, 5)), ("block", (0, 0, 10, 5)), ("table", (0, 0, 20, 10)),
-        ]
-        assert len(calls) == 2 and len(tables) == 3
+            covariance_final(self.DESIGN, 20, 10)  # a 3600-byte table, a 3200-byte block
+            MultilookSampler(self.DESIGN, LookSchedule.single(40, 20))  # an 8720-byte table
+        assert self.entries(empty_memo) == [("table", (0, 0, 10, 5)), ("block", (0, 0, 10, 5))]
+        assert len(calls) == 2 and len(tables) == 4
 
     def test_memo_entries_are_read_only(self, empty_memo):
         covariance_final(self.DESIGN, 12, 6)
-        for entry in (empty_memo[self.DESIGN, 0, 0, 12, 6], empty_memo[self.DESIGN, (0, 0, 12, 6)]):
+        rows, block = empty_memo[self.DESIGN, 0, 0, 12, 6], empty_memo[self.DESIGN, (0, 0, 12, 6)]
+        for entry in (rows[0].base, *rows, block):
             with pytest.raises(ValueError, match="read-only"):
                 entry[0] = 1.0
 

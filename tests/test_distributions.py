@@ -24,6 +24,7 @@ from oracles import (
     backward_exact_table,
     closed_form_exact,
     count_constraints_predicate,
+    dense_table,
     enumerate_law,
     reference_eval_series_float,
     reference_plan_conditional,
@@ -109,7 +110,7 @@ class TestUnconditionalPmf:
             assert abs(math.log(table[n1]) - want) < 1e-12, n1
             # the backward recursion drifts further, up to 1.3e-11 here at
             # log P = -88, so it is held to the exact value relatively
-            backward = backward_log_table(design, 0, n, n1)[0, 0]
+            backward = backward_log_table(design, 0, n, n1)[0][0]
             assert abs(backward - want) < 1e-12 * abs(want), n1
 
     def test_table_at_horizon_2000_is_the_per_count_law(self):
@@ -502,7 +503,7 @@ class TestBackwardTables:
     def test_matches_closed_form(self):
         for design in (DesignSpec.bcd(0.6), DesignSpec.bcd(1.0), DesignSpec.complete()):
             n, n1 = 24, 10
-            table = backward_log_table(design, 0, n, n1)
+            table = dense_table(backward_log_table(design, 0, n, n1), 0, n, n1, -np.inf)
             for j in range(n + 1):
                 for m in range(j + 1):
                     want = conditional_pmf(design, n, n1, j, m)
@@ -511,7 +512,7 @@ class TestBackwardTables:
 
     def test_matches_closed_form_midsegment(self):
         design = DesignSpec.bcd(0.75)
-        table = backward_log_table(design, 5, 20, 9)
+        table = dense_table(backward_log_table(design, 5, 20, 9), 5, 20, 9, -np.inf)
         for j in range(5, 21):
             for m in range(j + 1):
                 want = conditional_pmf(design, 20, 9, j, m)
@@ -529,7 +530,7 @@ class TestBackwardTables:
         design = DesignSpec.bcd(0.65)
         for n1 in (0, 3, 30, 60):
             table = backward_log_table(design, 0, 60, n1)
-            assert math.exp(table[0, 0]) == pytest.approx(
+            assert math.exp(table[0][0]) == pytest.approx(
                 unconditional_pmf(design, 60, n1), rel=1e-11
             )
 

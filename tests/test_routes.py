@@ -162,7 +162,7 @@ class TestStepSumsRoute:
 
 def reach_lists(start: int, end: int, target: int) -> tuple[list[int], list[int]]:
     """``_reach`` as Python comprehensions."""
-    steps = range(start, end)
+    steps = range(start, end + 1)
     return [max(0, target - (end - j)) for j in steps], [min(j, target) + 1 for j in steps]
 
 
