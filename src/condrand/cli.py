@@ -31,7 +31,7 @@ from .montecarlo import (
     estimate_pvalue_stratified,
 )
 from .monitoring import SpendingFunction, estimate_boundaries
-from .sampling import ConditionalChain, LookSchedule, MultilookSampler
+from .sampling import LookSchedule, MultilookSampler
 from .scores import (
     SIMPLE_RANK,
     Stratum,
@@ -106,6 +106,13 @@ def read_responses(path: str) -> tuple[np.ndarray, list[str] | None]:
     if strata and len(strata) != len(values):
         raise CliInputError(f"{path}: stratum column must be present on every row")
     return np.asarray(values), (strata or None)
+
+
+def _read_unstratified(path: str) -> np.ndarray:
+    values, labels = read_responses(path)
+    if labels is not None:  # refused, not ignored
+        raise CliInputError(f"{path}: only pvalue --stratified reads a stratum column (column 2)")
+    return values
 
 
 def read_assignments(path: str, many: bool) -> list[TreatmentSequence]:
@@ -268,7 +275,7 @@ def _cmd_pvalue(args) -> dict:
 
 def _cmd_boundaries(args) -> dict:
     schedule, design = _schedule_and_design(args.schedule, args.design)
-    values, _ = read_responses(args.responses)
+    values = _read_unstratified(args.responses)
     sf = SpendingFunction(args.spending, args.alpha)
     result = estimate_boundaries(
         design, schedule, values, sf, args.reps, substream(args.seed, 0), info_mode=args.info,
@@ -279,14 +286,14 @@ def _cmd_boundaries(args) -> dict:
 
 def _cmd_info(args) -> dict:
     schedule, design = _schedule_and_design(args.schedule, args.design)
-    values, _ = read_responses(args.responses)
-    chain = ConditionalChain(design)  # each segment built once across looks
+    values = _read_unstratified(args.responses)
+    blocks: dict = {}  # each covariance block swept once across the looks
     per_look = []
     for look in range(1, len(schedule) + 1):
         frac = information_at_look(
             design, schedule, values, look, mode=args.mode, bootstrap=args.bootstrap,
             rng=None if args.seed is None else substream(args.seed, look),
-            kind=args.scores, _chain=chain,
+            kind=args.scores, _blocks=blocks,
         )
         per_look.append(asdict(frac))
     return {"per_look": per_look, "seed": args.seed, "mode": args.mode}

@@ -4,9 +4,9 @@ randomization-based information fraction.
 Conditioning the randomization procedure on interim counts turns it into
 a Markov chain whose transitions are the sampler's; conditional means and
 cross moments then come from forward sweeps of that chain against its
-occupancy law.  Its tables are the sampler's, from the process-wide memo
-of :mod:`condrand.distributions`, which keeps each swept block too; this
-module keeps no cache of its own.
+occupancy law.  Its tables are the sampler's, from :func:`chain_rows`; the
+memo of :mod:`condrand.distributions` keeps each swept block under (design,
+segment), as does a caller's dict across looks.
 
 Covariances under a schedule are block diagonal across look segments:
 assignments in different segments are conditionally uncorrelated.
@@ -26,7 +26,7 @@ import numpy as np
 from .design import DesignSpec
 from .distributions import _memoized, _reach, conditional_pmf
 from .errors import DegenerateScoresError, InfeasibleError
-from .sampling import ConditionalChain, Look, LookSchedule
+from .sampling import Look, LookSchedule, chain_rows
 from .scores import SIMPLE_RANK, ScoreVector, _centered, _counted_midranks, centered_scores
 from .streams import as_generator
 
@@ -45,7 +45,7 @@ class InformationFraction:
 # Whole blocks by conditional-chain sweeps.
 
 
-def _block_moments_float(chain: ConditionalChain, r0: int, m0: int, r1: int, m1: int):
+def _block_moments_float(design: DesignSpec, r0: int, m0: int, r1: int, m1: int):
     """Conditional means and cross moments of T within one segment.
 
     One pass over the steps.  Row b of ``rho`` is the law of the count
@@ -61,7 +61,7 @@ def _block_moments_float(chain: ConditionalChain, r0: int, m0: int, r1: int, m1:
     whole table's.  The sweep updates touch only the counts m0 + b can
     still reach on the way to m1; off that band psi is 0 or no mass is held.
     """
-    rows = chain.table(r0, m0, r1, m1)
+    rows = chain_rows(design, r0, m0, r1, m1)
     s, width = len(rows), r1 + 2
     rho = np.zeros((s, width))
     rho[0, m0] = 1.0
@@ -88,32 +88,31 @@ def _block_moments_float(chain: ConditionalChain, r0: int, m0: int, r1: int, m1:
 
 
 def covariance_multilook(
-    design: DesignSpec, schedule: LookSchedule, *, _chain: ConditionalChain | None = None
+    design: DesignSpec, schedule: LookSchedule, *, _blocks: dict | None = None
 ) -> np.ndarray:
     """Covariance of the first r_L assignments given every look count.
 
-    The matrix is block diagonal with one block per segment.  ``_chain``,
-    a chain of the same design, keeps the blocks, so a caller that passes
-    one chain to several calls sweeps each segment once.  A block the chain
-    lacks is read from the memo of :mod:`condrand.distributions` when a
-    call before swept it under the chain's own design: one lookup, no sweep.
+    The matrix is block diagonal with one block per segment, read from the
+    memo of :mod:`condrand.distributions` under (design, segment) once swept.
+    ``_blocks``, a dict keyed alike, keeps them too, so a caller that passes
+    one dict to several calls sweeps each segment once, even past the memo.
     """
-    chain = ConditionalChain(design) if _chain is None else _chain
+    blocks = {} if _blocks is None else _blocks
 
     def sweep(segment) -> np.ndarray:
-        theta, lam = _block_moments_float(chain, *segment)
+        theta, lam = _block_moments_float(design, *segment)
         block = lam + lam.T - np.outer(theta, theta)
         np.fill_diagonal(block, theta * (1.0 - theta))
         return block
 
     for segment in schedule.segments():
-        if segment not in chain.blocks:
-            chain.blocks[segment] = _memoized((chain.design, segment), lambda: sweep(segment))
+        if (design, segment) not in blocks:
+            blocks[design, segment] = _memoized((design, segment), lambda: sweep(segment))
     # allocated after the sweeps, so that it does not add to their peak
     sigma = np.zeros((schedule.horizon,) * 2)
     for segment in schedule.segments():
         r0, _, r1, _ = segment
-        sigma[r0:r1, r0:r1] = chain.blocks[segment]
+        sigma[r0:r1, r0:r1] = blocks[design, segment]
     return sigma
 
 
@@ -201,7 +200,7 @@ def information_at_look(
     bootstrap: int = 100,
     rng: np.random.Generator | int | None = None,
     kind: str = SIMPLE_RANK,
-    _chain: ConditionalChain | None = None,
+    _blocks: dict | None = None,
 ) -> InformationFraction:
     """Information fraction at ``look`` from the responses seen so far.
 
@@ -220,7 +219,7 @@ def information_at_look(
             resampling (``bootstrap`` replicates, averaging the variance
             across completions); ``"full"`` uses the complete response
             vector as given.
-        _chain: Chain whose segment blocks to reuse and extend, as in
+        _blocks: Segment blocks to reuse and extend, as in
             :func:`covariance_multilook`.
     """
     # only a look before the last resamples the unseen responses
@@ -234,14 +233,13 @@ def information_at_look(
     if mode == "full" and x.size < horizon:
         raise ValueError(f"full mode needs {horizon} responses, got {x.size}")
     scores_l = centered_scores(x[:r_l], kind).values
-    chain = ConditionalChain(design) if _chain is None else _chain
     den_schedule = prefix
     if r_l < horizon:
         final_count = schedule.final_count
         if mode != "full":
             final_count = projected_final_count(design, prefix, look, horizon)
         den_schedule = LookSchedule(prefix.looks + (Look(horizon, final_count),))
-    sigma_n = covariance_multilook(design, den_schedule, _chain=chain)
+    sigma_n = covariance_multilook(design, den_schedule, _blocks=_blocks)
     num = float(scores_l @ sigma_n[:r_l, :r_l] @ scores_l)  # the prefix's blocks, in place
     if r_l == horizon:
         if num <= 0.0:

@@ -217,13 +217,14 @@ def estimate_boundaries(
         raise ValueError(f"got {len(info_fractions)} information fractions for {len(looks)} looks")
     # ranking first refuses an unknown score kind before any table is built
     prefix_scores = [centered_scores(x[: l.position], score_kind) for l in looks]
-    # one chain serves the covariance blocks and every stage
-    sampler = MultilookSampler(design, schedule)
+    # the whole schedule first, so that an unreachable look is refused before any work
+    MultilookSampler(design, schedule)
+    blocks: dict = {}  # each covariance block swept once across the looks
     if info_fractions is None:
         info_fractions = [
             information_at_look(
                 design, schedule, x, l, mode=info_mode, bootstrap=bootstrap,
-                rng=rng, kind=score_kind, _chain=sampler.chain,
+                rng=rng, kind=score_kind, _blocks=blocks,
             ).t
             for l in range(1, len(looks) + 1)
         ]
@@ -237,7 +238,8 @@ def estimate_boundaries(
     for l, look in enumerate(looks, start=1):
         alpha_l = alphas[l - 1]
         m_l = math.ceil(n_c / inflation)
-        stats_l = sampler.prefix(l).accumulate_statistics(rng, m_l, prefix_scores[:l])
+        stage = MultilookSampler(design, schedule.prefix(l))
+        stats_l = stage.accumulate_statistics(rng, m_l, prefix_scores[:l])
         keep = np.ones(m_l, dtype=bool)
         for i in range(l - 1):
             keep &= stats_l[:, i] <= bounds[i]

@@ -9,15 +9,15 @@ constrained set, with no rejection step.
 A schedule of several interim constraints is handled segment by segment:
 within segment k only the next look's constraint enters the transition.
 
-Segment tables are kept across calls in the process-wide memo of
-:mod:`condrand.distributions` under (design, start, start_count, end,
-end_count), each as its band and the walk's row views, so a chain that
-finds its table there reads it at once; above 5 MiB one is never kept.
+Segment tables come from :func:`chain_rows`, which keeps them across calls
+in the process-wide memo of :mod:`condrand.distributions` under (design,
+start, start_count, end, end_count), each as its band and the walk's row
+views, so a sampler, a covariance sweep or a later stage that finds its
+table there reads it at once; above 5 MiB one is never kept.
 """
 
 from __future__ import annotations
 
-import copy
 import sys
 from dataclasses import dataclass
 from typing import Iterable
@@ -115,30 +115,20 @@ class _Rows(list):
     __slots__ = ("nbytes",)
 
 
-class ConditionalChain:
-    """The design's chain conditioned on look counts, one segment at a time.
-
-    ``table(start, start_count, end, end_count)`` is the segment's
+def chain_rows(design: DesignSpec, start: int, start_count: int, end: int, end_count: int):
+    """The design's chain conditioned on look counts over one segment: its
     transition table psi[j - start, m] = P(T_{j+1} = 1 | N1(j) = m,
     N1(end) = end_count) as :class:`_Rows`, built on first use in the band
     of its backward log table (at step j, the counts that can still reach
-    ``end_count``) and then read from the memo.  A count whose steps left
-    must all be 1 has psi exactly 1, and one that may take no more 1s
-    exactly 0, so a walk never leaves its band.  ``blocks`` keeps each
-    segment's covariance block under the same key (:mod:`condrand.covariance`).
-    """
-
-    def __init__(self, design: DesignSpec):
-        self.design = design
-        self.blocks: dict[tuple[int, int, int, int], np.ndarray] = {}
-
-    def table(self, start: int, start_count: int, end: int, end_count: int) -> _Rows:
-        if not 0 <= start < end:
-            raise ValueError(f"need 0 <= start < end, got positions {start} and {end}")
-        if not 0 <= start_count <= start:
-            raise InfeasibleError(f"count {start_count} at position {start} is outside 0..{start}")
-        key = (self.design, start, start_count, end, end_count)
-        return _recall(key) or _build_rows(*key)
+    ``end_count``), then read from the memo under the arguments.  A count
+    whose steps left must all be 1 has psi exactly 1, and one that may take
+    no more 1s exactly 0, so a walk never leaves its band."""
+    if not 0 <= start < end:
+        raise ValueError(f"need 0 <= start < end, got positions {start} and {end}")
+    if not 0 <= start_count <= start:
+        raise InfeasibleError(f"count {start_count} at position {start} is outside 0..{start}")
+    key = (design, start, start_count, end, end_count)
+    return _recall(key) or _build_rows(*key)
 
 
 def _build_rows(design: DesignSpec, start: int, start_count: int, end: int, end_count: int):
@@ -225,29 +215,17 @@ def _unconditional_rows(design: DesignSpec, n: int) -> list[np.ndarray]:
 class MultilookSampler:
     """Draws sequences satisfying every constraint of a schedule.
 
-    The walk reads the rows of its :class:`ConditionalChain`, one table
-    per segment, so repeated draws and batch draws cost O(n) lookups per
-    sequence.
+    The walk reads the rows of :func:`chain_rows`, one table per segment,
+    so repeated draws and batch draws cost O(n) lookups per sequence.
     """
 
     def __init__(self, design: DesignSpec, schedule: LookSchedule):
         self.design = design
         self.schedule = schedule
         self.n = schedule.horizon
-        self.chain = ConditionalChain(design)
         # row j of the walk is a count-indexed view into its segment's band
-        self._rows = [row for seg in schedule.segments() for row in self.chain.table(*seg)]
+        self._rows = [row for seg in schedule.segments() for row in chain_rows(design, *seg)]
         self._work = ()  # accumulate_statistics' buffers, kept for the next call
-
-    def prefix(self, through_look: int) -> "MultilookSampler":
-        """This sampler cut to the first ``through_look`` looks; it shares
-        the chain, so nothing is rebuilt."""
-        out = copy.copy(self)
-        out.schedule = self.schedule.prefix(through_look)
-        out.n = out.schedule.horizon
-        out._rows = self._rows[: out.n]
-        out._work = ()
-        return out
 
     def transition(self, j: int, m: int) -> float:
         """Tabulated P(T_{j+1} = 1 | state, constraints ahead), 0.0 off the band."""

@@ -1,7 +1,8 @@
 """Reference routes to the package's laws, transitions and moments.
 
 The package computes transitions, means and covariances from one
-conditional chain per segment (``condrand.sampling.ConditionalChain``).
+conditional chain per segment, whose table ``condrand.sampling.chain_rows``
+builds and the memo of ``condrand.distributions`` keeps.
 The functions here reach the same quantities another way, so the tests
 can hold the package to them.  None of them is fast.  In order:
 

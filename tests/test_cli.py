@@ -666,6 +666,26 @@ class TestErrorPaths:
         assert (code, out) == (4, "")
         assert err == f"error: {message.format(r=resp, a=seqs)}\n"
 
+    @pytest.mark.parametrize("command", ["info", "boundaries"])
+    @pytest.mark.parametrize("header", ["", "y,site\n"])
+    def test_stratum_column_outside_pvalue_exit_4(
+        self, capsys, monkeypatch, tmp_path, command, header
+    ):
+        # once read as if the labels were not there: the golden 60
+        # responses, each labelled A or B, printed the unlabelled bytes
+        golden = Path(__file__).parent / "golden"
+        values = (golden / "responses60.csv").read_text().split()
+        resp = tmp_path / "labelled.csv"
+        resp.write_text(header + "".join(f"{v},{'AB'[i % 2]}\n" for i, v in enumerate(values)))
+        monkeypatch.setattr(cli, "estimate_boundaries", _never_called)
+        monkeypatch.setattr(cli, "information_at_look", _never_called)
+        code, out, err = run_cli(
+            capsys, command, "--design", "bcd:0.75", "--schedule",
+            str(golden / "schedule60.json"), "--responses", str(resp), "--seed", "1",
+        )
+        assert (code, out) == (4, "")
+        assert err == f"error: {resp}: only pvalue --stratified reads a stratum column (column 2)\n"
+
     @pytest.mark.parametrize(
         "assignments, message",
         [

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import tracemalloc
 from collections import OrderedDict
@@ -23,10 +24,11 @@ from condrand import (
 import condrand.covariance as covariance
 import condrand.distributions as distributions
 import condrand.sampling as sampling
+from condrand.cli import main
 from condrand.covariance import _block_moments_float, _ratio, projected_final_count
 from condrand.errors import InfeasibleError
 from condrand.monitoring import SpendingFunction, estimate_boundaries
-from condrand.sampling import ConditionalChain, MultilookSampler
+from condrand.sampling import MultilookSampler, chain_rows
 from condrand.scores import _midranks
 from oracles import (
     count_constraints_predicate,
@@ -444,9 +446,9 @@ class TestBlockMoments:
             want = reference_block_moments(design, r0, m0, r1, m1)
         except InfeasibleError:
             with pytest.raises(InfeasibleError):
-                _block_moments_float(ConditionalChain(design), r0, m0, r1, m1)
+                _block_moments_float(design, r0, m0, r1, m1)
             assume(False)
-        theta, lam = _block_moments_float(ConditionalChain(design), r0, m0, r1, m1)
+        theta, lam = _block_moments_float(design, r0, m0, r1, m1)
         assert np.array_equal(theta, want[0])
         assert np.array_equal(lam, want[1])
 
@@ -469,7 +471,7 @@ class TestBlockMoments:
     )
     def test_fixed_segments_equal_per_pair_loop(self, bias, segment):
         design = DesignSpec.complete() if bias is None else DesignSpec.bcd(bias)
-        theta, lam = _block_moments_float(ConditionalChain(design), *segment)
+        theta, lam = _block_moments_float(design, *segment)
         want = reference_block_moments(design, *segment)
         assert theta.tobytes() == want[0].tobytes()
         assert lam.tobytes() == want[1].tobytes()
@@ -504,16 +506,19 @@ class TestBlockMoments:
         assert peak <= 1.05 * arrays, (peak, arrays)
         assert rows[0].base.size == band + n + 2 and band == 251_000
 
-    def test_sampler_and_covariance_share_the_chain(self):
+    def test_sampler_and_covariance_share_the_tables(self, empty_memo):
         design = DesignSpec.bcd(0.75)
         schedule = LookSchedule.from_pairs([(25, 13), (40, 19), (61, 30)])
-        chain = MultilookSampler(design, schedule).chain
+        sampler = MultilookSampler(design, schedule)
+        covariance_multilook(design, schedule)  # its sweeps read the sampler's tables
         for segment in schedule.segments():
             r0, _, r1, m1 = segment
             want = reference_segment_chain(design, *segment)
-            rows = chain.table(*segment)
+            rows = chain_rows(design, *segment)
+            assert list(map(id, rows)) == list(map(id, sampler._rows[r0:r1]))
             assert np.array_equal(on_band(rows, r0, r1, m1), on_band(want, r0, r1, m1))
             assert not off_band(want, r0, r1, m1).any()
+        assert len(empty_memo) == 2 * len(schedule)
 
 
 class TestBlockSharing:
@@ -529,15 +534,31 @@ class TestBlockSharing:
             400, np.random.default_rng(seed), info_mode="interim", bootstrap=20, **kwargs,
         )
 
-    def test_each_segment_built_once(self, monkeypatch, empty_memo):
+    def swept_segments(self):
+        """Every segment whose block an interim information fraction asks
+        for: each look prefix's, and the projected denominator's last."""
+        want = set()
+        for l in range(1, len(self.SCHEDULE) + 1):
+            prefix = self.SCHEDULE.prefix(l)
+            want.update(prefix.segments())
+            if l < len(self.SCHEDULE):
+                n1 = projected_final_count(self.DESIGN, prefix, l, self.SCHEDULE.horizon)
+                want.add((prefix.horizon, prefix.final_count, self.SCHEDULE.horizon, n1))
+        return want
+
+    def count_sweeps(self, monkeypatch):
         calls = []
         inner = covariance._block_moments_float
 
-        def counting(chain, *segment):
+        def counting(design, *segment):
             calls.append(segment)
-            return inner(chain, *segment)
+            return inner(design, *segment)
 
         monkeypatch.setattr(covariance, "_block_moments_float", counting)
+        return calls
+
+    def test_each_segment_built_once(self, monkeypatch, empty_memo):
+        calls = self.count_sweeps(monkeypatch)
         backward, table = [], sampling.backward_log_table
         monkeypatch.setattr(
             sampling, "backward_log_table", lambda *a: backward.append(a) or table(*a)
@@ -547,16 +568,30 @@ class TestBlockSharing:
             MultilookSampler, "__init__", lambda self, *a: builds.append(a) or init(self, *a)
         )
         self.boundaries(8)
-        want = set()
-        for l in range(1, len(self.SCHEDULE) + 1):
-            prefix = self.SCHEDULE.prefix(l)
-            want.update(prefix.segments())
-            if l < len(self.SCHEDULE):
-                n1 = projected_final_count(self.DESIGN, prefix, l, self.SCHEDULE.horizon)
-                want.add((prefix.horizon, prefix.final_count, self.SCHEDULE.horizon, n1))
+        want = self.swept_segments()
         assert sorted(calls) == sorted(want)
-        # the stage samplers are cut from one sampler whose chain the blocks share
-        assert len(builds) == 1 and len(backward) == len(want)
+        # the whole schedule's sampler, then one per stage, each reading the
+        # tables from the memo, which the covariance sweeps read too
+        assert len(builds) == 1 + len(self.SCHEDULE) and len(backward) == len(want)
+        assert [len(schedule) for _, schedule in builds] == [3, 1, 2, 3]
+
+    def test_blocks_past_the_memo_are_swept_once_per_call(self, monkeypatch, tmp_path, empty_memo):
+        # the memo keeps no block, or table, so only the caller's dict of
+        # blocks spares a second sweep: one estimate, one info run, each
+        # sweeping every segment once
+        monkeypatch.setattr(distributions, "MEMO_BYTES", 8 * 20 * 20 - 1)
+        calls = self.count_sweeps(monkeypatch)
+        want = sorted(self.swept_segments())
+        self.boundaries(8)
+        assert sorted(calls) == want and not empty_memo
+        calls.clear()
+        schedule, responses = tmp_path / "schedule.json", tmp_path / "responses.csv"
+        schedule.write_text(json.dumps(self.SCHEDULE.to_json()))
+        responses.write_text("".join(f"{v!r}\n" for v in self.responses().tolist()))
+        argv = ["info", "--design", self.DESIGN.label(), "--schedule", str(schedule),
+                "--responses", str(responses), "--bootstrap", "20", "--seed", "1"]
+        assert main(argv) == 0
+        assert sorted(calls) == want and not empty_memo
 
     def test_shared_blocks_leave_the_result_unchanged(self):
         rng = np.random.default_rng(8)
@@ -710,7 +745,7 @@ class TestBlockMemo:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            ConditionalChain(self.DESIGN).table(0, 0, n, n // 2)
+            chain_rows(self.DESIGN, 0, 0, n, n // 2)
             gc.collect()
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -724,7 +759,7 @@ class TestBlockMemo:
         # is 810; the first whose table is never kept (n1 = n // 2), 1586
         assert 809**2 * 8 <= distributions.MEMO_BYTES == 5 << 20 < 810**2 * 8
         for (n, n1), kept in zip(BAND_EDGE, (True, False)):
-            ConditionalChain(self.DESIGN).table(0, 0, n, n1)
+            chain_rows(self.DESIGN, 0, 0, n, n1)
             assert ((self.DESIGN, 0, 0, n, n1) in empty_memo) is kept
         empty_memo.clear()
         monkeypatch.setattr(distributions, "MEMO_BYTES", 3000)
@@ -756,25 +791,25 @@ class TestBlockMemo:
         warm = covariance_multilook(self.DESIGN, schedule)
         assert warm.tobytes() == cold.tobytes()
         for r0, m0, r1, m1 in schedule.segments():
-            theta, lam = _block_moments_float(ConditionalChain(self.DESIGN), r0, m0, r1, m1)
+            theta, lam = _block_moments_float(self.DESIGN, r0, m0, r1, m1)
             want = lam + lam.T - np.outer(theta, theta)
             np.fill_diagonal(want, theta * (1.0 - theta))
             assert warm[r0:r1, r0:r1].tobytes() == want.tobytes()
 
-    def test_blocks_are_kept_under_the_chains_design(self, empty_memo):
-        other = DesignSpec.bcd(0.6)
-        covariance_final(other, 12, 6)
-        covariance_final(self.DESIGN, 12, 6)
-        chain = ConditionalChain(self.DESIGN)
-        covariance_multilook(other, LookSchedule.single(14, 7), _chain=chain)
-        assert list(empty_memo) == [
-            (other, 0, 0, 12, 6), (other, (0, 0, 12, 6)),
-            (self.DESIGN, 0, 0, 12, 6), (self.DESIGN, (0, 0, 12, 6)),
-            (self.DESIGN, 0, 0, 14, 7), (self.DESIGN, (0, 0, 14, 7)),
-        ]
-        assert not np.array_equal(
-            empty_memo[other, (0, 0, 12, 6)], empty_memo[self.DESIGN, (0, 0, 12, 6)]
+    def test_a_shared_dict_keeps_each_designs_own_blocks(self, monkeypatch, empty_memo):
+        # with no memo to fall back on, every block read again comes from
+        # the dict, under its own design, with the bits of a fresh sweep
+        monkeypatch.setattr(distributions, "MEMO_BYTES", 0)
+        other, schedule = DesignSpec.bcd(0.6), LookSchedule.from_pairs([(12, 6), (14, 7)])
+        blocks, swept = {}, {}
+        for design in (other, self.DESIGN, other, self.DESIGN):
+            got = covariance_multilook(design, schedule, _blocks=blocks)
+            fresh = swept.setdefault(design, covariance_multilook(design, schedule))
+            assert got.tobytes() == fresh.tobytes()
+        assert sorted(blocks, key=repr) == sorted(
+            ((design, segment) for design in swept for segment in schedule.segments()), key=repr
         )
+        assert not np.array_equal(swept[other], swept[self.DESIGN]) and not empty_memo
 
 
 class TestInterimDenominatorOracle:

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from condrand import (
     DesignSpec,
+    InfeasibleError,
     LookSchedule,
+    MultilookSampler,
     SpendingFunction,
     UnderSampleError,
     centered_scores,
@@ -255,6 +257,43 @@ class TestEstimateBoundaries:
         schedule = LookSchedule.from_pairs(pairs)
         result = estimate_boundaries(design, schedule, responses, OBF, 2000, rng=6, **options)
         assert len(result.d) == len(pairs)
+
+    def test_every_stage_is_drawn_through_the_module_sampler(self, monkeypatch):
+        # a subclass patched in at monitoring's own name sees every stage,
+        # as the bench's retained-share recount needs: a fresh sampler over
+        # each look prefix, drawing from the one generator in turn
+        stages = []
+
+        class Recording(MultilookSampler):
+            def accumulate_statistics(self, *args, **kwargs):
+                stages.append(super().accumulate_statistics(*args, **kwargs))
+                return stages[-1]
+
+        monkeypatch.setattr(monitoring, "MultilookSampler", Recording)
+        design, responses = self._setup()
+        schedule = LookSchedule.from_pairs([(4, 2), (8, 4), (12, 6)])
+        sf = SpendingFunction("pocock", 0.2)
+        result = estimate_boundaries(design, schedule, responses, sf, 2000, rng=6)
+        generated = result.n_generated
+        assert [s.shape for s in stages] == [(m, l) for l, m in enumerate(generated, start=1)]
+        rng = np.random.default_rng(6)  # the full-mode fractions draw nothing
+        scores = [centered_scores(responses[: l.position]) for l in schedule.looks]
+        for l, (stage, m) in enumerate(zip(stages, generated), start=1):
+            fresh = MultilookSampler(design, schedule.prefix(l))
+            assert stage.tobytes() == fresh.accumulate_statistics(rng, m, scores[:l]).tobytes()
+
+    def test_unreachable_look_refused_before_any_sweep(self, monkeypatch):
+        # the whole schedule's tables are built before the information
+        # fractions; here the first look's block would be swept first
+        design, responses = DesignSpec.bcd(1.0), self._setup()[1]
+        schedule = LookSchedule.from_pairs([(4, 2), (9, 2)])
+
+        def never(*args, **kwargs):
+            raise AssertionError("swept a block before refusing the schedule")
+
+        monkeypatch.setattr(covariance, "_block_moments_float", never)
+        with pytest.raises(InfeasibleError, match=r"look \(position 9, count 2\) is unreachable"):
+            estimate_boundaries(design, schedule, responses, OBF, 2000, rng=6)
 
     def test_under_sample_error(self):
         design, responses = self._setup()

@@ -22,7 +22,7 @@ import condrand.distributions as distributions
 import condrand.montecarlo as montecarlo
 import condrand.sampling as sampling
 from condrand.experiments import tail_estimate_repeatability
-from condrand.sampling import ConditionalChain
+from condrand.sampling import chain_rows
 from condrand.scores import (
     RAW,
     SIMPLE_RANK,
@@ -261,34 +261,30 @@ class TestSamplers:
             sampler.accumulate_statistics(1, 5, scores + scores[-1:])
         assert sampler.accumulate_statistics(1, 5, scores).shape == (5, 3)
 
-    def test_prefix_draws_as_a_fresh_sampler(self):
+    def test_a_stage_sampler_reads_the_whole_schedules_rows(self, empty_memo):
+        # the sampler over a look prefix finds every table of the sampler
+        # over the whole schedule in the memo, and draws as the reference walk
         design = DesignSpec.bcd(0.7)
         sch = LookSchedule.from_pairs([(5, 3), (11, 5), (16, 9)])
         full = MultilookSampler(design, sch)
         scores = [np.arange(float(l.position)) for l in sch.looks]
         for l in (1, 2, 3):
-            cut, fresh = full.prefix(l), MultilookSampler(design, sch.prefix(l))
-            assert cut.chain is full.chain and cut.schedule == sch.prefix(l)
-            assert np.array_equal(cut.draw_batch(7, 300), fresh.draw_batch(7, 300))
+            stage = MultilookSampler(design, sch.prefix(l))
+            assert stage.schedule == sch.prefix(l) and stage.n == sch.looks[l - 1].position
+            assert list(map(id, stage._rows)) == list(map(id, full._rows[: stage.n]))
+            want = reference_draw_batch(stage, np.random.default_rng(7), 300)
+            assert np.array_equal(stage.draw_batch(7, 300), want)
             assert np.array_equal(
-                cut.accumulate_statistics(8, 300, scores[:l]),
-                fresh.accumulate_statistics(8, 300, scores[:l]),
+                stage.accumulate_statistics(8, 300, scores[:l]),
+                reference_accumulate_statistics(stage, np.random.default_rng(8), 300, scores[:l]),
             )
-        assert full.n == 16
-
-    def test_prefix_keeps_the_subclass(self):
-        class Recording(MultilookSampler):
-            pass
-
-        sampler = Recording(BCD23, LookSchedule.from_pairs([(2, 1), (4, 2)]))
-        assert type(sampler.prefix(1)) is Recording
+        assert len(empty_memo) == 3 and full.n == 16
 
     def test_transition_probabilities_in_range(self):
         sch = LookSchedule.from_pairs([(5, 1), (12, 6)])
-        chain = MultilookSampler(DesignSpec.bcd(0.95), sch).chain
         for segment in sch.segments():
             r0, _, r1, m1 = segment
-            psi = on_band(chain.table(*segment), r0, r1, m1)
+            psi = on_band(chain_rows(DesignSpec.bcd(0.95), *segment), r0, r1, m1)
             assert (psi >= 0).all() and (psi <= 1).all()
 
 
@@ -471,7 +467,9 @@ class TestReusedWalkBuffers:
             # walks of the same shape come first, where shared buffers would be
             for later, later_size in enumerate((size, 1, 2500, size), start=100 * seed):
                 sampler.accumulate_statistics(later, later_size, scores)
-                sampler.prefix(3).accumulate_statistics(later, later_size, scores)
+                MultilookSampler(self.DESIGN, self.SCHEDULE).accumulate_statistics(
+                    later, later_size, scores
+                )
                 simulate_unconditional(self.DESIGN, 60, later)
                 rejection_steps(later, later_size)
         for out, before in kept:
@@ -480,13 +478,14 @@ class TestReusedWalkBuffers:
     @pytest.mark.parametrize("kind", [SIMPLE_RANK, RAW])
     def test_reuse_equals_fresh_work(self, kind):
         sampler = MultilookSampler(self.DESIGN, self.SCHEDULE)
-        cuts = {l: sampler.prefix(l) for l in (1, 2, 3)}
+        # the stage samplers share the tables but keep buffers of their own
+        stages = {l: MultilookSampler(self.DESIGN, self.SCHEDULE.prefix(l)) for l in (1, 2, 3)}
         for seed, size in enumerate([2500, 1, 2500, 3000, 0]):
-            for l, cut in [(3, sampler), *cuts.items()]:
+            for l, stage in [(3, sampler), *stages.items()]:
                 scores = self._scores(kind, l)
                 rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
                 fresh = MultilookSampler(self.DESIGN, self.SCHEDULE.prefix(l))
-                got = cut.accumulate_statistics(rng, size, scores)
+                got = stage.accumulate_statistics(rng, size, scores)
                 want = fresh.accumulate_statistics(ref, size, scores)
                 assert got.shape == (size, l) and got.tobytes() == want.tobytes()
                 assert rng.bit_generator.state == ref.bit_generator.state
@@ -600,7 +599,7 @@ class TestForcedTransitions:
         seen = np.zeros(2, dtype=int)
         for r0, m0, r1, m1 in forced_segments():
             try:
-                rows = ConditionalChain(design).table(r0, m0, r1, m1)
+                rows = chain_rows(design, r0, m0, r1, m1)
             except InfeasibleError:
                 continue
             logs = distributions.backward_log_table(design, r0, r1, m1)
@@ -643,15 +642,15 @@ class TestBlockedChainMatchesReference:
                 want = reference_segment_chain(design, r0, m0, r1, m1)
             except InfeasibleError:
                 with pytest.raises(InfeasibleError):
-                    ConditionalChain(design).table(r0, m0, r1, m1)
+                    chain_rows(design, r0, m0, r1, m1)
                 assert not distributions._memo
             else:
-                built = ConditionalChain(design).table(r0, m0, r1, m1)
+                built = chain_rows(design, r0, m0, r1, m1)
                 (rows,) = distributions._memo.values()
                 assert rows is built and len(rows) == r1 - r0
                 assert not rows[0].base.flags.writeable
                 assert not any(row.flags.writeable for row in rows)
-                assert ConditionalChain(design).table(r0, m0, r1, m1) is built
+                assert chain_rows(design, r0, m0, r1, m1) is built
                 assert_band_bits(built, want, segment, 0.0)
 
     @pytest.mark.parametrize(
@@ -667,7 +666,7 @@ class TestBlockedChainMatchesReference:
         with pytest.raises(InfeasibleError):
             reference_segment_chain(design, *segment)
         with pytest.raises(InfeasibleError):
-            ConditionalChain(design).table(*segment)
+            chain_rows(design, *segment)
 
     @pytest.mark.parametrize(
         "design, segment",
@@ -690,13 +689,13 @@ class TestBlockedChainMatchesReference:
         assert_band_bits(table, reference_backward_log_table(design, r0, r1, m1), segment, -np.inf)
         want = reference_segment_chain(design, *segment)
         for _ in ("build", "hit"):
-            assert_band_bits(ConditionalChain(design).table(*segment), want, segment, 0.0)
+            assert_band_bits(chain_rows(design, *segment), want, segment, 0.0)
         assert list(empty_memo) == [(design, *segment)]
 
     @pytest.mark.parametrize("segment", [(5, -10, 10, 3), (5, 20, 10, 8), (5, 6, 10, 8)])
     def test_start_count_outside_its_range_raises(self, segment):
         with pytest.raises(InfeasibleError, match=f"count {segment[1]} at position 5"):
-            ConditionalChain(DesignSpec.bcd(0.75)).table(*segment)
+            chain_rows(DesignSpec.bcd(0.75), *segment)
 
     @pytest.mark.parametrize("segment", [(5, 2, 3, 1), (5, 2, 5, 2), (5, 2, 5, 3)])
     def test_empty_or_reversed_segment_raises(self, segment):
@@ -704,7 +703,7 @@ class TestBlockedChainMatchesReference:
         # NumPy's "negative dimensions" error
         message = f"need 0 <= start < end, got positions 5 and {segment[2]}$"
         with pytest.raises(ValueError, match=message):
-            ConditionalChain(DesignSpec.bcd(0.75)).table(*segment)
+            chain_rows(DesignSpec.bcd(0.75), *segment)
 
     # (0, 0, 2000, 1000) has 1,002,000 band entries; its array adds one -inf
     # after each of the 2001 rows, the last row being the target alone
@@ -742,10 +741,10 @@ class TestBlockedChainMatchesReference:
     @pytest.mark.parametrize("n", [250, 1000])
     def test_a_hit_allocates_almost_nothing(self, n, empty_memo):
         design, segment = DesignSpec.bcd(0.75), (0, 0, n, n // 2)
-        built = ConditionalChain(design).table(*segment)
+        built = chain_rows(design, *segment)
         tracemalloc.start()
         try:
-            hit = ConditionalChain(design).table(*segment)
+            hit = chain_rows(design, *segment)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
