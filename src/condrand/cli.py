@@ -97,6 +97,8 @@ def read_responses(path: str) -> tuple[np.ndarray, list[str] | None]:
         raise CliInputError(f"{path}: no data rows")
     for lineno, text in lines[start:]:
         parts = [p.strip() for p in text.split(",")]
+        if len(parts) > 2:
+            raise CliInputError(f"{path}:{lineno}: expected a value and a stratum, got {text!r}")
         try:
             values.append(float(parts[0]))
         except ValueError as exc:

@@ -46,13 +46,9 @@ __all__ = [
 
 _NEG_INF = float("-inf")
 
-# Whole-array passes over a table (the walk and ``scores.step_sums``) take
-# this many entries at a time, so their temporaries stay small next to the
-# table.
-BLOCK_ENTRIES = 1 << 16
-
 # One process-wide memo of read-only float laws, chain tables (row views
 # counted) and covariance blocks, at most MEMO_BYTES, least recently used out.
+# Only _memoized reads or writes it.
 MEMO_BYTES = 5 << 20
 
 
@@ -69,31 +65,21 @@ class _Memo(OrderedDict):
 _memo = _Memo()
 
 
-def _recall(key: tuple) -> np.ndarray | None:
-    """The memo's entry under ``key``, now the most recently used, or None."""
+def _memoized(key: tuple, build):
+    """The memo's entry under ``key``, now the most recently used.  On a
+    miss it is ``build()``, made read-only if an ndarray, and kept unless
+    its ``nbytes`` exceed the budget, the least recently used out first."""
     entry = _memo.pop(key, None)
-    if entry is not None:
-        _memo[key] = entry
-    return entry
-
-
-def _remember(key: tuple, entry):
-    """``entry``, kept under ``key`` unless its ``nbytes`` exceed the budget."""
-    if entry.nbytes <= MEMO_BYTES:
-        _memo[key] = entry
+    if entry is None:
+        entry = build()
+        if isinstance(entry, np.ndarray):
+            entry.flags.writeable = False
+        if entry.nbytes > MEMO_BYTES:
+            return entry
         _memo.nbytes += entry.nbytes
         while _memo.nbytes > MEMO_BYTES:
             _memo.nbytes -= _memo.popitem(last=False)[1].nbytes
-    return entry
-
-
-def _memoized(key: tuple, build) -> np.ndarray:
-    """The memo's entry under ``key``, from ``build()`` and kept on a miss."""
-    entry = _recall(key)
-    if entry is None:
-        entry = build()
-        entry.flags.writeable = False
-        _remember(key, entry)
+    _memo[key] = entry
     return entry
 
 

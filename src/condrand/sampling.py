@@ -9,11 +9,11 @@ constrained set, with no rejection step.
 A schedule of several interim constraints is handled segment by segment:
 within segment k only the next look's constraint enters the transition.
 
-Segment tables come from :func:`chain_rows`, which keeps them across calls
-in the process-wide memo of :mod:`condrand.distributions` under (design,
-start, start_count, end, end_count), each as its band and the walk's row
-views, so a sampler, a covariance sweep or a later stage that finds its
-table there reads it at once; above 5 MiB one is never kept.
+Segment tables come from :func:`chain_rows`, one call of the process-wide
+memo of :mod:`condrand.distributions`, which builds a table on a miss and
+keeps it under (design, start, start_count, end, end_count) as its band and
+the walk's row views, so a sampler, a covariance sweep or a later stage that
+finds its table there reads it at once; above 5 MiB one is never kept.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from typing import Iterable
 import numpy as np
 
 from .design import DesignSpec, TreatmentSequence, _imbalance_probabilities
-from .distributions import BLOCK_ENTRIES, _reach, _recall, _remember, backward_log_table
+from .distributions import _memoized, _reach, backward_log_table
 from .errors import InfeasibleError, NumericalError
-from .scores import step_sums
+from .scores import BLOCK_ENTRIES, step_sums
 from .streams import as_generator
 
 _NEG_INF = float("-inf")
@@ -101,7 +101,10 @@ class LookSchedule:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LookSchedule":
-        return cls.from_pairs((l["r"], l["n1"]) for l in obj["looks"])
+        pairs = [(l["r"], l["n1"]) for l in obj["looks"]]
+        for v in (v for pair in pairs for v in pair if type(v) is not int):
+            raise ValueError(f"look fields must be JSON integers, got {v!r}")
+        return cls.from_pairs(pairs)
 
     def to_json(self) -> dict:
         return {"looks": [{"r": l.position, "n1": l.count} for l in self.looks]}
@@ -123,12 +126,8 @@ def chain_rows(design: DesignSpec, start: int, start_count: int, end: int, end_c
     ``end_count``), then read from the memo under the arguments.  A count
     whose steps left must all be 1 has psi exactly 1, and one that may take
     no more 1s exactly 0, so a walk never leaves its band."""
-    if not 0 <= start < end:
-        raise ValueError(f"need 0 <= start < end, got positions {start} and {end}")
-    if not 0 <= start_count <= start:
-        raise InfeasibleError(f"count {start_count} at position {start} is outside 0..{start}")
     key = (design, start, start_count, end, end_count)
-    return _recall(key) or _build_rows(*key)
+    return _memoized(key, lambda: _build_rows(*key))
 
 
 def _build_rows(design: DesignSpec, start: int, start_count: int, end: int, end_count: int):
@@ -161,7 +160,7 @@ def _build_rows(design: DesignSpec, start: int, start_count: int, end: int, end_
         row.flags.writeable = False
     out = _Rows(rows[:-1])
     out.nbytes = band.nbytes + sys.getsizeof(out) + sum(map(sys.getsizeof, out))
-    return _remember((design, start, start_count, end, end_count), out)
+    return out
 
 
 def _walk_buffers(n: int, size: int) -> tuple[np.ndarray, ...]:

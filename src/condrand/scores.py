@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design import DesignSpec, TreatmentSequence
-from .distributions import BLOCK_ENTRIES
 
 SIMPLE_RANK = "simple-rank"
 RAW = "raw"
@@ -129,6 +128,12 @@ def sums_exactly(values: np.ndarray, dtype) -> bool:
     twice = 2.0 * np.asarray(values, dtype=float)
     limit = 2.0 ** (np.finfo(dtype).nmant + 1)
     return bool((twice == np.rint(twice)).all()) and float(np.abs(twice).sum()) < limit
+
+
+# Whole-array passes over a step matrix or a table (step_sums and the walk
+# of :mod:`condrand.sampling`) take this many entries at a time, so their
+# temporaries stay small next to it.
+BLOCK_ENTRIES = 1 << 16
 
 
 def step_sums(weights, steps: np.ndarray, *, _block=None) -> np.ndarray:

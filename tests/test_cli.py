@@ -34,6 +34,10 @@ def _never_called(*args, **kwargs):
     raise AssertionError("work started before the input was checked")
 
 
+def _one_look_schedule(r, n1) -> str:
+    return json.dumps({"design": {"kind": "bcd", "p": 0.75}, "looks": [{"r": r, "n1": n1}]})
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -705,12 +709,18 @@ class TestErrorPaths:
         )
         assert (code, out, err) == (4, "", f"error: {message}\n")
 
+    NOT_AN_INTEGER = "{s}: invalid schedule (look fields must be JSON integers, got "
+
     @pytest.mark.parametrize(
         "text, message",
         [
             (None, "cannot read {s}: "),
             ("not json", "{s}: invalid JSON (Expecting value: line 1 column 1 (char 0))"),
             ('{"looks": [{"r": 4}]}', "{s}: invalid schedule ('n1')"),
+            # each once sampled as the int() of its fields, 10:5 or 1:0
+            (_one_look_schedule(10.7, 5.9), NOT_AN_INTEGER + "10.7)"),
+            (_one_look_schedule(True, False), NOT_AN_INTEGER + "True)"),
+            (_one_look_schedule("10", "5"), NOT_AN_INTEGER + "'10')"),
         ],
     )
     def test_unusable_schedule_file_exit_4(self, capsys, tmp_path, text, message):
@@ -721,6 +731,31 @@ class TestErrorPaths:
         assert (code, out) == (4, "")
         assert err.startswith(f"error: {message.format(s=schedule)}")
         assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("command", ["pvalue", "info", "boundaries"])
+    def test_third_response_field_exit_4(self, capsys, monkeypatch, tmp_path, command):
+        # once read as the value and the stratum, the third field dropped:
+        # each command ran on, pvalue --stratified over strata A and B
+        golden = Path(__file__).parent / "golden"
+        if command == "pvalue":
+            values, labels = (golden / "responses40.csv").read_text().split(), "AB"
+            seqs = tmp_path / "s.txt"
+            seqs.write_text("01" * 10 + "\n" + "10" * 10 + "\n")
+            argv = ["--assignments", str(seqs), "--stratified", "--reps", "100"]
+        else:
+            values, labels = (golden / "responses60.csv").read_text().split(), ("", "")
+            argv = ["--schedule", str(golden / "schedule60.json")]
+        monkeypatch.setattr(cli, "estimate_boundaries", _never_called)
+        monkeypatch.setattr(cli, "information_at_look", _never_called)
+        rows = [f"{v},{labels[i % 2]}" for i, v in enumerate(values)]
+        rows[7] += ",junk"
+        resp = tmp_path / "r.csv"
+        resp.write_text("".join(row + "\n" for row in rows))
+        code, out, err = run_cli(
+            capsys, command, "--design", "bcd:0.75", "--responses", str(resp), *argv, "--seed", "1"
+        )
+        assert (code, out) == (4, "")
+        assert err == f"error: {resp}:8: expected a value and a stratum, got {rows[7]!r}\n"
 
     @pytest.mark.parametrize(
         "argv, message",

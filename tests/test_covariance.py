@@ -686,30 +686,38 @@ class TestBlockMemo:
         assert sum(e.nbytes for e in empty_memo.values()) == 4552 and len(empty_memo) == 4
 
     def test_byte_total_follows_inserts_hits_and_evictions(self, monkeypatch, empty_memo):
-        # every recall and remember is replayed on a plain OrderedDict under
-        # the rule the running total replaced: after each insertion, evict
-        # the oldest while the summed bytes of every entry exceed the budget
+        # every call of the memo is replayed on a plain OrderedDict under the
+        # rule the running total replaced: a hit moves its key to the end; a
+        # miss within the budget inserts it, then the oldest go while the
+        # summed bytes of every entry exceed the budget.  A call is logged
+        # as it returns, after the calls that its build made
         monkeypatch.setattr(distributions, "MEMO_BYTES", 6000)
         calls = []
-        for module in (distributions, sampling):
-            recall, remember = distributions._recall, distributions._remember
-            monkeypatch.setattr(
-                module, "_recall", lambda k, _f=recall: calls.append((k, None)) or _f(k)
-            )
-            monkeypatch.setattr(
-                module, "_remember", lambda k, e, _f=remember: calls.append((k, e.nbytes)) or _f(k, e)
-            )
-        reference = OrderedDict()
+        memoized = distributions._memoized
+
+        def logged(key, build):
+            hit = key in empty_memo
+            entry = memoized(key, build)
+            calls.append((key, hit, entry.nbytes))
+            return entry
+
+        for module in (distributions, sampling, covariance):
+            monkeypatch.setattr(module, "_memoized", logged)
+        reference, seen = OrderedDict(), set()
 
         def check():
-            for key, nbytes in calls:
-                if nbytes is None:
-                    if key in reference:
-                        reference.move_to_end(key)
+            for key, hit, nbytes in calls:
+                if hit:
+                    reference.move_to_end(key)
+                    seen.add("hit")
                 elif nbytes <= 6000:
                     reference[key] = nbytes
+                    seen.add("miss")
                     while sum(reference.values()) > 6000:
                         reference.popitem(last=False)
+                        seen.add("eviction")
+                else:
+                    seen.add("above the budget")
             calls.clear()
             assert list(empty_memo) == list(reference)
             assert empty_memo.nbytes == sum(e.nbytes for e in empty_memo.values())
@@ -730,6 +738,7 @@ class TestBlockMemo:
         check()
         kinds = {kind for kind, _ in self.entries(empty_memo)}
         assert kinds == {"law", "table", "block"} and 0 < empty_memo.nbytes <= 6000
+        assert seen == {"hit", "miss", "eviction", "above the budget"}
         empty_memo.clear()
         assert empty_memo.nbytes == 0
         reference.clear()

@@ -125,6 +125,17 @@ def test_output_holds_with_the_memo_cold_and_warm(tmp_path, monkeypatch, empty_m
                 assert bool(laws) != warm, (name, warm)
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_holds_with_nothing_kept(name, tmp_path, monkeypatch, empty_memo):
+    # under a budget of no bytes every float law, chain table and covariance
+    # block is built where it is asked for and handed back unkept
+    monkeypatch.setattr(distributions, "MEMO_BYTES", 0)
+    out = tmp_path / f"{name}.out"
+    assert run_case(name, out) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
+    assert not empty_memo and empty_memo.nbytes == 0
+
+
 def test_exact_dp_unpacks_one_count_per_pvalue(tmp_path, monkeypatch):
     # each exact p-value's DP is given its count and unpacks that law alone
     forwards, unpacks = [], []

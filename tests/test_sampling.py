@@ -699,9 +699,9 @@ class TestBlockedChainMatchesReference:
 
     @pytest.mark.parametrize("segment", [(5, 2, 3, 1), (5, 2, 5, 2), (5, 2, 5, 3)])
     def test_empty_or_reversed_segment_raises(self, segment):
-        # checked before any array is sized, so a reversed segment is not
-        # NumPy's "negative dimensions" error
-        message = f"need 0 <= start < end, got positions 5 and {segment[2]}$"
+        # the backward log table refuses it before any array is sized, so a
+        # reversed segment is not NumPy's "negative dimensions" error
+        message = rf"need 0 <= start < end, got \(5, {segment[2]}\)$"
         with pytest.raises(ValueError, match=message):
             chain_rows(DesignSpec.bcd(0.75), *segment)
 
