@@ -63,7 +63,10 @@ class DesignSpec:
     def from_json(cls, obj: dict) -> "DesignSpec":
         kind = obj["kind"].lower()
         if kind == BCD:
-            return cls.bcd(float(obj["p"]))
+            p = obj["p"]
+            if type(p) not in (int, float):
+                raise ValueError(f"design field p must be a JSON number, got {p!r}")
+            return cls.bcd(float(p))
         return cls(kind)  # complete, or the unknown-kind error
 
     def to_json(self) -> dict:

@@ -27,7 +27,7 @@ import numpy as np
 from .design import DesignSpec, TreatmentSequence, _imbalance_probabilities
 from .distributions import _memoized, _reach, backward_log_table
 from .errors import InfeasibleError, NumericalError
-from .scores import BLOCK_ENTRIES, step_sums
+from .scores import step_sums
 from .streams import as_generator
 
 _NEG_INF = float("-inf")
@@ -163,6 +163,10 @@ def _build_rows(design: DesignSpec, start: int, start_count: int, end: int, end_
     return out
 
 
+# the walk draws its uniforms about this many at a time, in whole steps
+BLOCK_ENTRIES = 1 << 16
+
+
 def _walk_buffers(n: int, size: int) -> tuple[np.ndarray, ...]:
     """Fresh (steps, m, prob, uniforms) for :func:`_walk`: (n, size) steps,
     ``size`` counts and probabilities, and a block of whole steps' uniforms."""
@@ -247,8 +251,9 @@ class MultilookSampler:
         """Statistics at each look for ``size`` draws, without storing sequences.
 
         The walk's buffers stay with the sampler, which writes over them on
-        the next call of the same size, so a replicate loop touches no fresh
-        pages.  They are never returned; do not share a sampler between threads.
+        the next call of the same size and sums the steps where they lie, so
+        a replicate loop touches no fresh pages.  They are never returned; do
+        not share a sampler between threads.
 
         Args:
             score_vectors: One centered score array per look, the l-th
@@ -272,11 +277,7 @@ class MultilookSampler:
         size = int(size)
         if not self._work or self._work[0].shape != (self.n, size):
             self._work = _walk_buffers(self.n, size)
-        steps = _walk(self._rows, rng, size, _buffers=self._work)
-        # the walk is done with its uniforms, so step_sums' float32 steps take their bytes
-        uniforms = self._work[3]
-        block = uniforms.reshape(-1).view(np.float32).reshape(2 * len(uniforms), size)
-        return step_sums(weights, steps, _block=block)
+        return step_sums(weights, _walk(self._rows, rng, size, _buffers=self._work))
 
 
 def sample_multilook(

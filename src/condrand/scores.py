@@ -130,45 +130,31 @@ def sums_exactly(values: np.ndarray, dtype) -> bool:
     return bool((twice == np.rint(twice)).all()) and float(np.abs(twice).sum()) < limit
 
 
-# Whole-array passes over a step matrix or a table (step_sums and the walk
-# of :mod:`condrand.sampling`) take this many entries at a time, so their
-# temporaries stay small next to it.
-BLOCK_ENTRIES = 1 << 16
-
-
-def step_sums(weights, steps: np.ndarray, *, _block=None) -> np.ndarray:
+def step_sums(weights, steps: np.ndarray) -> np.ndarray:
     """The (size, L) statistics of an (n, size) 0/1 step matrix, one column
     per draw, under 1-D score arrays ``weights`` that each cover a prefix.
 
     This is the package's one summation rule, so a sequence scores the
     same float whether observed or drawn: entry (k, l) equals bit for bit
-    the step-order sum of ``weights[l][j] * steps[j, k]``.  When every
-    vector's sums are exact in float32 (:func:`sums_exactly`; midranks are
-    up to n of about 5800) all are one float32 contraction, in any order,
-    over blocks of steps copied into the (rows, size) float32 ``_block``
-    (fresh when omitted); otherwise each is a float64 ``einsum`` over the
-    steps outermost.  Neither calls BLAS, and the result is always fresh.
+    the step-order sum of ``weights[l][j] * steps[j, k]``.  Each look is
+    one ``einsum``, which casts the steps in a small buffer of its own: in
+    float32, where any order gives those bits, when every vector's sums
+    are exact there (:func:`sums_exactly`; midranks are up to n of about
+    5800), else in float64 over the steps outermost.  Neither calls BLAS,
+    and the result is always fresh.
     """
-    n, size = steps.shape
-    if all(sums_exactly(w, np.float32) for w in weights):
-        padded = np.zeros((len(weights), n), dtype=np.float32)
-        for l, w in enumerate(weights):
-            padded[l, : w.size] = w
-        stats = np.zeros((len(weights), size), dtype=np.float32)  # look-major
-        if _block is None:
-            _block = np.empty((min(n, max(1, 2 * BLOCK_ENTRIES // max(size, 1))), size), np.float32)
-        block = max(1, len(_block))
-        for lo in range(0, n, block):
-            part = _block[: n - lo]
-            np.copyto(part, steps[lo : lo + block])
-            stats += np.einsum("lj,jk->lk", padded[:, lo : lo + block], part)
-        return stats.T.astype(float, order="C")
-    # einsum keeps the steps outermost only over C-ordered rows of two or
-    # more draws; it sums a single column with split accumulators
-    steps = np.ascontiguousarray(steps if size > 1 else np.repeat(steps, 2, axis=1))
+    size = steps.shape[1]
+    if steps.dtype == bool:
+        steps = steps.view(np.uint8)  # einsum casts bytes to float32 faster than bools
+    dtype = np.float32
+    if not all(sums_exactly(w, np.float32) for w in weights):
+        # einsum keeps the steps outermost only over C-ordered rows of two or
+        # more draws; it sums a single column with split accumulators
+        dtype = np.float64
+        steps = np.ascontiguousarray(steps if size > 1 else np.repeat(steps, 2, axis=1))
     stats = np.empty((size, len(weights)))
     for l, w in enumerate(weights):
-        stats[:, l] = np.einsum("jk,j->k", steps[: w.size], w)[:size]
+        stats[:, l] = np.einsum("jk,j->k", steps[: w.size], w.astype(dtype))[:size]
     return stats
 
 

@@ -635,6 +635,17 @@ class TestErrorPaths:
         kind = design["kind"]
         assert err == f"error: {schedule}: invalid design (unknown design kind {kind!r})\n"
 
+    @pytest.mark.parametrize("p", [True, "0.75"])
+    def test_schedule_design_p_must_be_a_json_number_exit_4(self, capsys, tmp_path, p):
+        # each was once sampled as the float() of p, bcd:1 or bcd:0.75
+        schedule = tmp_path / "schedule.json"
+        design = {"kind": "bcd", "p": p}
+        schedule.write_text(json.dumps({"looks": [{"r": 12, "n1": 6}], "design": design}))
+        code, out, err = run_cli(capsys, "sample", "--schedule", str(schedule), "--seed", "1")
+        assert (code, out) == (4, "")
+        message = f"invalid design (design field p must be a JSON number, got {p!r})"
+        assert err == f"error: {schedule}: {message}\n"
+
     def test_out_into_a_missing_directory_exit_4(self, capsys, tmp_path):
         out_path = tmp_path / "missing" / "dist.csv"
         code, out, err = run_cli(

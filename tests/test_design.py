@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -42,6 +44,13 @@ class TestDesignSpec:
         # the kind is checked before p is read: an urn with a p is not a coin
         with pytest.raises(ValueError, match="unknown design kind 'urn'"):
             DesignSpec.from_json(obj)
+
+    @pytest.mark.parametrize("p", [True, "0.75", None, [0.75]])
+    def test_from_json_takes_p_only_as_a_number(self, p):
+        # true and "0.75" were once read as their float(), bcd:1 and bcd:0.75
+        with pytest.raises(ValueError, match=re.escape(f"must be a JSON number, got {p!r}")):
+            DesignSpec.from_json({"kind": "bcd", "p": p})
+        assert DesignSpec.from_json({"kind": "bcd", "p": 1}) == DesignSpec.bcd(1.0)
 
     def test_bias_validated_at_construction(self):
         with pytest.raises(ValueError):

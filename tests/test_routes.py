@@ -155,7 +155,7 @@ class TestStepSumsRoute:
         ends = (250, 300, 350)
         steps = rng.random((350, size)) < 0.5
         weights = [centered_scores(rng.standard_normal(r)).values for r in ends]
-        got = step_sums(weights, steps, _block=np.empty((block, size), np.float32))
+        got = step_sums(weights, steps)
         assert got.flags.c_contiguous and got.shape == (size, len(ends))
         assert got.tobytes() == step_sums_draw_major(weights, steps, block).tobytes()
 

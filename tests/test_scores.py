@@ -1,5 +1,4 @@
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from condrand import (
     stratified_statistic,
 )
 import condrand.scores as scores_module
-from condrand.scores import _midranks, step_sums
+from condrand.scores import _midranks, step_sums, sums_exactly
 from oracles import compensated_sum
 
 
@@ -124,16 +123,26 @@ class TestLinearRankStatistic:
 
 
 class TestStepSums:
+    @pytest.mark.parametrize("layout", ["walk", "transpose", "column"])
     @pytest.mark.parametrize("kind", ["simple-rank", "raw", "halves"])
-    def test_chunks_give_the_single_product_bits(self, kind):
+    def test_every_layout_gives_the_step_order_bits(self, kind, layout):
         rng = np.random.default_rng(12)
         batch = (rng.random((5001, 37)) < 0.5).astype(np.int8)
         if kind == "halves":
-            sv = centered_scores(rng.integers(-4, 5, 37) / 2.0, "raw")
+            halves = rng.integers(-4, 5, 37) / 2.0
+            halves[-1] -= halves.sum()
+            sv = ScoreVector(halves, "raw")
         else:
             sv = centered_scores(np.round(rng.standard_normal(37), 1), kind)
-        with mock.patch.object(scores_module, "BLOCK_ENTRIES", 37 * 100 + 5):
+        # rank scores and halves take the float32 route, raw scores the float64 one
+        assert sums_exactly(sv.values, np.float32) == (kind != "raw")
+        if layout == "walk":  # the C-ordered bool steps the walk writes
+            got = step_sums([sv.values], batch.T.astype(bool, order="C"))[:, 0]
+        elif layout == "transpose":  # the F-ordered int8 transpose of the sequences
             got = step_sums([sv.values], batch.T)[:, 0]
+        else:  # one sequence at a time, as linear_rank_statistic passes it
+            batch = batch[:200]
+            got = np.array([step_sums([sv.values], t[:, None])[0, 0] for t in batch])
         # the oracle adds the steps in order, as reference_accumulate_statistics
         want = np.zeros(len(batch))
         for j in range(batch.shape[1]):
