@@ -23,7 +23,7 @@ from . import experiments
 from .bruteforce import exact_conditional_pvalue
 from .covariance import information_at_look
 from .design import DesignSpec, TreatmentSequence
-from .distributions import conditional_pmf, pmf_table, unconditional_pmf
+from .distributions import conditional_pmf, pmf_table
 from .errors import CondrandError, InfeasibleError
 from .montecarlo import (
     estimate_pvalue_conditional,
@@ -190,10 +190,8 @@ def _cmd_dist(args) -> str:
     design, n, n1 = args.design, args.n, args.target
     if n1 is None:
         rows = enumerate(pmf_table(design, n, args.backend, given=args.given))
-    elif args.given:
-        rows = [(n1, conditional_pmf(design, n, n1, *args.given, args.backend))]
     else:
-        rows = [(n1, unconditional_pmf(design, n, n1, args.backend))]
+        rows = [(n1, conditional_pmf(design, n, n1, *(args.given or (0, 0)), args.backend))]
     return "n1,probability\n" + "".join(f"{n1},{float(pr):.17g}\n" for n1, pr in rows)
 
 

@@ -69,11 +69,6 @@ class DesignSpec:
             return cls.bcd(float(p))
         return cls(kind)  # complete, or the unknown-kind error
 
-    def to_json(self) -> dict:
-        if self.kind == COMPLETE:
-            return {"kind": COMPLETE}
-        return {"kind": BCD, "p": self.p}
-
     def exact_p(self) -> Fraction:
         """The bias as an exact rational, a small one (2/3) only if the same float."""
         small = Fraction(self.p).limit_denominator(10**6)

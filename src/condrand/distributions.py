@@ -18,11 +18,11 @@ ballot coefficients.  Every probability is available from two backends:
 The coin treats the two arms alike, so P(N1(n) = n1 | N1(j) = m) =
 P(N1(n) = n - n1 | N1(j) = j - m).  Every law is therefore priced from
 below balance: a start in surplus (2m > j) is mirrored into a start in
-deficit, and an unconditional count above n/2 into one below.  From a
-deficit the walk either ends below, at or above balance, or never
-returns to balance at all; a balanced start restarts the unconditional
-law.  The mirror only turns a binomial argument k into t - k, and
-binom(t, k) = binom(t, t - k), so every value keeps its bits.
+deficit, and from balance a count above the midpoint into one below.
+From a deficit the walk ends below, at or above balance, or never returns
+to balance; from balance it restarts, the unconditional law being the one
+from N1(0) = 0.  The mirror only turns a binomial argument k into t - k,
+and binom(t, k) = binom(t, t - k), so every value keeps its bits.
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ def _validate_backend(backend: str) -> bool:
 
 
 def unconditional_pmf(design: DesignSpec, n: int, n1: int, backend: str = "float"):
-    """P(N1(n) = n1) under the design.
+    """P(N1(n) = n1) under the design: the law given N1(0) = 0.
 
     Args:
         design: Randomization procedure.
@@ -245,16 +245,7 @@ def unconditional_pmf(design: DesignSpec, n: int, n1: int, backend: str = "float
         n1: Treatment-1 count, 0 <= n1 <= n.
         backend: ``"float"`` (log-scale) or ``"exact"`` (rational).
     """
-    exact = _validate_backend(backend)
-    if n < 1:
-        raise ValueError(f"horizon must be >= 1, got {n}")
-    if not 0 <= n1 <= n:
-        raise ValueError(f"count {n1} out of range for horizon {n}")
-    if exact:
-        return exact_count_law(design, n)[n1]
-    if design.kind == COMPLETE:
-        return _complete_pmf(n, n1)
-    return _eval_series_float(_plan_unconditional(n, n1), design.p)
+    return conditional_pmf(design, n, n1, 0, 0, backend)
 
 
 def _validate_conditional_args(n: int, n1: int, j: int, m: int) -> None:
@@ -288,7 +279,7 @@ def conditional_pmf(
         return _complete_pmf(n - j, n1 - m)
     if 2 * m == j:
         # balanced interim state, j = 0 among them: the walk restarts afresh
-        return unconditional_pmf(design, n - j, n1 - m)
+        return _eval_series_float(_plan_unconditional(n - j, n1 - m), design.p)
     plan = _plan_conditional(n, n1, j, m)
     evaluate = _eval_series_float if isinstance(plan, _SeriesPlan) else _eval_pure_float
     return min(evaluate(plan, design.p), 1.0)
@@ -300,9 +291,9 @@ def pmf_table(design: DesignSpec, n: int, backend: str = "float", *, given=None)
 
     The exact backend prices the whole law in one DP and returns a list
     of Fractions.  The float backend returns an array, a fresh copy of the
-    law that the memo keeps under (design, n, given) once it is priced; the
-    unconditional law is symmetric, P(N1(n) = n1) = P(N1(n) = n - n1), and
-    both counts are priced by the same plan, so its upper half is mirrored.
+    law that the memo keeps under (design, n, given) once it is priced.
+    Each count is its :func:`conditional_pmf`, but from balance (2m = j)
+    n1 and n - n1 take one plan, so the upper half is mirrored.
     """
     exact = _validate_backend(backend)
     j, m = (0, 0) if given is None else given
@@ -311,10 +302,10 @@ def pmf_table(design: DesignSpec, n: int, backend: str = "float", *, given=None)
         return exact_count_law(design, n, j, m)
 
     def law() -> np.ndarray:
-        if given is not None:
-            return np.asarray([conditional_pmf(design, n, n1, j, m) for n1 in range(n + 1)])
-        half = [unconditional_pmf(design, n, n1) for n1 in range(n // 2 + 1)]
-        return np.asarray(half + half[(n - 1) // 2 :: -1])
+        mirror = 2 * m == j
+        counts = range(n // 2 + 1 if mirror else n + 1)
+        half = [conditional_pmf(design, n, n1, j, m) for n1 in counts]
+        return np.asarray(half + half[(n - 1) // 2 :: -1] if mirror else half)
 
     # three items: a chain table's key has five, a covariance block's two
     return _memoized((design, n, None if given is None else (j, m)), law).copy()

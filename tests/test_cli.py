@@ -179,7 +179,7 @@ class TestDist:
     @pytest.mark.parametrize(
         "extra, message",
         [
-            (("--target", "9"), "count 9 out of range for horizon 5"),
+            (("--target", "9"), "target count 9 out of range for horizon 5"),
             (("--target", "9", "--given", "2:1"), "target count 9 out of range for horizon 5"),
             (("--given", "7:3"), "step 7 out of range for horizon 5"),
             (("--given", "7:3", "--target", "2"), "step 7 out of range for horizon 5"),
@@ -329,6 +329,27 @@ class TestBoundariesAndInfo:
         assert json.loads(run_cli(capsys, *argv, "--mode", "full", "--seed", "4")[1])["seed"] == 4
         code, out, _ = run_cli(capsys, *argv, "--bootstrap", "5")
         assert code == 0 and isinstance(json.loads(out)["seed"], int)
+
+    @pytest.mark.parametrize("command", ["sample", "info", "boundaries"])
+    def test_schedule_file_design_is_the_default(self, capsys, tmp_path, trial_files, command):
+        bare = trial_files["schedule"]
+        own = tmp_path / "own.json"
+        looks = json.loads(bare.read_text())["looks"]
+        own.write_text(json.dumps({"looks": looks, "design": {"kind": "bcd", "p": 0.6}}))
+        extra = {
+            "sample": ("--count", "3"),
+            "info": ("--responses", str(trial_files["responses"]), "--bootstrap", "5"),
+            "boundaries": ("--responses", str(trial_files["responses"]), "--reps", "300"),
+        }[command]
+
+        def run(schedule, *design):
+            code, out, err = run_cli(capsys, command, "--schedule", str(schedule), *design,
+                                     *extra, "--seed", "1")
+            assert (code, err) == (0, ""), err
+            return out
+
+        assert run(own) == run(bare, "--design", "bcd:0.6")
+        assert run(own, "--design", "bcd:0.9") == run(bare, "--design", "bcd:0.9") != run(own)
 
     def test_boundary_that_spends_nothing_is_null(self, capsys, tmp_path):
         # a first look at 2 of 40 carries so little information that the
@@ -660,6 +681,7 @@ class TestErrorPaths:
         "responses, assignments, message",
         [
             ("1,A\n2\n3,B\n4\n", "0101\n", "{r}: stratum column must be present on every row"),
+            ("y,site\n", "0101\n", "{r}: no data rows"),
             ("1\n2\n3\n4\n", "0121\n", "{a}:1: expected a 0/1 string, got '0121'"),
             ("1\n2\n3\n4\n", "", "{a}: no assignment sequences"),
             ("1\n2\n3\n4\n", "01\n", "4 responses but the assignment sequence has length 2"),

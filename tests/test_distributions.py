@@ -464,6 +464,43 @@ class TestLawMemo:
         assert not empty_memo
 
 
+class TestOneLaw:
+    """The unconditional law is the conditional law from N1(0) = 0, and a
+    float law from balance prices its lower half and mirrors the rest."""
+
+    DESIGNS = [DesignSpec.bcd(p) for p in (0.5, 0.55, 2 / 3, 0.75, 0.9, 1.0)]
+    DESIGNS += [DesignSpec.complete()]
+
+    @pytest.mark.parametrize("design", DESIGNS, ids=str)
+    def test_unconditional_is_the_law_from_zero(self, design):
+        for n in range(1, 41):
+            for n1 in range(n + 1):
+                got = unconditional_pmf(design, n, n1)
+                assert got.hex() == conditional_pmf(design, n, n1, 0, 0).hex(), (n, n1)
+        for n in (1, 2, 7, 12, 24, 40):
+            for n1 in range(n + 1):
+                got = unconditional_pmf(design, n, n1, "exact")
+                assert got == conditional_pmf(design, n, n1, 0, 0, "exact"), (n, n1)
+
+    @pytest.mark.parametrize(
+        "n, given", [(1, None), (24, None), (25, None), (24, (0, 0)), (24, (2, 1)),
+                     (24, (10, 5)), (24, (24, 12)), (25, (12, 6)), (2, (2, 1))],
+        ids=str,
+    )
+    @pytest.mark.parametrize("design", DESIGNS, ids=str)
+    def test_a_law_from_balance_prices_its_lower_half(
+        self, design, n, given, monkeypatch, empty_memo
+    ):
+        j, m = given or (0, 0)
+        want = np.array([conditional_pmf(design, n, n1, j, m) for n1 in range(n + 1)])
+        priced, inner = [], distributions.conditional_pmf
+        monkeypatch.setattr(
+            distributions, "conditional_pmf", lambda *a: priced.append(a[2]) or inner(*a)
+        )
+        assert pmf_table(design, n, given=given).tobytes() == want.tobytes()
+        assert priced == list(range(n // 2 + 1))
+
+
 class TestExactEngine:
     """The exact backend is the integer DP; the rational closed forms
     check it."""

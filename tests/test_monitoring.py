@@ -205,6 +205,11 @@ class TestEstimateBoundaries:
         with pytest.raises(ValueError, match="need at least one sequence per stage, got 0"):
             estimate_boundaries(design, LookSchedule.single(12, 6), responses, OBF, 0, rng=6)
 
+    def test_too_few_responses_rejected(self):
+        design, responses = self._setup()
+        with pytest.raises(ValueError, match="need 16 responses, got 12"):
+            estimate_boundaries(design, LookSchedule.single(16, 8), responses, OBF, 200, rng=6)
+
     @pytest.mark.parametrize("fractions", [[0.5, 1.0], [0.3, 0.6, 0.9, 1.0]])
     def test_fraction_count_checked_before_any_draw(self, fractions, monkeypatch):
         # before the check, two fractions raised IndexError after two

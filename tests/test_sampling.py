@@ -668,6 +668,16 @@ class TestBlockedChainMatchesReference:
         with pytest.raises(InfeasibleError):
             chain_rows(design, *segment)
 
+    def test_band_entries_that_cannot_reach_the_look_are_zero(self, empty_memo):
+        # under bcd:1, 8 zeros must step up twice, so counts 1 and 2 at step 8
+        # lie on the band of count 2 at step 10 and cannot reach it: their log
+        # rows are -inf there, and psi is nan until the build zeroes it
+        design, segment = DesignSpec.bcd(1.0), (8, 0, 10, 2)
+        assert np.isneginf(distributions.backward_log_table(design, 8, 10, 2)[0][1:3]).all()
+        rows = chain_rows(design, *segment)
+        assert_band_bits(rows, reference_segment_chain(design, *segment), segment, 0.0)
+        assert np.isfinite(rows[0].base).all()
+
     @pytest.mark.parametrize(
         "design, segment",
         [
