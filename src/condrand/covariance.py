@@ -4,8 +4,9 @@ randomization-based information fraction.
 Conditioning the randomization procedure on interim counts turns it into
 a Markov chain whose transitions are the sampler's; conditional means and
 cross moments then come from forward sweeps of that chain against its
-occupancy law.  Its tables are the sampler's, from :func:`chain_rows`; the
-memo of :mod:`condrand.distributions` keeps each swept block under (design,
+occupancy law, the law of the count before step b, held one step at a time.
+Its tables are the sampler's, from :func:`chain_rows`; the memo of
+:mod:`condrand.distributions` keeps each swept block under (design,
 segment), as does a caller's dict across looks.
 
 Covariances under a schedule are block diagonal across look segments:
@@ -48,23 +49,23 @@ class InformationFraction:
 def _block_moments_float(design: DesignSpec, r0: int, m0: int, r1: int, m1: int):
     """Conditional means and cross moments of T within one segment.
 
-    One pass over the steps.  Row b of ``rho`` is the law of the count
-    before step b; row a of ``g`` is the forward sweep started by T_a = 1:
-    the law of the count before step b jointly with that event.  At step b
-    the open sweeps give their cross moments with T_b and advance through
-    psi[b] together; then the chain step rho[b] * psi[b] opens sweep b and
-    gives rho[b + 1].  psi[b] is laid out full width from the band for its
-    step alone.  Each entry of ``lam`` keeps its own full-width dot product:
-    the stacked (b, 1, w) @ (w, 1) matmul hands every 1 x 1 item to the same
-    BLAS dot as ``ndarray.dot``, so the result equals a sweep per pair bit
-    for bit; theta[b], one row's full-width einsum, has the bits of the
-    whole table's.  The sweep updates touch only the counts m0 + b can
-    still reach on the way to m1; off that band psi is 0 or no mass is held.
+    One pass over the steps.  Before step b, ``rho`` is the law of the count
+    and row a of ``g`` the forward sweep started by T_a = 1: that law
+    jointly with the event.  At step b the open sweeps give their cross
+    moments with T_b and advance through psi[b] together; then the chain
+    step rho * psi[b] opens sweep b and moves ``rho`` on, in place, to step
+    b + 1.  psi[b] is laid out full width from the band for its step alone.
+    Each entry of ``lam`` keeps its own full-width dot product: the stacked
+    (b, 1, w) @ (w, 1) matmul hands every 1 x 1 item to the same BLAS dot as
+    ``ndarray.dot``, so the result equals a sweep per pair bit for bit;
+    theta[b], one row's full-width einsum, has the bits of the whole
+    table's.  The sweep updates touch only the counts m0 + b can still reach
+    on the way to m1; off that band psi is 0 or no mass is held.
     """
     rows = chain_rows(design, r0, m0, r1, m1)
     s, width = len(rows), r1 + 2
-    rho = np.zeros((s, width))
-    rho[0, m0] = 1.0
+    rho = np.zeros(width)
+    rho[m0] = 1.0
     theta = np.empty(s)
     lam = np.zeros((s, s))
     g = np.zeros((s, width))
@@ -78,12 +79,11 @@ def _block_moments_float(design: DesignSpec, r0: int, m0: int, r1: int, m1: int)
         np.multiply(g[:b, lo:hi], row[lo:hi], out=band)
         g[:b, lo:hi] -= band
         g[:b, lo + 1 : hi + 1] += band
-        theta[b] = np.einsum("m,m->", rho[b], row)
-        step = rho[b] * row
+        theta[b] = np.einsum("m,m->", rho, row)
+        step = rho * row
         g[b, 1:] = step[:-1]
-        if b + 1 < s:
-            np.subtract(rho[b], step, out=rho[b + 1])
-            rho[b + 1, 1:] += step[:-1]
+        rho -= step
+        rho[1:] += step[:-1]
     return theta, lam
 
 
@@ -101,7 +101,8 @@ def covariance_multilook(
 
     def sweep(segment) -> np.ndarray:
         theta, lam = _block_moments_float(design, *segment)
-        block = lam + lam.T - np.outer(theta, theta)
+        block = lam + lam.T
+        block -= np.multiply(theta[:, None], theta, out=lam)  # np.outer, in lam's place
         np.fill_diagonal(block, theta * (1.0 - theta))
         return block
 

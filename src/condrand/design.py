@@ -122,6 +122,6 @@ class TreatmentSequence:
 
 def _imbalance_probabilities(design: DesignSpec, end: int) -> np.ndarray:
     """The coin rule P(T_{j+1} = 1 | N1(j) = m), 1/2 at balance, p behind and 1 - p
-    ahead, at the imbalances d = 2m - j = -end..2 end, the one at d at index d + end."""
-    d = np.arange(-end, 2 * end + 1)
+    ahead, at the imbalances d = 2m - j = -end..end, the one at d at index d + end."""
+    d = np.arange(-end, end + 1)
     return np.where(d == 0, 0.5, np.where(d < 0, design.p, 1.0 - design.p))

@@ -48,21 +48,10 @@ _NEG_INF = float("-inf")
 
 # One process-wide memo of read-only float laws, chain tables (row views
 # counted) and covariance blocks, at most MEMO_BYTES, least recently used out.
-# Only _memoized reads or writes it.
+# Only _memoized reads or writes it, and sums its entries' bytes on a miss.
 MEMO_BYTES = 5 << 20
 
-
-class _Memo(OrderedDict):
-    """Entries, least recently used first, and their running byte total."""
-
-    nbytes = 0
-
-    def clear(self) -> None:
-        super().clear()
-        self.nbytes = 0
-
-
-_memo = _Memo()
+_memo = OrderedDict()
 
 
 def _memoized(key: tuple, build):
@@ -73,12 +62,12 @@ def _memoized(key: tuple, build):
     if entry is None:
         entry = build()
         if isinstance(entry, np.ndarray):
-            entry.flags.writeable = False
+            entry.setflags(write=False)
         if entry.nbytes > MEMO_BYTES:
             return entry
-        _memo.nbytes += entry.nbytes
-        while _memo.nbytes > MEMO_BYTES:
-            _memo.nbytes -= _memo.popitem(last=False)[1].nbytes
+        total = entry.nbytes + sum(e.nbytes for e in _memo.values())
+        while total > MEMO_BYTES:
+            total -= _memo.popitem(last=False)[1].nbytes
     _memo[key] = entry
     return entry
 

@@ -155,9 +155,9 @@ def _build_rows(design: DesignSpec, start: int, start_count: int, end: int, end_
     up = max(end - end_count - start, 0)  # from here on the lowest count must step up:
     for row, lo in zip(rows[up:-1], lows[up:]):
         row[lo] = row[lo] > 0.0  # exactly 1 where it can be reached
-    band.flags.writeable = False
+    band.setflags(write=False)
     for row in rows:
-        row.flags.writeable = False
+        row.setflags(write=False)
     out = _Rows(rows[:-1])
     out.nbytes = band.nbytes + sys.getsizeof(out) + sum(map(sys.getsizeof, out))
     return out

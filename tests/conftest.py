@@ -1,3 +1,5 @@
+from collections import OrderedDict
+
 import pytest
 
 import condrand.distributions as distributions
@@ -7,6 +9,6 @@ import condrand.distributions as distributions
 def empty_memo(monkeypatch):
     """An empty memo of float laws, chain tables and covariance blocks for
     one test; the process's own memo comes back after it."""
-    memo = distributions._Memo()
+    memo = OrderedDict()
     monkeypatch.setattr(distributions, "_memo", memo)
     return memo

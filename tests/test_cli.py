@@ -703,6 +703,18 @@ class TestErrorPaths:
         assert (code, out) == (4, "")
         assert err == f"error: {message.format(r=resp, a=seqs)}\n"
 
+    def test_constant_responses_info_exit_3(self, capsys, tmp_path):
+        # no completion of 60 equal responses varies, so the final
+        # statistic's variance is zero at the interim looks
+        golden = Path(__file__).parent / "golden"
+        resp = tmp_path / "constant.csv"
+        resp.write_text("1.5\n" * 60)
+        code, out, err = run_cli(
+            capsys, "info", "--design", "bcd:0.75", "--schedule",
+            str(golden / "schedule60.json"), "--responses", str(resp), "--seed", "1",
+        )
+        assert (code, out, err) == (3, "", "error: final-statistic variance is zero\n")
+
     @pytest.mark.parametrize("command", ["info", "boundaries"])
     @pytest.mark.parametrize("header", ["", "y,site\n"])
     def test_stratum_column_outside_pvalue_exit_4(

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import OrderedDict
 from contextlib import suppress
 from fractions import Fraction
 from unittest import mock
@@ -633,7 +634,7 @@ class TestBlockedChainMatchesReference:
         design, segment = case
         r0, m0, r1, m1 = segment
         # a second chain reads the first one's rows from the memo
-        with mock.patch.object(distributions, "_memo", distributions._Memo()):
+        with mock.patch.object(distributions, "_memo", OrderedDict()):
             table = distributions.backward_log_table(design, r0, r1, m1)
             assert len(table) == r1 - r0 + 1
             reference = reference_backward_log_table(design, r0, r1, m1)
